@@ -5,8 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadKernelParam, DimensionMismatch
-from .kernels_util import pairwise_sq_dists
-from .linalg import PsdMatrix, psd_clip
+from .linalg import psd_clip
 
 KERNEL_KINDS = ("linear", "gaussian")
 
@@ -30,12 +29,26 @@ class KernelSpec:
             raise BadKernelParam("gaussian kernel needs gamma > 0, got %r" % (self.gamma,))
 
 
+def pairwise_sq_dists(x1, x2):
+    """Squared euclidean distances between rows of two matrices.
+
+    Uses the expansion ``||a - b||^2 = ||a||^2 + ||b||^2 - 2 a.b`` and clips
+    tiny negatives produced by cancellation.
+    """
+    sq1 = np.sum(x1 * x1, axis=1)[:, None]
+    sq2 = np.sum(x2 * x2, axis=1)[None, :]
+    d = sq1 + sq2 - 2.0 * (x1 @ x2.T)
+    return np.maximum(d, 0.0)
+
+
 def gram(spec, x1, x2=None):
     """Kernel matrix between two sets of row vectors.
 
-    With ``x2=None`` the self-Gram of ``x1`` is computed, symmetrized and
-    clipped onto the PSD cone (gaussian kernels can go slightly indefinite
-    in floating point). Cross-Gram matrices are returned as-is.
+    With ``x2=None`` the self-Gram of ``x1`` is computed and symmetrized as
+    ``(K + K') / 2``; it is not clipped onto the PSD cone (gaussian kernels
+    can go slightly indefinite in floating point, which
+    :attr:`GramMatrix.K` absorbs in its spectral form). Cross-Gram matrices
+    are returned as-is.
 
     Returns a plain ``(m, r)`` ndarray.
     """
@@ -51,27 +64,56 @@ def gram(spec, x1, x2=None):
     else:
         k = np.exp(-spec.gamma * pairwise_sq_dists(x1, x2))
     if self_gram:
-        return psd_clip(0.5 * (k + k.T), tol=1e-8).data.copy()
+        k += k.T
+        k *= 0.5
     return k
 
 
 class GramMatrix:
     """Training Gram matrix bundled with its kernel spec and inputs.
 
-    The decomposed PSD kernel matrix lives in ``.K`` (a
-    :class:`~smtl.linalg.PsdMatrix`); the training inputs are retained so a
-    fitted model can later evaluate cross-kernels against new points.
-    Instances are immutable after construction.
+    Construction stores only the spec and the training inputs; nothing is
+    evaluated until it is used, and each form is built at most once:
+
+    * ``.raw`` is the symmetrized kernel matrix ``gram(spec, X_train)``, a
+      read-only ``(n, n)`` ndarray. The objectives and every supervised
+      route read it.
+    * ``.K`` is its spectral form, a :class:`~smtl.linalg.PsdMatrix` from
+      one eigendecomposition of ``.raw``. Eigenvalues down to
+      ``-1e-8 * max(1, w_max)`` are clipped to zero in the spectrum only;
+      more negative ones raise :class:`~smtl.errors.NotPsd`. Its ``data``
+      is ``.raw`` itself. Only the uniform-weight spectral solve and the
+      oracles need it.
+
+    A model that only predicts (e.g. one read by ``load_model``) builds
+    neither: prediction needs just the spec and ``X_train``. Both forms
+    depend only on the spec and inputs, so two threads that race on a first
+    use at worst compute the same value twice.
     """
 
-    __slots__ = ("spec", "X_train", "K")
+    __slots__ = ("spec", "X_train", "_raw", "_K")
 
     def __init__(self, spec, x):
         x = np.atleast_2d(np.array(x, dtype=float))
         x.setflags(write=False)
         self.spec = spec
         self.X_train = x
-        self.K = PsdMatrix(gram(spec, x))
+        self._raw = None
+        self._K = None
+
+    @property
+    def raw(self):
+        if self._raw is None:
+            k = gram(self.spec, self.X_train)
+            k.setflags(write=False)
+            self._raw = k
+        return self._raw
+
+    @property
+    def K(self):
+        if self._K is None:
+            self._K = psd_clip(self.raw, tol=1e-8, keep_data=True)
+        return self._K
 
     @property
     def n(self):

@@ -140,7 +140,11 @@ class PsdMatrix:
         w = w[order]
         v = _fix_signs(v[:, order])
         obj = cls.__new__(cls)
-        obj.data = _frozen(0.5 * ((v * w) @ v.T + ((v * w) @ v.T).T))
+        r = (v * w) @ v.T
+        r += r.T  # numpy buffers the overlapping operand: r_ij + r_ji
+        r *= 0.5
+        r.setflags(write=False)
+        obj.data = r
         obj.rank_tol = float(rank_tol)
         obj.eig = SymEig(w.copy(), v)
         return obj
@@ -181,12 +185,18 @@ def _as_psd(a, rank_tol=DEFAULT_RANK_TOL):
     return a if isinstance(a, PsdMatrix) else PsdMatrix(a, rank_tol=rank_tol)
 
 
-def psd_clip(a, tol=DEFAULT_RANK_TOL):
+def psd_clip(a, tol=DEFAULT_RANK_TOL, keep_data=False):
     """Project a nearly-PSD symmetric matrix onto the PSD cone.
 
     Negative eigenvalues no smaller than ``-tol * max(1, w_max)`` are clipped
     to zero; anything more negative raises :class:`NotPsd` since that points
     at a bug rather than roundoff.
+
+    With ``keep_data=True`` the clip applies to the spectral form only: the
+    result's ``data`` is ``a`` itself, neither copied nor rebuilt from the
+    clipped eigenvalues, so ``a`` must already be a symmetric ndarray and
+    should be read-only. This costs one eigendecomposition and no extra
+    ``(m, m)`` array.
     """
     eig = sym_eig(a)
     w = eig.eigenvalues
@@ -195,7 +205,13 @@ def psd_clip(a, tol=DEFAULT_RANK_TOL):
         raise NotPsd(
             "eigenvalue %.3e too negative to be roundoff (tol %.1e)" % (w[-1], tol)
         )
-    return PsdMatrix.from_eig(np.maximum(w, 0.0), eig.eigenvectors)
+    if not keep_data:
+        return PsdMatrix.from_eig(np.maximum(w, 0.0), eig.eigenvectors)
+    out = PsdMatrix.__new__(PsdMatrix)
+    out.data = a
+    out.rank_tol = DEFAULT_RANK_TOL
+    out.eig = SymEig(np.maximum(w, 0.0), eig.eigenvectors)
+    return out
 
 
 def pinv_psd(a):

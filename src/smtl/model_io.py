@@ -15,7 +15,9 @@ Layout::
 
 Values are written with 17 significant digits, which round-trips IEEE
 doubles exactly, so save/load reproduces C, A, X and the kernel parameters
-bit-for-bit. The Gram matrix is rebuilt from X on load.
+bit-for-bit. The Gram matrix is not stored, and load does not rebuild it:
+the loaded model keeps the kernel spec and X, which is all prediction
+needs, and evaluates the training Gram matrix only on first use.
 """
 
 import numpy as np

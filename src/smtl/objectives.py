@@ -64,7 +64,7 @@ class ProblemInstance:
 
     @property
     def K(self):
-        return self.gram.K.data
+        return self.gram.raw
 
     @property
     def n(self):
@@ -131,8 +131,11 @@ def eval_R(inst, c, a):
 
 def _pd_inverse_trace(a, b):
     """``tr(A^{-1} B)`` for strictly PD A, else NotStrictlyPd."""
+    # Strict positivity, not the relative rank test: with a small barrier
+    # the eigenvalues of A can be of order delta, far below
+    # rank_tol * ||A|| yet legitimately positive.
     w = a.eigenvalues
-    if w[-1] <= a.rank_cut():
+    if not w[-1] > 0.0:
         raise NotStrictlyPd("eval_S needs a strictly PD structure matrix")
     v = a.eigenvectors
     quads = np.einsum("ij,jk,ki->i", v.T, b, v)

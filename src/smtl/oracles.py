@@ -409,7 +409,7 @@ def check_coding_equivalence(trials=10, seed=0):
         n, n_tasks = 5, 3
         n_code = int(rng.integers(2, 5))
         x = rng.standard_normal((n, 2))
-        k = GramMatrix(KernelSpec("gaussian", gamma=0.7), x).K.data
+        k = GramMatrix(KernelSpec("gaussian", gamma=0.7), x).raw
         c = rng.standard_normal((n, n_tasks))
         y = rng.standard_normal((n, n_tasks))
         l_embed = rng.standard_normal((n_code, n_tasks))
@@ -462,9 +462,9 @@ def check_metric_equivalence(trials=10, seed=0):
             theta = base @ base.T + 0.3 * np.eye(n_tasks)
         lam = 0.4
         # deformed-metric objective, written out directly
-        pred = gram.K.data @ c @ theta
+        pred = gram.raw @ c @ theta
         v_metric = float(np.sum((y - pred) ** 2))
-        v_metric += lam * float(np.sum(theta * (c.T @ gram.K.data @ c)))
+        v_metric += lam * float(np.sum(theta * (c.T @ gram.raw @ c)))
         # same quantity through the library's objective
         inst = ProblemInstance(
             gram=gram, Y=y, W=np.ones_like(y), lam=lam,

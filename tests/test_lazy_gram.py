@@ -1,0 +1,145 @@
+"""The training Gram matrix is evaluated and decomposed only when used.
+
+Construction evaluates no kernel; the raw kernel matrix is built on first
+use, and its spectral form (one n x n eigendecomposition) only for the
+uniform-weight spectral solve. The one-hot and CG routes, and a model read
+back from disk for prediction, never decompose an n x n matrix.
+"""
+
+import time
+
+import numpy as np
+import pytest
+from numpy.testing import assert_allclose
+
+import smtl.kernels
+import smtl.linalg
+from smtl.data import TaskDataset
+from smtl.errors import NotPsd
+from smtl.kernels import GramMatrix, KernelSpec
+from smtl.linalg import psd_clip
+from smtl.metrics import predict
+from smtl.model_io import load_model, save_model
+from smtl.penalties import PenaltySpec
+from smtl.solver import SolverConfig, fit
+
+N, T = 30, 3
+
+
+def dataset(pattern, seed=0):
+    """Uniform weights, one observed entry per row, or a random mask."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((N, 4))
+    y = rng.standard_normal((N, T))
+    tids = np.arange(N) % T
+    if pattern == "uniform":
+        w = np.ones((N, T))
+    elif pattern == "one_hot":
+        w = np.zeros((N, T))
+        w[np.arange(N), tids] = 1.0
+    else:
+        w = (rng.random((N, T)) < 0.7).astype(float)
+        w[np.arange(N), tids] = 1.0  # no empty task, >1 entry in most rows
+    return TaskDataset(X=x, Y=y * (w > 0), W=w, task_ids=tids)
+
+
+def fit_small(ds):
+    return fit(ds, KernelSpec("gaussian", gamma=0.4),
+               PenaltySpec.schatten(1.0, 1.0), 0.2,
+               config=SolverConfig(max_iter=5))
+
+
+@pytest.fixture
+def n_by_n_eigs(monkeypatch):
+    """Records the size of every n x n ``smtl.linalg.sym_eig`` call."""
+    seen = []
+    original = smtl.linalg.sym_eig
+
+    def counting(a):
+        if np.shape(a)[0] == N:
+            seen.append(N)
+        return original(a)
+
+    monkeypatch.setattr(smtl.linalg, "sym_eig", counting)
+    return seen
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    calls = []
+    original = smtl.kernels.gram
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(smtl.kernels, "gram", counting)
+    return calls
+
+
+def test_uniform_fit_decomposes_gram_once(n_by_n_eigs):
+    fit_small(dataset("uniform"))
+    assert len(n_by_n_eigs) == 1
+
+
+@pytest.mark.parametrize("pattern", ["one_hot", "masked"])
+def test_one_hot_and_cg_fits_decompose_nothing(n_by_n_eigs, pattern):
+    _, rep = fit_small(dataset(pattern))
+    assert rep.iters >= 1
+    assert n_by_n_eigs == []
+
+
+def test_load_and_predict_decompose_nothing(tmp_path, n_by_n_eigs):
+    model, _ = fit_small(dataset("one_hot"))
+    path = tmp_path / "m.txt"
+    save_model(model, path)
+    back = load_model(path)
+    z = predict(back, dataset("one_hot", seed=1).X)
+    assert z.shape == (N, T)
+    assert n_by_n_eigs == []
+
+
+def test_construction_evaluates_no_kernel(kernel_calls, n_by_n_eigs):
+    gm = GramMatrix(KernelSpec("gaussian", gamma=0.4), np.ones((N, 2)))
+    assert kernel_calls == []
+    raw = gm.raw
+    assert len(kernel_calls) == 1 and raw is gm.raw
+    assert n_by_n_eigs == []
+    spectral = gm.K
+    assert spectral is gm.K and spectral.data is raw
+    assert len(kernel_calls) == 1 and len(n_by_n_eigs) == 1
+
+
+def test_spectral_form_reconstructs_raw_kernel():
+    rng = np.random.default_rng(5)
+    for spec in (KernelSpec("linear"), KernelSpec("gaussian", gamma=0.3)):
+        gm = GramMatrix(spec, rng.standard_normal((N, 4)))
+        rebuilt = gm.K.eig.reconstruct()
+        gap = np.linalg.norm(rebuilt - gm.raw) / np.linalg.norm(gm.raw)
+        assert gap <= 1e-10
+        assert np.all(gm.K.eigenvalues >= 0.0)
+        assert_allclose(gm.raw, gm.raw.T, atol=0)
+        with pytest.raises(ValueError):
+            gm.raw[0, 0] = 1.0
+
+
+def test_spectral_form_rejects_clearly_indefinite():
+    a = np.diag([1.0, -1e-3])
+    with pytest.raises(NotPsd):
+        psd_clip(a, tol=1e-8, keep_data=True)
+    kept = psd_clip(np.diag([1.0, -1e-12]), tol=1e-8, keep_data=True)
+    assert kept.eigenvalues[-1] == 0.0 and kept.data[1, 1] == -1e-12
+
+
+def test_kernel_evaluation_is_timed_as_gram(monkeypatch):
+    pause = 0.3
+    original = smtl.kernels.gram
+
+    def slow(*args, **kwargs):
+        time.sleep(pause)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(smtl.kernels, "gram", slow)
+    _, rep = fit_small(dataset("uniform"))
+    assert rep.wall_times["gram"] >= pause
+    assert rep.wall_times["fit"] < pause

@@ -25,6 +25,7 @@ from smtl.solver import (
     supervised_step,
     unsupervised_step,
 )
+from smtl.synth import SyntheticSpec, synth_generate
 
 
 def make_dataset(seed=0, n_tasks=3, n_per_task=12, d=4):
@@ -226,6 +227,21 @@ class TestFit:
         assert rep.final_delta == pytest.approx(1e-4)
         traj = np.asarray(rep.objective_trajectory)
         assert np.all(np.diff(traj) <= 1e-10 * (1 + np.abs(traj[:-1])))
+
+    @pytest.mark.parametrize("floor", [1e-8, 1e-10, 1e-12])
+    def test_geometric_ladder_reaches_tiny_floors(self, floor):
+        """delta^2 far below the roundoff in C'KC (rank <= d < T) must not
+        make B or A numerically singular."""
+        ds, _ = synth_generate(SyntheticSpec(d=5, n_tasks=20, n_per_task=10,
+                                             relatedness=0.5), seed=0)
+        cfg = SolverConfig(delta=0.1, delta_schedule="geometric",
+                           delta_floor=floor, max_iter=20)
+        model, rep = fit(ds, KernelSpec("linear"),
+                         PenaltySpec.schatten(1.0, 1.0), 0.1, config=cfg)
+        assert len(rep.phase_starts) == len(cfg.delta_values())
+        assert rep.final_delta == pytest.approx(floor)
+        assert np.all(np.isfinite(rep.objective_trajectory))
+        assert model.A.eigenvalues[-1] > 0.0
 
     def test_empty_task_rejected(self):
         # dataset_from_rows refuses empty tasks up front, so build the
