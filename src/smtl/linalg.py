@@ -106,13 +106,19 @@ class PsdMatrix:
     so instances can be shared freely. ``rank_tol`` is relative to the
     largest eigenvalue and controls which eigenvalues are treated as zero.
 
+    ``data`` is the dense read-only matrix. Instances made by
+    :meth:`from_eig` build it from the spectral form on first read only,
+    since most of them (barrier iterates, B in the A-step) are read through
+    their eigenpairs alone. The build is deterministic, so two threads
+    racing on it store equal arrays.
+
     Raises
     ------
     NotPsd
         If the smallest eigenvalue is below ``-rank_tol * max(1, w_max)``.
     """
 
-    __slots__ = ("data", "rank_tol", "eig")
+    __slots__ = ("_data", "rank_tol", "eig")
 
     def __init__(self, data, rank_tol=DEFAULT_RANK_TOL):
         eig = sym_eig(data)
@@ -123,7 +129,7 @@ class PsdMatrix:
                 "smallest eigenvalue %.3e is below the PSD tolerance" % w[-1]
             )
         a = np.asarray(data, dtype=float)
-        self.data = _frozen(0.5 * (a + a.T))
+        self._data = _frozen(0.5 * (a + a.T))
         self.rank_tol = float(rank_tol)
         self.eig = eig
 
@@ -140,22 +146,29 @@ class PsdMatrix:
         w = w[order]
         v = _fix_signs(v[:, order])
         obj = cls.__new__(cls)
-        r = (v * w) @ v.T
-        r += r.T  # numpy buffers the overlapping operand: r_ij + r_ji
-        r *= 0.5
-        r.setflags(write=False)
-        obj.data = r
+        obj._data = None  # built from eig on first read of .data
         obj.rank_tol = float(rank_tol)
         obj.eig = SymEig(w.copy(), v)
         return obj
 
     @property
+    def data(self):
+        if self._data is None:
+            v = self.eig.eigenvectors
+            r = (v * self.eig.eigenvalues) @ v.T
+            r += r.T  # numpy buffers the overlapping operand: r_ij + r_ji
+            r *= 0.5
+            r.setflags(write=False)
+            self._data = r
+        return self._data
+
+    @property
     def dim(self):
-        return self.data.shape[0]
+        return self.eig.eigenvalues.shape[0]
 
     @property
     def shape(self):
-        return self.data.shape
+        return (self.dim, self.dim)
 
     @property
     def eigenvalues(self):
@@ -208,7 +221,7 @@ def psd_clip(a, tol=DEFAULT_RANK_TOL, keep_data=False):
     if not keep_data:
         return PsdMatrix.from_eig(np.maximum(w, 0.0), eig.eigenvectors)
     out = PsdMatrix.__new__(PsdMatrix)
-    out.data = a
+    out._data = a
     out.rank_tol = DEFAULT_RANK_TOL
     out.eig = SymEig(np.maximum(w, 0.0), eig.eigenvectors)
     return out

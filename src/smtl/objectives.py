@@ -11,6 +11,16 @@ matrix ``A`` (T x T) are exposed:
 * ``eval_S`` : the barrier version of R with ``A^{-1}(C'KC + delta^2 I)``
   in place of the pseudoinverse trace, finite only on strictly PD ``A``.
 
+Both trace terms are evaluated in A's eigenbasis ``A = V diag(w) V'``
+without forming ``C'KC``: ``tr(A^{-1} C'KC) = sum_i q_i / w_i`` with the
+quadratic forms ``q_i = (C v_i)'(K C v_i)`` taken column by column from
+``C V`` and ``KC V`` (``diag_quad_forms``). The roundoff in each ``q_i`` then
+scales with ``||C v_i|| ||K C v_i||``, which is small exactly where ``w_i``
+is small. Forming ``C'KC`` first would leave an error of order
+``eps ||C'KC||`` in every ``q_i``, and dividing it by a ``w_i`` of order
+delta makes the barrier objective rise between iterations at tiny barrier
+sizes.
+
 The value-preserving maps between Q- and R-minimizers are ``map_Q_to_R``
 (``C -> C A``) and ``map_R_to_Q`` (``C -> C A^+``).
 """
@@ -104,14 +114,9 @@ def eval_Q(inst, c, a):
     return value + penalty_value(inst.penalty, a)
 
 
-def _trace_pinv_quad(a, m):
-    """``tr(A^+ M)`` computed in A's eigenbasis."""
-    w = a.eigenvalues
-    cut = a.rank_cut()
-    keep = w > cut
-    vm = a.eigenvectors[:, keep]
-    quads = np.einsum("ij,jk,ki->i", vm.T, m, vm)
-    return float(np.sum(quads / w[keep]))
+def diag_quad_forms(c, kc, v):
+    """Diagonal of ``V' C'KC V`` from the columns of ``C V`` and ``KC V``."""
+    return np.sum((c @ v) * (kc @ v), axis=0)
 
 
 def eval_R(inst, c, a):
@@ -123,38 +128,46 @@ def eval_R(inst, c, a):
     if not range_contained(m, a, tol=RANGE_TOL):
         return float("inf")
     v, _ = loss_value_grad(inst.loss, inst.Y, kc, inst.W)
-    value = v + inst.lam * _trace_pinv_quad(a, m)
+    w = a.eigenvalues
+    keep = w > a.rank_cut()
+    quads = diag_quad_forms(c, kc, a.eigenvectors[:, keep])
+    value = v + inst.lam * float(np.sum(quads / w[keep]))
     if inst.ridge:
         value += inst.ridge * float(np.trace(m))
     return value + penalty_value(inst.penalty, a)
 
 
-def _pd_inverse_trace(a, b):
-    """``tr(A^{-1} B)`` for strictly PD A, else NotStrictlyPd."""
+def eval_S(inst, c, a):
+    """Barrier objective at the instance's ``delta``; needs ``delta > 0``.
+
+    The trace term ``tr(A^{-1}(C'KC + delta^2 I))`` is
+    ``sum_i (q_i + delta^2) / w_i`` over A's eigenpairs, with ``q_i`` from
+    ``diag_quad_forms``; ``C'KC + delta^2 I`` is never formed, so its roundoff
+    is not divided by eigenvalues of order delta (see the module notes).
+    The ridge term ``tr(C'KC)`` is ``sum(C * KC)``.
+
+    Raises
+    ------
+    NotStrictlyPd
+        If A has an eigenvalue that is not strictly positive.
+    """
+    if not inst.delta > 0:
+        raise ValueError("eval_S needs delta > 0 on the instance")
+    c = _check_c(inst, c)
+    a = _as_structure(a)
     # Strict positivity, not the relative rank test: with a small barrier
     # the eigenvalues of A can be of order delta, far below
     # rank_tol * ||A|| yet legitimately positive.
     w = a.eigenvalues
     if not w[-1] > 0.0:
         raise NotStrictlyPd("eval_S needs a strictly PD structure matrix")
-    v = a.eigenvectors
-    quads = np.einsum("ij,jk,ki->i", v.T, b, v)
-    return float(np.sum(quads / w))
-
-
-def eval_S(inst, c, a):
-    """Barrier objective at the instance's ``delta``; needs ``delta > 0``."""
-    if not inst.delta > 0:
-        raise ValueError("eval_S needs delta > 0 on the instance")
-    c = _check_c(inst, c)
-    a = _as_structure(a)
     kc = inst.K @ c
-    m = c.T @ kc
-    b = m + (inst.delta ** 2) * np.eye(inst.n_tasks)
     v, _ = loss_value_grad(inst.loss, inst.Y, kc, inst.W)
-    value = v + inst.lam * _pd_inverse_trace(a, b)
+    quads = diag_quad_forms(c, kc, a.eigenvectors)
+    trace = np.sum(quads / w) + inst.delta ** 2 * np.sum(1.0 / w)
+    value = v + inst.lam * float(trace)
     if inst.ridge:
-        value += inst.ridge * float(np.trace(m))
+        value += inst.ridge * float(np.sum(c * kc))
     return value + penalty_value(inst.penalty, a)
 
 

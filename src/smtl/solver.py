@@ -39,7 +39,9 @@ from .errors import (
 from . import linalg
 from .kernels import GramMatrix
 from .linalg import PsdMatrix, sylvester_ls_solve
-from .objectives import ProblemInstance, eval_S, grad_S_A, grad_S_C
+from .objectives import (
+    ProblemInstance, diag_quad_forms, eval_S, grad_S_A, grad_S_C,
+)
 from .penalties import project_structure, unsupervised_min
 
 MODES = ("altmin", "bcd")
@@ -268,11 +270,15 @@ def unsupervised_step(inst, c, a_prev, mode="altmin", step=None):
     (for smooth penalties) gradient step, guarded by halving.
     """
     if mode == "altmin":
-        # B = C'KC + delta^2 I from one decomposition of M = C'KC. Adding
-        # delta^2 to M's clipped eigenvalues keeps B strictly PD even when
-        # delta^2 is below the roundoff in M (tiny barrier floors).
-        em = linalg.sym_eig(c.T @ inst.K @ c)
-        sigma = np.maximum(em.eigenvalues, 0.0) + inst.delta ** 2
+        # B = C'KC + delta^2 I in the eigenbasis V of M = C'KC. M's
+        # eigenvalues carry roundoff of order eps * ||M||, which swamps
+        # delta^2 in M's near-null directions; the column forms of
+        # diag(V'MV) are accurate there, as in eval_S. Adding delta^2 to
+        # them keeps B strictly PD at tiny barrier floors.
+        kc = inst.K @ c
+        em = linalg.sym_eig(c.T @ kc)
+        quads = diag_quad_forms(c, kc, em.eigenvectors)
+        sigma = np.maximum(quads, 0.0) + inst.delta ** 2
         b = PsdMatrix.from_eig(sigma, em.eigenvectors)
         return unsupervised_min(inst.penalty, b, inst.lam)
     g = grad_S_A(inst, c, a_prev)

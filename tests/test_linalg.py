@@ -16,6 +16,7 @@ from smtl.linalg import (
     PsdMatrix,
     kron_ls_solve,
     pinv_psd,
+    psd_clip,
     psd_power,
     range_contained,
     schatten,
@@ -91,6 +92,27 @@ class TestPsdMatrix:
         a = PsdMatrix(random_psd(rng, 4))
         b = PsdMatrix.from_eig(a.eigenvalues, a.eigenvectors)
         assert_allclose(b.data, a.data, atol=1e-12)
+
+    @pytest.mark.parametrize("t", [3, 50])
+    def test_from_eig_builds_data_on_first_read(self, t):
+        rng = np.random.default_rng(3)
+        e = sym_eig(random_psd(rng, t))
+        b = PsdMatrix.from_eig(e.eigenvalues, e.eigenvectors)
+        assert b.dim == t and b.shape == (t, t)
+        assert b._data is None  # dim and shape come from the spectral form
+        v, w = b.eigenvectors, b.eigenvalues
+        eager = (v * w) @ v.T
+        eager = 0.5 * (eager + eager.T)
+        assert np.array_equal(b.data, eager)
+        assert b.data is b.data
+        with pytest.raises(ValueError):
+            b.data[0, 0] = 5.0
+
+    def test_psd_clip_keep_data_shares_input(self):
+        rng = np.random.default_rng(4)
+        m = random_psd(rng, 6)
+        m.setflags(write=False)
+        assert psd_clip(m, keep_data=True).data is m
 
 
 def test_pinv_psd_moore_penrose():

@@ -106,6 +106,52 @@ def test_eval_s_requires_positive_delta_and_pd_a():
         eval_S(inst, np.zeros((inst.n, 2)), PsdMatrix(np.diag([1.0, 0.0])))
 
 
+@pytest.mark.parametrize("n_tasks", [3, 50])
+@pytest.mark.parametrize("delta", [1e-1, 1e-4])
+def test_eval_s_matches_dense_reference(n_tasks, delta):
+    """The eigenbasis evaluation equals loss + lam tr(A^{-1}(C'KC + d^2 I))
+    + ridge tr(C'KC) + F(A) computed densely with a linear solve."""
+    rng = np.random.default_rng(11 + n_tasks)
+    penalty = PenaltySpec.schatten(p=2.0, mu=0.5)
+    inst = make_instance(seed=11, n=30, n_tasks=n_tasks, delta=delta,
+                         penalty=penalty, ridge=0.3)
+    for _ in range(3):
+        c = rng.standard_normal((inst.n, n_tasks))
+        a = PsdMatrix(random_pd(rng, n_tasks))
+        kc = inst.K @ c
+        m = c.T @ kc
+        b = m + delta ** 2 * np.eye(n_tasks)
+        ref = (np.sum(inst.W * (inst.Y - kc) ** 2)
+               + inst.lam * np.trace(np.linalg.solve(a.data, b))
+               + inst.ridge * np.trace(m)
+               + penalty.mu * np.sum(np.linalg.eigvalsh(a.data) ** 2))
+        assert_allclose(eval_S(inst, c, a), ref, rtol=1e-10)
+
+
+def test_eval_s_accurate_where_a_is_of_order_delta():
+    """Directions C barely uses get eigenvalues of A of order delta. The
+    trace term there is delta^2 / w up to roundoff of order eps^2, not
+    eps ||C'KC|| / w, which would swamp the objective."""
+    rng = np.random.default_rng(12)
+    n_tasks, rank, delta = 12, 3, 1e-10
+    inst = make_instance(seed=12, n=40, n_tasks=n_tasks, delta=delta,
+                         penalty=PenaltySpec.schatten(1.0, 1.0))
+    q, _ = np.linalg.qr(rng.standard_normal((n_tasks, n_tasks)))
+    c = 10.0 * rng.standard_normal((inst.n, rank)) @ q[:, :rank].T
+    w = np.concatenate([rng.uniform(1.0, 2.0, rank),
+                        np.full(n_tasks - rank, delta)])
+    a = PsdMatrix.from_eig(w, q)
+    w = a.eigenvalues  # sorted, in step with a.eigenvectors
+    kc = inst.K @ c
+    vr = a.eigenvectors[:, :rank]
+    m_range = vr.T @ (c.T @ kc) @ vr
+    ref = (np.sum(inst.W * (inst.Y - kc) ** 2)
+           + inst.lam * (np.trace(np.linalg.solve(np.diag(w[:rank]), m_range))
+                         + delta ** 2 * np.sum(1.0 / w))
+           + np.sum(w))
+    assert abs(eval_S(inst, c, a) - ref) <= 1e-12 * (1.0 + abs(ref))
+
+
 def test_eval_s_nondecreasing_in_delta():
     rng = np.random.default_rng(6)
     base = make_instance(seed=6)

@@ -243,6 +243,22 @@ class TestFit:
         assert np.all(np.isfinite(rep.objective_trajectory))
         assert model.A.eigenvalues[-1] > 0.0
 
+    @pytest.mark.parametrize("floor", [1e-8, 1e-10, 1e-12])
+    def test_tiny_floor_trajectory_converges_monotonically(self, floor):
+        """At barrier sizes far below the roundoff in C'KC, both the A-step
+        and eval_S must resolve the near-null directions of C'KC; if
+        either reads them from the dense matrix, the objective rises
+        between iterations and the fit runs to max_iter."""
+        ds, _ = synth_generate(SyntheticSpec(d=5, n_tasks=20, n_per_task=10,
+                                             relatedness=0.5), seed=0)
+        cfg = SolverConfig(delta=0.1, delta_schedule="geometric",
+                           delta_floor=floor, max_iter=500)
+        _, rep = fit(ds, KernelSpec("linear"),
+                     PenaltySpec.schatten(1.0, 1.0), 0.1, config=cfg)
+        assert rep.termination == "converged"
+        traj = np.asarray(rep.objective_trajectory)
+        assert np.all(np.diff(traj) <= 1e-10 * (1 + np.abs(traj[:-1])))
+
     def test_empty_task_rejected(self):
         # dataset_from_rows refuses empty tasks up front, so build the
         # container directly with a task nobody mentions
