@@ -22,7 +22,7 @@ from . import errors
 from .config import RunConfig, load_config, parse_config
 from .data import TaskDataset, dataset_from_rows, load_dataset, save_dataset
 from .kernels import GramMatrix, KernelSpec, gram
-from .linalg import PsdMatrix, StructureMatrix, pinv_psd, psd_power, schatten, sym_eig
+from .linalg import PsdMatrix, pinv_psd, psd_power, schatten, sym_eig
 from .metrics import accuracy, nmse, normalized_improvement, predict
 from .model_io import load_model, save_model
 from .objectives import (
@@ -64,8 +64,7 @@ __all__ = [
     "RunConfig", "load_config", "parse_config",
     "TaskDataset", "dataset_from_rows", "load_dataset", "save_dataset",
     "GramMatrix", "KernelSpec", "gram",
-    "PsdMatrix", "StructureMatrix", "pinv_psd", "psd_power", "schatten",
-    "sym_eig",
+    "PsdMatrix", "pinv_psd", "psd_power", "schatten", "sym_eig",
     "accuracy", "nmse", "normalized_improvement", "predict",
     "load_model", "save_model",
     "ProblemInstance", "eval_Q", "eval_R", "eval_S",

@@ -50,7 +50,6 @@ CONFIG_KEYS = {
     "mode": ("mode", _parse_str),
     "step_c": ("step_c", _parse_float),
     "step_a": ("step_a", _parse_float),
-    "seed": ("seed", _parse_int),
 }
 
 
@@ -78,7 +77,6 @@ class RunConfig:
     mode: str = "altmin"
     step_c: float = 1e-3
     step_a: float = 1e-3
-    seed: int = 0
 
     def kernel_spec(self):
         return KernelSpec(kind=self.kernel_type, gamma=self.kernel_gamma)

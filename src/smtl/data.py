@@ -17,7 +17,6 @@ from .errors import (
     EmptyTask,
     InconsistentDimension,
     ParseError,
-    UnsupportedLoss,
 )
 
 WEIGHTINGS = ("per_task", "uniform")
@@ -176,14 +175,12 @@ def save_dataset(ds, path):
             fh.write(",".join(cells) + "\n")
 
 
-def loss_value_grad(kind, y, z, w):
+def loss_value_grad(y, z, w):
     """Weighted squared loss and its gradient in the predictions.
 
     Returns ``(value, grad)`` with ``value = sum(W * (Y - Z)**2)`` and
     ``grad = -2 W * (Y - Z)`` (gradient with respect to ``Z``).
     """
-    if kind != "squared":
-        raise UnsupportedLoss("unknown loss kind %r" % (kind,))
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
     w = np.asarray(w, dtype=float)

@@ -32,8 +32,9 @@ class SingularMatrix(SmtlError):
     """A matrix that must be invertible is numerically singular."""
 
 
-class SingularA(SingularMatrix):
-    """The structure matrix passed to a linear solve is singular."""
+class SingularA(SingularMatrix, NotStrictlyPd):
+    """A barrier iterate that must be inverted is not strictly positive
+    definite (raised by :func:`smtl.linalg.pd_eigenvalues`)."""
 
 
 class BadExponent(SmtlError):
@@ -99,10 +100,6 @@ class EmptyTask(SmtlError):
 
 class BadKernelParam(SmtlError):
     """A kernel parameter is invalid (e.g. gaussian width <= 0)."""
-
-
-class UnsupportedLoss(SmtlError):
-    """Only the squared loss is implemented."""
 
 
 class ConfigError(SmtlError):

@@ -12,8 +12,14 @@ Conventions used throughout the package:
   an otherwise arbitrary sign and keeps repeated runs bit-identical;
 * matrices are symmetrized as ``(A + A.T) / 2`` before any decomposition to
   absorb roundoff;
-* eigenvalues at or below ``rank_tol * max(eigenvalue)`` count as zero for
-  rank decisions (pseudoinverses, range projectors, fractional powers).
+* rank decisions (pseudoinverses, range projectors, fractional powers)
+  count eigenvalues at or below ``rank_tol * max(eigenvalue)`` as zero;
+* inverting a barrier iterate (a structure matrix A, or B = C'KC + delta^2 I
+  in the A-step) needs only strict positivity, ``w > 0``, tested in one
+  place, :func:`pd_eigenvalues`. The relative rank test would be wrong
+  there: with barrier size delta, A's smallest eigenvalues are of order
+  delta and B's of order delta^2, far below ``rank_tol * ||A||`` yet
+  legitimately positive.
 """
 
 import numpy as np
@@ -190,10 +196,6 @@ class PsdMatrix:
         return bool(self.eigenvalues[-1] > self.rank_cut())
 
 
-StructureMatrix = PsdMatrix
-"""A task-coupling matrix is just a PSD matrix with its cached spectral form."""
-
-
 def _as_psd(a, rank_tol=DEFAULT_RANK_TOL):
     return a if isinstance(a, PsdMatrix) else PsdMatrix(a, rank_tol=rank_tol)
 
@@ -296,12 +298,22 @@ def range_contained(b, a, tol=1e-8):
     )
 
 
-def _pd_eigenvalues(a):
-    """Eigenvalues of a strictly PD structure matrix, or raise SingularA."""
+def pd_eigenvalues(a):
+    """Eigenvalues of a strictly positive definite matrix, for inverting it.
+
+    The test is ``w > 0``, not the relative rank test (see the module
+    notes), so barrier iterates with eigenvalues of order delta pass.
+
+    Raises
+    ------
+    SingularA
+        If the smallest eigenvalue is not strictly positive.
+    """
     w = a.eigenvalues
-    if w[-1] <= a.rank_cut():
+    if not w[-1] > 0.0:
         raise SingularA(
-            "structure matrix is singular (smallest eigenvalue %.3e)" % w[-1]
+            "matrix is not strictly positive definite "
+            "(smallest eigenvalue %.3e)" % w[-1]
         )
     return w
 
@@ -330,7 +342,7 @@ def sylvester_ls_solve(k, a, lam, y, ridge=0.0):
     Raises
     ------
     SingularA
-        If ``a`` has a zero eigenvalue at ``rank_tol`` resolution.
+        If ``a`` is not strictly positive definite.
     """
     k = _as_psd(k)
     a = _as_psd(a)
@@ -341,7 +353,7 @@ def sylvester_ls_solve(k, a, lam, y, ridge=0.0):
         raise DimensionMismatch(
             "Y has shape %r, expected (%d, %d)" % (y.shape, k.dim, a.dim)
         )
-    d = _pd_eigenvalues(a)
+    d = pd_eigenvalues(a)
     s = np.maximum(k.eigenvalues, 0.0)
     u, v = k.eigenvectors, a.eigenvectors
     yt = u.T @ y @ v
@@ -366,7 +378,7 @@ def kron_ls_solve(k, a, lam, y, ridge=0.0):
         raise DimensionMismatch(
             "Y has shape %r, expected (%d, %d)" % (y.shape, n, t)
         )
-    d = _pd_eigenvalues(a)
+    d = pd_eigenvalues(a)
     v = a.eigenvectors
     a_inv = (v / d) @ v.T
     lam_mat = lam * a_inv + ridge * np.eye(t)

@@ -30,8 +30,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import loss_value_grad
-from .errors import DimensionMismatch, InfeasiblePair, NotStrictlyPd
-from .linalg import PsdMatrix, pinv_psd, psd_power, range_contained
+from .errors import DimensionMismatch, InfeasiblePair
+from .linalg import (
+    PsdMatrix, pd_eigenvalues, pinv_psd, psd_power, range_contained,
+)
 from .penalties import PenaltySpec, penalty_value
 
 RANGE_TOL = 1e-8
@@ -56,7 +58,6 @@ class ProblemInstance:
     penalty: PenaltySpec
     ridge: float = 0.0
     delta: float = 0.0
-    loss: str = "squared"
 
     def __post_init__(self):
         self.Y = np.asarray(self.Y, dtype=float)
@@ -107,7 +108,7 @@ def eval_Q(inst, c, a):
     a = _as_structure(a)
     kc = inst.K @ c
     m = c.T @ kc
-    v, _ = loss_value_grad(inst.loss, inst.Y, kc @ a.data, inst.W)
+    v, _ = loss_value_grad(inst.Y, kc @ a.data, inst.W)
     value = v + inst.lam * float(np.sum(a.data * m))
     if inst.ridge:
         value += inst.ridge * float(np.trace(m))
@@ -127,7 +128,7 @@ def eval_R(inst, c, a):
     m = c.T @ kc
     if not range_contained(m, a, tol=RANGE_TOL):
         return float("inf")
-    v, _ = loss_value_grad(inst.loss, inst.Y, kc, inst.W)
+    v, _ = loss_value_grad(inst.Y, kc, inst.W)
     w = a.eigenvalues
     keep = w > a.rank_cut()
     quads = diag_quad_forms(c, kc, a.eigenvectors[:, keep])
@@ -148,21 +149,16 @@ def eval_S(inst, c, a):
 
     Raises
     ------
-    NotStrictlyPd
-        If A has an eigenvalue that is not strictly positive.
+    SingularA
+        If A is not strictly positive definite (a ``NotStrictlyPd``).
     """
     if not inst.delta > 0:
         raise ValueError("eval_S needs delta > 0 on the instance")
     c = _check_c(inst, c)
     a = _as_structure(a)
-    # Strict positivity, not the relative rank test: with a small barrier
-    # the eigenvalues of A can be of order delta, far below
-    # rank_tol * ||A|| yet legitimately positive.
-    w = a.eigenvalues
-    if not w[-1] > 0.0:
-        raise NotStrictlyPd("eval_S needs a strictly PD structure matrix")
+    w = pd_eigenvalues(a)
     kc = inst.K @ c
-    v, _ = loss_value_grad(inst.loss, inst.Y, kc, inst.W)
+    v, _ = loss_value_grad(inst.Y, kc, inst.W)
     quads = diag_quad_forms(c, kc, a.eigenvectors)
     trace = np.sum(quads / w) + inst.delta ** 2 * np.sum(1.0 / w)
     value = v + inst.lam * float(trace)
@@ -171,17 +167,18 @@ def eval_S(inst, c, a):
     return value + penalty_value(inst.penalty, a)
 
 
+def _inverse(a):
+    """Dense ``A^{-1}`` of a strictly PD matrix, from its eigenpairs."""
+    v = a.eigenvectors
+    return (v / pd_eigenvalues(a)) @ v.T
+
+
 def grad_S_C(inst, c, a):
     """Gradient of the barrier objective in ``C`` (penalty plays no part)."""
     c = _check_c(inst, c)
-    a = _as_structure(a)
-    if not a.is_pd():
-        raise NotStrictlyPd("gradient needs a strictly PD structure matrix")
+    a_inv = _inverse(_as_structure(a))
     kc = inst.K @ c
-    _, gz = loss_value_grad(inst.loss, inst.Y, kc, inst.W)
-    w = a.eigenvalues
-    v = a.eigenvectors
-    a_inv = (v / w) @ v.T
+    _, gz = loss_value_grad(inst.Y, kc, inst.W)
     g = inst.K @ gz + 2.0 * inst.lam * (kc @ a_inv)
     if inst.ridge:
         g = g + 2.0 * inst.ridge * kc
@@ -196,14 +193,10 @@ def grad_S_A(inst, c, a):
     """
     c = _check_c(inst, c)
     a = _as_structure(a)
-    if not a.is_pd():
-        raise NotStrictlyPd("gradient needs a strictly PD structure matrix")
+    a_inv = _inverse(a)
     kc = inst.K @ c
     m = c.T @ kc
     b = m + (inst.delta ** 2) * np.eye(inst.n_tasks)
-    w = a.eigenvalues
-    v = a.eigenvectors
-    a_inv = (v / w) @ v.T
     g = -inst.lam * (a_inv @ b @ a_inv)
     g = 0.5 * (g + g.T)
     if inst.penalty.smooth:

@@ -25,6 +25,7 @@ What gets checked:
 
 import time
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -560,16 +561,15 @@ def _brute_feature_problem(kt, y, lam, p, capped=False, gamma=None):
     return _min_over_pd2(eval_batch, rounds=_REF_ROUNDS, shrink=_REF_SHRINK)
 
 
-def _min_trace_norm(kt, y, reg, iters=15000):
-    """Accelerated proximal gradient for ``||Y - Kt B||^2 + reg ||B||_*``."""
+def _trace_norm_iterates(kt, y, reg, b):
+    """Accelerated proximal gradient (FISTA) iterates for
+    ``||Y - Kt B||^2 + reg ||B||_*`` started at ``b``, without end."""
     g0 = kt.T @ kt
     r0 = kt.T @ y
     step = 1.0 / (2.0 * np.linalg.eigvalsh(g0)[-1])
-    b = np.zeros_like(r0)
     z = b.copy()
     tk = 1.0
-    best = np.inf
-    for _ in range(iters):
+    while True:
         grad = 2.0 * (g0 @ z - r0)
         w = z - step * grad
         uu, ss, vvt = np.linalg.svd(w, full_matrices=False)
@@ -578,11 +578,23 @@ def _min_trace_norm(kt, y, reg, iters=15000):
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
         z = b_new + ((tk - 1.0) / t_new) * (b_new - b)
         b, tk = b_new, t_new
-        resid = y - kt @ b
-        val = float(np.sum(resid * resid)) + reg * float(
-            np.sum(np.linalg.svd(b, compute_uv=False))
-        )
-        best = min(best, val)
+        yield b
+
+
+def _fit_and_nuclear(kt, y, b):
+    """``(||Y - Kt B||^2, ||B||_*)``."""
+    resid = y - kt @ b
+    return (float(np.sum(resid * resid)),
+            float(np.sum(np.linalg.svd(b, compute_uv=False))))
+
+
+def _min_trace_norm(kt, y, reg, iters=15000):
+    """Best ``||Y - Kt B||^2 + reg ||B||_*`` over the proximal iterates."""
+    best = np.inf
+    start = np.zeros((kt.shape[1], y.shape[1]))
+    for b in islice(_trace_norm_iterates(kt, y, reg, start), iters):
+        fit, nuc = _fit_and_nuclear(kt, y, b)
+        best = min(best, fit + reg * nuc)
     return best
 
 
@@ -657,29 +669,15 @@ def _min_trace_norm_squared(kt, y, gamma):
     A warm-started sweep over ``reg`` with local refinement finds the best
     point on that path.
     """
-    g0 = kt.T @ kt
-    r0 = kt.T @ y
-    step = 1.0 / (2.0 * np.linalg.eigvalsh(g0)[-1])
-
     def path_point(reg, b_init, iters):
-        b = b_init
-        z = b.copy()
-        tk = 1.0
-        for _ in range(iters):
-            grad = 2.0 * (g0 @ z - r0)
-            w = z - step * grad
-            uu, ss, vvt = np.linalg.svd(w, full_matrices=False)
-            ss = np.maximum(ss - step * reg, 0.0)
-            b_new = (uu * ss) @ vvt
-            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
-            z = b_new + ((tk - 1.0) / t_new) * (b_new - b)
-            b, tk = b_new, t_new
-        resid = y - kt @ b
-        nuc = float(np.sum(np.linalg.svd(b, compute_uv=False)))
-        return float(np.sum(resid * resid)) + gamma * nuc * nuc, b
+        # the iters-th proximal iterate from b_init
+        b = next(islice(_trace_norm_iterates(kt, y, reg, b_init),
+                        iters - 1, None))
+        fit, nuc = _fit_and_nuclear(kt, y, b)
+        return fit + gamma * nuc * nuc, b
 
     regs = np.geomspace(1e-4, 1e2, 41)
-    b = np.zeros_like(r0)
+    b = np.zeros((kt.shape[1], y.shape[1]))
     best = (np.inf, regs[0], b)
     for reg in regs:
         val, b = path_point(reg, b, 400)

@@ -29,10 +29,9 @@ from .errors import (
     BadPenaltyParam,
     BadRank,
     NotPd,
-    NotStrictlyPd,
     UnsupportedPenalty,
 )
-from .linalg import PsdMatrix, pinv_psd, sym_eig
+from .linalg import PsdMatrix, pd_eigenvalues, pinv_psd, sym_eig
 
 PENALTY_KINDS = ("schatten", "trace_one", "cluster", "fixed")
 
@@ -141,14 +140,6 @@ def penalty_value(spec, a):
     return 0.0 if ok else float("inf")
 
 
-def _require_pd(b):
-    # Strict positivity, not the relative rank test: barrier iterates have
-    # eigenvalues near delta^2, far below rank_tol * ||B|| yet legitimately
-    # positive.
-    if not b.eigenvalues[-1] > 0.0:
-        raise NotStrictlyPd("B must be strictly positive definite")
-
-
 def unsupervised_min(spec, b, lam):
     """Exact minimizer of ``lam * tr(A^-1 B) + F(A)`` over PD matrices.
 
@@ -162,6 +153,11 @@ def unsupervised_min(spec, b, lam):
     -------
     PsdMatrix
         The minimizing structure matrix; it commutes with ``b``.
+
+    Raises
+    ------
+    SingularA
+        If ``b`` is not strictly positive definite (a ``NotStrictlyPd``).
 
     Notes
     -----
@@ -179,8 +175,7 @@ def unsupervised_min(spec, b, lam):
     b = b if isinstance(b, PsdMatrix) else PsdMatrix(b)
     if not lam > 0:
         raise BadPenaltyParam("lam must be positive")
-    _require_pd(b)
-    sigma = b.eigenvalues
+    sigma = pd_eigenvalues(b)
     v = b.eigenvectors
     n_tasks = b.dim
 

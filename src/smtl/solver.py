@@ -38,7 +38,7 @@ from .errors import (
 # smtl.linalg.sym_eig (tracing, call-counting tests) sees the A-step too.
 from . import linalg
 from .kernels import GramMatrix
-from .linalg import PsdMatrix, sylvester_ls_solve
+from .linalg import PsdMatrix, pd_eigenvalues, sylvester_ls_solve
 from .objectives import (
     ProblemInstance, diag_quad_forms, eval_S, grad_S_A, grad_S_C,
 )
@@ -53,8 +53,8 @@ MAX_HALVINGS = 60
 class SolverConfig:
     """Outer-loop settings.
 
-    epsilon is the stopping tolerance on successive objective values
-    (absolute unless ``relative_stop``); delta is the initial barrier size.
+    epsilon is the absolute stopping tolerance on successive objective
+    values; delta is the initial barrier size.
     With the geometric schedule, delta is multiplied by ``delta_factor``
     after each converged phase until it would drop below ``delta_floor``.
     ``a0`` overrides the identity initialization of the structure matrix.
@@ -70,7 +70,6 @@ class SolverConfig:
     step_c: float = 1e-3
     step_a: float = 1e-3
     a0: object = None
-    relative_stop: bool = False
     track_substeps: bool = False
 
     def __post_init__(self):
@@ -189,12 +188,7 @@ def _cg_normal_equations(k, w, lam_mat, y, c0, rtol=1e-8, maxiter=None,
 
 def _structure_inverse_weights(a, lam, ridge):
     """Eigenvalues/vectors of ``Atilde = (lam A^{-1} + ridge I)^{-1}``."""
-    # Strict positivity, not the relative rank test: barrier iterates can
-    # have eigenvalues far below rank_tol * ||A|| yet legitimately positive.
-    w = a.eigenvalues
-    if not w[-1] > 0.0:
-        raise NotStrictlyPd("supervised step needs a strictly PD structure")
-    return 1.0 / (lam / w + ridge), a.eigenvectors
+    return 1.0 / (lam / pd_eigenvalues(a) + ridge), a.eigenvectors
 
 
 def _supervised_exact(inst, a, c_prev):
@@ -359,8 +353,6 @@ def fit_gram(gram, y, w, penalty, lam, ridge=0.0, config=None, callback=None):
             if callback is not None:
                 callback(total_iters, c, a, s_new)
             gap = abs(s_new - s_prev)
-            if config.relative_stop:
-                gap = gap / max(1.0, abs(s_prev))
             if np.isfinite(gap) and gap < config.epsilon:
                 converged = True
                 s_prev = s_new

@@ -17,7 +17,6 @@ from smtl.errors import (
     EmptyTask,
     InconsistentDimension,
     ParseError,
-    UnsupportedLoss,
 )
 from smtl.kernels import GramMatrix, KernelSpec, gram
 
@@ -147,15 +146,15 @@ def test_loss_value_and_gradient():
     y = rng.standard_normal((4, 2))
     z = rng.standard_normal((4, 2))
     w = rng.random((4, 2))
-    v, g = loss_value_grad("squared", y, z, w)
+    v, g = loss_value_grad(y, z, w)
     assert_allclose(v, np.sum(w * (y - z) ** 2))
     # central differences on a few entries
     h = 1e-6
     for idx in [(0, 0), (2, 1), (3, 0)]:
         zp = z.copy(); zp[idx] += h
         zm = z.copy(); zm[idx] -= h
-        vp, _ = loss_value_grad("squared", y, zp, w)
-        vm, _ = loss_value_grad("squared", y, zm, w)
+        vp, _ = loss_value_grad(y, zp, w)
+        vm, _ = loss_value_grad(y, zm, w)
         assert abs((vp - vm) / (2 * h) - g[idx]) < 1e-6
 
 
@@ -165,15 +164,9 @@ def test_loss_is_permutation_invariant():
     z = rng.standard_normal((6, 3))
     w = rng.random((6, 3))
     perm = rng.permutation(6)
-    v1, _ = loss_value_grad("squared", y, z, w)
-    v2, _ = loss_value_grad("squared", y[perm], z[perm], w[perm])
+    v1, _ = loss_value_grad(y, z, w)
+    v2, _ = loss_value_grad(y[perm], z[perm], w[perm])
     assert_allclose(v1, v2, rtol=1e-12)
-
-
-def test_unknown_loss():
-    with pytest.raises(UnsupportedLoss):
-        loss_value_grad("hinge", np.zeros((1, 1)), np.zeros((1, 1)),
-                        np.ones((1, 1)))
 
 
 def test_task_dataset_validation():

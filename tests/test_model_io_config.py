@@ -117,7 +117,7 @@ class TestConfigParsing:
         for key, (attr, parser) in CONFIG_KEYS.items():
             if key in samples:
                 lines.append("%s = %s" % (key, samples[key]))
-            elif parser is int or "r" == key.rsplit(".", 1)[-1] or attr in ("max_iter", "seed", "penalty_r"):
+            elif parser is int or "r" == key.rsplit(".", 1)[-1] or attr in ("max_iter", "penalty_r"):
                 lines.append("%s = 3" % key)
             else:
                 lines.append("%s = 0.25" % key)

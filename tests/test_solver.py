@@ -13,7 +13,7 @@ from smtl.data import TaskDataset, dataset_from_rows
 from smtl.errors import EmptyTask, NotStrictlyPd
 from smtl.kernels import GramMatrix, KernelSpec
 from smtl.linalg import PsdMatrix, sylvester_ls_solve
-from smtl.objectives import ProblemInstance, eval_S
+from smtl.objectives import ProblemInstance, eval_S, grad_S_A, grad_S_C
 from smtl.penalties import PenaltySpec
 from smtl.solver import (
     SolverConfig,
@@ -34,6 +34,21 @@ def make_dataset(seed=0, n_tasks=3, n_per_task=12, d=4):
     x = rng.standard_normal((tids.size, d))
     y = rng.standard_normal(tids.size)
     return dataset_from_rows(tids, y, x)
+
+
+def tiny_floor_datasets():
+    """The two supervised routes of the tiny-floor tests, with rank-5 truth
+    over 20 tasks: per-task rows (one-hot) and every task observed on 60
+    shared inputs with uniform weights (spectral)."""
+    one_hot, w_true = synth_generate(
+        SyntheticSpec(d=5, n_tasks=20, n_per_task=10, relatedness=0.5), seed=0)
+    rng = np.random.default_rng((0, 1))
+    x = rng.standard_normal((60, 5))
+    y = x @ w_true + 0.1 * rng.standard_normal((60, 20))
+    dense = TaskDataset(X=x, Y=y, W=np.ones_like(y),
+                        task_ids=np.zeros(60, dtype=int),
+                        task_sizes=np.full(20, 60))
+    return [one_hot, dense]
 
 
 def full_weight_instance(seed=0, n=8, n_tasks=3, lam=0.4, delta=1e-3,
@@ -231,33 +246,37 @@ class TestFit:
     @pytest.mark.parametrize("floor", [1e-8, 1e-10, 1e-12])
     def test_geometric_ladder_reaches_tiny_floors(self, floor):
         """delta^2 far below the roundoff in C'KC (rank <= d < T) must not
-        make B or A numerically singular."""
-        ds, _ = synth_generate(SyntheticSpec(d=5, n_tasks=20, n_per_task=10,
-                                             relatedness=0.5), seed=0)
+        make B or A numerically singular, on either supervised route: A's
+        smallest eigenvalues are of order delta, far below the relative
+        rank threshold, yet strictly positive."""
         cfg = SolverConfig(delta=0.1, delta_schedule="geometric",
                            delta_floor=floor, max_iter=20)
-        model, rep = fit(ds, KernelSpec("linear"),
-                         PenaltySpec.schatten(1.0, 1.0), 0.1, config=cfg)
-        assert len(rep.phase_starts) == len(cfg.delta_values())
-        assert rep.final_delta == pytest.approx(floor)
-        assert np.all(np.isfinite(rep.objective_trajectory))
-        assert model.A.eigenvalues[-1] > 0.0
+        for ds in tiny_floor_datasets():
+            model, rep = fit(ds, KernelSpec("linear"),
+                             PenaltySpec.schatten(1.0, 1.0), 0.1, config=cfg)
+            assert len(rep.phase_starts) == len(cfg.delta_values())
+            assert rep.final_delta == pytest.approx(floor)
+            assert np.all(np.isfinite(rep.objective_trajectory))
+            assert model.A.eigenvalues[-1] > 0.0
 
     @pytest.mark.parametrize("floor", [1e-8, 1e-10, 1e-12])
     def test_tiny_floor_trajectory_converges_monotonically(self, floor):
         """At barrier sizes far below the roundoff in C'KC, both the A-step
         and eval_S must resolve the near-null directions of C'KC; if
         either reads them from the dense matrix, the objective rises
-        between iterations and the fit runs to max_iter."""
-        ds, _ = synth_generate(SyntheticSpec(d=5, n_tasks=20, n_per_task=10,
-                                             relatedness=0.5), seed=0)
+        between iterations and the fit runs to max_iter. The gradients,
+        the first-order residual, must exist at the converged iterate."""
         cfg = SolverConfig(delta=0.1, delta_schedule="geometric",
                            delta_floor=floor, max_iter=500)
-        _, rep = fit(ds, KernelSpec("linear"),
-                     PenaltySpec.schatten(1.0, 1.0), 0.1, config=cfg)
-        assert rep.termination == "converged"
-        traj = np.asarray(rep.objective_trajectory)
-        assert np.all(np.diff(traj) <= 1e-10 * (1 + np.abs(traj[:-1])))
+        for ds in tiny_floor_datasets():
+            model, rep = fit(ds, KernelSpec("linear"),
+                             PenaltySpec.schatten(1.0, 1.0), 0.1, config=cfg)
+            assert rep.termination == "converged"
+            traj = np.asarray(rep.objective_trajectory)
+            assert np.all(np.diff(traj) <= 1e-10 * (1 + np.abs(traj[:-1])))
+            grads = [g(model.inst, model.C, model.A)
+                     for g in (grad_S_C, grad_S_A)]
+            assert all(np.all(np.isfinite(g)) for g in grads)
 
     def test_empty_task_rejected(self):
         # dataset_from_rows refuses empty tasks up front, so build the
