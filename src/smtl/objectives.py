@@ -138,14 +138,15 @@ def eval_R(inst, c, a):
     return value + penalty_value(inst.penalty, a)
 
 
-def eval_S(inst, c, a):
+def eval_S(inst, c, a, kc=None):
     """Barrier objective at the instance's ``delta``; needs ``delta > 0``.
 
     The trace term ``tr(A^{-1}(C'KC + delta^2 I))`` is
     ``sum_i (q_i + delta^2) / w_i`` over A's eigenpairs, with ``q_i`` from
     ``diag_quad_forms``; ``C'KC + delta^2 I`` is never formed, so its roundoff
     is not divided by eigenvalues of order delta (see the module notes).
-    The ridge term ``tr(C'KC)`` is ``sum(C * KC)``.
+    The ridge term ``tr(C'KC)`` is ``sum(C * KC)``. ``kc`` is ``K @ C``, if
+    the caller has it.
 
     Raises
     ------
@@ -157,7 +158,8 @@ def eval_S(inst, c, a):
     c = _check_c(inst, c)
     a = _as_structure(a)
     w = pd_eigenvalues(a)
-    kc = inst.K @ c
+    if kc is None:
+        kc = inst.K @ c
     v, _ = loss_value_grad(inst.Y, kc, inst.W)
     quads = diag_quad_forms(c, kc, a.eigenvectors)
     trace = np.sum(quads / w) + inst.delta ** 2 * np.sum(1.0 / w)

@@ -14,9 +14,20 @@ The supervised (C) step picks the cheapest exact route available:
 * uniform weights: the spectral two-sided solve of
   :func:`smtl.linalg.sylvester_ls_solve`;
 * one observed entry per row (the long-format layout): an equivalent n x n
-  system built on the task-expanded kernel ``K * Atilde[t_i, t_j]``;
+  SPD system ``H = K * Atilde[t_i, t_j] + diag(1/w)``, solved by
+  preconditioned CG warm-started at the previous solution. The
+  preconditioner is an explicit inverse of an earlier ``H``, rebuilt from
+  the current one whenever CG needs more than ``PCG_REBUILD_STEPS`` steps;
+  a cold call builds it first and then converges in about one step. Only
+  when a fresh inverse cannot bring the true residual to ``PCG_RTOL``
+  (ill-conditioned ``H``) does LU solve the system, then and for the rest
+  of the fit;
 * anything else: conjugate gradient on the normal equations of the vec
   system, warm-started at the previous iterate.
+
+What the one-hot route carries between calls lives in a per-fit
+``_SupervisedState`` that ``fit_gram`` creates once and hands to every
+supervised step.
 
 With a geometric delta schedule the loop converges at each barrier size,
 shrinks delta by a constant factor, and warm-starts the next phase.
@@ -47,6 +58,8 @@ from .penalties import project_structure, unsupervised_min
 MODES = ("altmin", "bcd")
 SCHEDULES = ("fixed", "geometric")
 MAX_HALVINGS = 60
+PCG_RTOL = 1e-12  # one-hot exit: true residual <= PCG_RTOL * ||y||
+PCG_REBUILD_STEPS = 8  # more PCG steps than this rebuild the preconditioner
 
 
 @dataclass
@@ -104,7 +117,15 @@ class SolverConfig:
 
 @dataclass
 class FitReport:
-    """What happened during a fit."""
+    """What happened during a fit.
+
+    ``supervised_route`` is the route of the C-step: ``"spectral"``,
+    ``"one_hot"`` or ``"cg"`` in altmin mode, ``"gradient"`` in bcd mode.
+    On the one-hot route, ``pcg_steps`` counts the preconditioned CG steps
+    over the whole fit, ``inverse_rebuilds`` the preconditioners built and
+    ``lu_solves`` the solves left to LU because the system was too
+    ill-conditioned for PCG.
+    """
 
     objective_trajectory: list
     iters: int
@@ -114,6 +135,10 @@ class FitReport:
     epsilon: float
     phase_starts: list = field(default_factory=list)
     substep_values: list = field(default_factory=list)
+    supervised_route: str = None
+    pcg_steps: int = 0
+    inverse_rebuilds: int = 0
+    lu_solves: int = 0
 
 
 @dataclass
@@ -124,6 +149,28 @@ class ModelState:
     A: PsdMatrix
     gram: GramMatrix
     inst: ProblemInstance = None
+
+
+@dataclass
+class _SupervisedState:
+    """What one fit's supervised steps carry from one call to the next.
+
+    ``route`` is the route the last call took. The one-hot route keeps each
+    row's task ``tids``, loss weight ``wvec`` and target ``yvec``, its last
+    solution ``alpha`` (the next warm start), the preconditioner ``precond``
+    (an explicit inverse of an earlier system matrix) and three counters;
+    once ``lu_solves`` is nonzero, every solve of the fit is an LU solve.
+    """
+
+    route: str = None
+    tids: np.ndarray = None
+    wvec: np.ndarray = None
+    yvec: np.ndarray = None
+    alpha: np.ndarray = None
+    precond: np.ndarray = None
+    pcg_steps: int = 0
+    rebuilds: int = 0
+    lu_solves: int = 0
 
 
 def _weights_uniform(w):
@@ -191,36 +238,115 @@ def _structure_inverse_weights(a, lam, ridge):
     return 1.0 / (lam / pd_eigenvalues(a) + ridge), a.eigenvectors
 
 
-def _supervised_exact(inst, a, c_prev):
-    """Exact minimizer of the C-block, routed by the weight pattern."""
+def _pcg(h, b, x, precond, tol, state):
+    """At most ``PCG_REBUILD_STEPS`` steps of preconditioned CG on the SPD
+    system ``h x = b``, from ``x``. Returns ``(x, done)``; ``done`` means
+    the true residual ``||b - h x||`` is within ``tol``. The recurrence
+    residual only says when to check it, and a failed check restarts CG
+    from the true residual. Steps taken are added to ``state.pcg_steps``.
+    """
+    r = b - h @ x
+    steps = 0
+    while not float(np.linalg.norm(r)) <= tol:  # NaN never converges
+        if steps == PCG_REBUILD_STEPS:
+            return x, False
+        z = precond @ r
+        rz = float(r @ z)
+        p = z
+        while steps < PCG_REBUILD_STEPS:
+            hp = h @ p
+            curv = float(p @ hp)
+            if not (rz > 0.0 and curv > 0.0):
+                return x, False  # h or precond not PD in floating point
+            step = rz / curv
+            x = x + step * p
+            r -= step * hp
+            steps += 1
+            state.pcg_steps += 1
+            if float(np.linalg.norm(r)) <= tol:
+                break
+            z = precond @ r
+            rz_new = float(r @ z)
+            p = z + (rz_new / rz) * p
+            rz = rz_new
+        r = b - h @ x
+    return x, True
+
+
+def _solve_one_hot(h, y, state):
+    """Solve ``h x = y`` by PCG from ``state.alpha`` on ``state.precond``.
+
+    If that fails to converge within ``PCG_REBUILD_STEPS`` steps (or there
+    is no preconditioner yet), the inverse is rebuilt from ``h`` and PCG
+    goes on from where it stopped. If even a fresh inverse cannot bring the
+    true residual to ``PCG_RTOL * ||y||``, the system is too ill-conditioned
+    for PCG: LU solves it, and every later call of the fit. So does a ``y``
+    whose norm is not finite, since no residual test can accept a solve.
+    """
+    tol = PCG_RTOL * float(np.linalg.norm(y))
+    if tol == 0.0:
+        return np.zeros_like(y)
+    if state.lu_solves or not tol < float("inf"):
+        state.lu_solves += 1
+        return np.linalg.solve(h, y)
+    x = np.zeros_like(y) if state.alpha is None else state.alpha
+    if state.precond is not None:
+        x, done = _pcg(h, y, x, state.precond, tol, state)
+        if done:
+            return x
+    state.precond = np.linalg.inv(h)
+    state.precond += state.precond.T  # symmetric, as PCG assumes
+    state.precond *= 0.5
+    state.rebuilds += 1
+    x, done = _pcg(h, y, x, state.precond, tol, state)
+    if done:
+        return x
+    state.precond = None
+    state.lu_solves += 1
+    return np.linalg.solve(h, y)
+
+
+def _supervised_exact(inst, a, c_prev, state=None):
+    """Exact minimizer of the C-block, routed by the weight pattern.
+
+    ``state`` carries the one-hot route's warm start and preconditioner
+    from call to call; without one, the call starts cold.
+    """
+    if state is None:
+        state = _SupervisedState()
     k = inst.K
     w_uniform = _weights_uniform(inst.W)
     if w_uniform is not None:
+        state.route = "spectral"
         return sylvester_ls_solve(
             inst.gram.K, a, inst.lam / w_uniform, inst.Y,
             ridge=inst.ridge / w_uniform,
         )
-    tids = _weights_one_hot(inst.W)
+    if state.tids is None:
+        state.tids = _weights_one_hot(inst.W)
+        if state.tids is not None:
+            rows = np.arange(inst.n)
+            state.wvec = inst.W[rows, state.tids]
+            state.yvec = inst.Y[rows, state.tids]
+    dt, v = _structure_inverse_weights(a, inst.lam, inst.ridge)
+    tids = state.tids
     if tids is not None:
-        dt, v = _structure_inverse_weights(a, inst.lam, inst.ridge)
+        state.route = "one_hot"
         a_tilde = (v * dt) @ v.T
         h = np.take(a_tilde[tids], tids, axis=1)
         h *= k
-        rows = np.arange(inst.n)
-        wvec = inst.W[rows, tids]
-        yvec = inst.Y[rows, tids]
-        h.flat[::inst.n + 1] += 1.0 / wvec
-        alpha = np.linalg.solve(h, yvec)
-        return alpha[:, None] * a_tilde[tids, :]
+        h.flat[::inst.n + 1] += 1.0 / state.wvec
+        state.alpha = _solve_one_hot(h, state.yvec, state)
+        return state.alpha[:, None] * a_tilde[tids, :]
     # general masked case: CG on the vec normal equations
-    dt, v = _structure_inverse_weights(a, inst.lam, inst.ridge)
+    state.route = "cg"
     lam_mat = (v / dt) @ v.T  # lam * A^{-1} + ridge * I
     return _cg_normal_equations(k, inst.W, lam_mat, inst.Y, c_prev)
 
 
-def _safe_S(inst, c, a):
+def _safe_S(inst, c, a, kc=None):
     try:
-        return eval_S(inst, c, a)
+        return eval_S(inst, c, a, kc=kc)
     except NotStrictlyPd:
         return float("inf")
 
@@ -238,14 +364,17 @@ def _backtrack(inst, value_prev, candidate, fallback, step_fn):
     return fallback
 
 
-def supervised_step(inst, a, c_prev, mode="altmin", step=None):
+def supervised_step(inst, a, c_prev, mode="altmin", step=None, state=None):
     """One update of the coefficient block.
 
     altmin returns the exact minimizer; bcd takes a single gradient step of
     size ``step`` with a halving guard against objective increase.
+    ``state`` is the fit's ``_SupervisedState``, if the caller keeps one.
     """
     if mode == "altmin":
-        return _supervised_exact(inst, a, c_prev)
+        return _supervised_exact(inst, a, c_prev, state)
+    if state is not None:
+        state.route = "gradient"
     g = grad_S_C(inst, c_prev, a)
     s_prev = _safe_S(inst, c_prev, a)
 
@@ -256,12 +385,13 @@ def supervised_step(inst, a, c_prev, mode="altmin", step=None):
     return c_new
 
 
-def unsupervised_step(inst, c, a_prev, mode="altmin", step=None):
+def unsupervised_step(inst, c, a_prev, mode="altmin", step=None, kc=None):
     """One update of the structure block.
 
     altmin applies the closed-form minimizer of the penalized trace problem;
     bcd takes a projected (for indicator penalties) or eigenvalue-floored
-    (for smooth penalties) gradient step, guarded by halving.
+    (for smooth penalties) gradient step, guarded by halving. ``kc`` is
+    ``K @ c``, if the caller has it.
     """
     if mode == "altmin":
         # B = C'KC + delta^2 I in the eigenbasis V of M = C'KC. M's
@@ -269,7 +399,8 @@ def unsupervised_step(inst, c, a_prev, mode="altmin", step=None):
         # delta^2 in M's near-null directions; the column forms of
         # diag(V'MV) are accurate there, as in eval_S. Adding delta^2 to
         # them keeps B strictly PD at tiny barrier floors.
-        kc = inst.K @ c
+        if kc is None:
+            kc = inst.K @ c
         em = linalg.sym_eig(c.T @ kc)
         quads = diag_quad_forms(c, kc, em.eigenvectors)
         sigma = np.maximum(quads, 0.0) + inst.delta ** 2
@@ -325,6 +456,7 @@ def fit_gram(gram, y, w, penalty, lam, ridge=0.0, config=None, callback=None):
     total_iters = 0
     converged = False
     inst = None
+    state = _SupervisedState()  # carried across delta phases
     t_fit = time.perf_counter()
     for delta in deltas:
         inst = ProblemInstance(
@@ -337,15 +469,18 @@ def fit_gram(gram, y, w, penalty, lam, ridge=0.0, config=None, callback=None):
         converged = False
         for _ in range(config.max_iter):
             t0 = time.perf_counter()
-            c = supervised_step(inst, a, c, mode=config.mode, step=config.step_c)
+            c = supervised_step(inst, a, c, mode=config.mode,
+                                step=config.step_c, state=state)
             t1 = time.perf_counter()
+            kc = inst.K @ c  # shared by the A-step and eval_S
             if config.track_substeps:
-                substeps.append(_safe_S(inst, c, a))
-            a = unsupervised_step(inst, c, a, mode=config.mode, step=config.step_a)
+                substeps.append(_safe_S(inst, c, a, kc))
+            a = unsupervised_step(inst, c, a, mode=config.mode,
+                                  step=config.step_a, kc=kc)
             t2 = time.perf_counter()
             times["supervised"] += t1 - t0
             times["unsupervised"] += t2 - t1
-            s_new = _safe_S(inst, c, a)
+            s_new = _safe_S(inst, c, a, kc)
             if np.isnan(s_new):
                 raise NonFiniteObjective("objective became NaN")
             trajectory.append(s_new)
@@ -368,6 +503,10 @@ def fit_gram(gram, y, w, penalty, lam, ridge=0.0, config=None, callback=None):
         epsilon=config.epsilon,
         phase_starts=phase_starts,
         substep_values=substeps,
+        supervised_route=state.route,
+        pcg_steps=state.pcg_steps,
+        inverse_rebuilds=state.rebuilds,
+        lu_solves=state.lu_solves,
     )
     return ModelState(C=c, A=a, gram=gram, inst=inst), report
 

@@ -86,6 +86,20 @@ def test_rejected_config_value_is_config_error(tmp_path):
                  "--config", str(cfg)]) == 2
 
 
+def test_fit_all_zero_targets(tmp_path, capsys):
+    """A long CSV takes the one-hot route; zero targets give a zero
+    right-hand side, which the solve must handle without 0/0."""
+    data = tmp_path / "zeros.csv"
+    rng = np.random.default_rng(3)
+    data.write_text("task,y,x1,x2\n" + "".join(
+        "%d,0,%.17g,%.17g\n" % (t, *rng.standard_normal(2))
+        for t in range(3) for _ in range(8)))
+    model = tmp_path / "m.txt"
+    assert main(["fit", "--data", str(data), "--out", str(model)]) == 0
+    assert "numerical failure" not in capsys.readouterr().err
+    assert model.exists()
+
+
 def test_numerical_failure_exit_code(tmp_path, capsys):
     # targets near the double overflow threshold blow up the squared loss
     data = tmp_path / "huge.csv"

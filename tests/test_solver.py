@@ -17,6 +17,7 @@ from smtl.objectives import ProblemInstance, eval_S, grad_S_A, grad_S_C
 from smtl.penalties import PenaltySpec
 from smtl.solver import (
     SolverConfig,
+    _SupervisedState,
     _cg_normal_equations,
     _supervised_exact,
     fit,
@@ -109,6 +110,121 @@ class TestSupervisedRoutes:
         before = eval_S(inst, c0, a)
         c1 = supervised_step(inst, a, c0)
         assert eval_S(inst, c1, a) <= before + 1e-12
+
+
+def one_hot_instance(kernel, lam=0.2, seed=3, n_tasks=4, n_per_task=15):
+    ds = make_dataset(seed=seed, n_tasks=n_tasks, n_per_task=n_per_task)
+    return ProblemInstance(gram=GramMatrix(kernel, ds.X), Y=ds.Y, W=ds.W,
+                           lam=lam, penalty=PenaltySpec.schatten(1.0, 1.0),
+                           delta=1e-3)
+
+
+def random_structure(rng, n_tasks):
+    m = rng.standard_normal((n_tasks, n_tasks))
+    return m @ m.T / n_tasks + 0.5 * np.eye(n_tasks)
+
+
+def direct_one_hot_alpha(inst, a):
+    """alpha of the one-hot route by LU on ``K * Atilde[t_i, t_j] +
+    diag(1/w)``, with ``Atilde = (lam A^{-1} + ridge I)^{-1}``, built
+    from dense inverses; also returns the system's condition number."""
+    a_tilde = np.linalg.inv(inst.lam * np.linalg.inv(a)
+                            + inst.ridge * np.eye(inst.n_tasks))
+    tids = np.argmax(inst.W > 0, axis=1)
+    rows = np.arange(inst.n)
+    h = inst.K * a_tilde[np.ix_(tids, tids)] + np.diag(1.0 / inst.W[rows, tids])
+    return np.linalg.solve(h, inst.Y[rows, tids]), np.linalg.cond(h)
+
+
+def rel_err(x, ref):
+    return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+
+class TestOneHotPcg:
+    """The one-hot route solves its n x n system by warm-started PCG on a
+    reused inverse; it must give the direct solve's answer."""
+
+    @pytest.mark.parametrize("kernel", [KernelSpec("gaussian", gamma=0.3),
+                                        KernelSpec("linear")],
+                             ids=["gaussian", "linear_rank_deficient"])
+    def test_cold_call_matches_direct_solve(self, kernel):
+        inst = one_hot_instance(kernel)  # linear: rank 4 < n = 60
+        a = random_structure(np.random.default_rng(3), inst.n_tasks)
+        state = _SupervisedState()
+        _supervised_exact(inst, PsdMatrix(a), None, state)
+        alpha, _ = direct_one_hot_alpha(inst, a)
+        assert rel_err(state.alpha, alpha) <= 1e-10
+        assert state.route == "one_hot"
+        assert state.rebuilds == 1 and state.lu_solves == 0
+        # warm-started at its own solution, a repeat solve takes no step
+        steps = state.pcg_steps
+        _supervised_exact(inst, PsdMatrix(a), None, state)
+        assert state.pcg_steps == steps and state.rebuilds == 1
+
+    def test_shared_state_tracks_drifting_structure(self):
+        """Successive A's as in a fit: each solve warm-starts from the last
+        one and reuses a stale inverse until PCG needs too many steps."""
+        inst = one_hot_instance(KernelSpec("gaussian", gamma=0.3))
+        rng = np.random.default_rng(4)
+        a0 = random_structure(rng, inst.n_tasks)
+        drift = random_structure(rng, inst.n_tasks)
+        state = _SupervisedState()
+        for i in range(25):
+            a = a0 + 0.15 * i * drift
+            _supervised_exact(inst, PsdMatrix(a), None, state)
+            alpha, _ = direct_one_hot_alpha(inst, a)
+            assert rel_err(state.alpha, alpha) <= 1e-10, i
+        assert state.rebuilds >= 2  # the cold build plus at least one
+        assert state.rebuilds < 25 and state.pcg_steps >= 25
+        assert state.lu_solves == 0
+
+    def test_ill_conditioned_system_still_matches(self):
+        """lam = 1e-6 on a rank-deficient kernel: cond(H) ~ 1e7, beyond
+        what PCG can certify to 1e-12; LU takes over for the fit."""
+        inst = one_hot_instance(KernelSpec("linear"), lam=1e-6)
+        a = random_structure(np.random.default_rng(5), inst.n_tasks)
+        state = _SupervisedState()
+        for _ in range(2):
+            _supervised_exact(inst, PsdMatrix(a), None, state)
+            alpha, cond = direct_one_hot_alpha(inst, a)
+            assert cond > 1e6
+            assert rel_err(state.alpha, alpha) <= 1e-14 * cond
+        assert state.rebuilds == 1 and state.lu_solves == 2
+
+    def test_zero_targets_give_zero_coefficients(self):
+        inst = one_hot_instance(KernelSpec("gaussian", gamma=0.3))
+        inst.Y[:] = 0.0
+        a = PsdMatrix(random_structure(np.random.default_rng(6),
+                                       inst.n_tasks))
+        state = _SupervisedState()
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for _ in range(2):
+                c = _supervised_exact(inst, a, None, state)
+        assert np.array_equal(c, np.zeros_like(c))
+        assert state.pcg_steps == state.rebuilds == state.lu_solves == 0
+
+    def test_fit_report_records_route_and_pcg_work(self):
+        ds = make_dataset(seed=20)
+        rng = np.random.default_rng(20)
+        dense = TaskDataset(X=ds.X, Y=rng.standard_normal(ds.Y.shape),
+                            W=np.ones_like(ds.W), task_ids=ds.task_ids,
+                            task_sizes=np.full(ds.n_tasks, ds.n))
+        masked = TaskDataset(X=ds.X, Y=dense.Y,
+                             W=(rng.random(ds.W.shape) < 0.7).astype(float),
+                             task_ids=ds.task_ids,
+                             task_sizes=np.full(ds.n_tasks, ds.n))
+        expected = [(ds, "altmin", "one_hot"), (dense, "altmin", "spectral"),
+                    (masked, "altmin", "cg"), (ds, "bcd", "gradient")]
+        for data, mode, route in expected:
+            _, rep = fit(data, KernelSpec("linear"),
+                         PenaltySpec.schatten(1.0, 1.0), 0.1,
+                         config=SolverConfig(mode=mode, max_iter=30))
+            assert rep.supervised_route == route
+            if route == "one_hot":
+                assert rep.pcg_steps > 0 and rep.inverse_rebuilds >= 1
+            else:
+                assert rep.pcg_steps == rep.inverse_rebuilds == 0
+            assert rep.lu_solves == 0
 
 
 def test_per_task_weights_reduce_to_single_task_ridge():
@@ -307,6 +423,26 @@ class TestFit:
         for key in ("gram", "supervised", "unsupervised", "fit"):
             assert wt[key] >= 0.0
         assert wt["supervised"] + wt["unsupervised"] <= wt["fit"] + 1e-6
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["one_hot", "spectral"])
+def test_trajectory_matches_step_by_step_loop(dense):
+    """fit_gram hands one K @ C to the A-step and eval_S; the objective
+    trajectory must be bit-identical to steps that each form their own."""
+    ds = tiny_floor_datasets()[int(dense)]
+    cfg = SolverConfig(max_iter=12, epsilon=1e-14)
+    model, rep = fit(ds, KernelSpec("linear"),
+                     PenaltySpec.schatten(1.0, 1.0), 0.1, config=cfg)
+    inst = model.inst
+    c = np.zeros_like(model.C)
+    a = PsdMatrix(np.eye(ds.n_tasks))
+    state = _SupervisedState()
+    traj = [eval_S(inst, c, a)]
+    for _ in range(rep.iters):
+        c = supervised_step(inst, a, c, state=state)
+        a = unsupervised_step(inst, c, a)
+        traj.append(eval_S(inst, c, a))
+    assert traj == rep.objective_trajectory
 
 
 def test_refit_supervised_matches_fresh_solve():
