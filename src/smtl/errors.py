@@ -46,7 +46,11 @@ class DimensionMismatch(SmtlError):
 
 
 class CgStall(SmtlError):
-    """Conjugate gradient failed to reduce the residual to tolerance."""
+    """Preconditioned CG on a masked fit's observed-entry system stopped
+    short of its tolerance: a pass of at most m steps (m observed entries),
+    restarted from the true residual, did not lower that residual, as
+    happens at the roundoff floor or on a non-finite target. The message
+    gives the relative residual reached."""
 
 
 class NonFiniteObjective(SmtlError):

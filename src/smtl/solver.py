@@ -13,21 +13,17 @@ The supervised (C) step picks the cheapest exact route available:
 
 * uniform weights: the spectral two-sided solve of
   :func:`smtl.linalg.sylvester_ls_solve`;
-* one observed entry per row (the long-format layout): an equivalent n x n
-  SPD system ``H = K * Atilde[t_i, t_j] + diag(1/w)``, solved by
-  preconditioned CG warm-started at the previous solution. The
-  preconditioner is an explicit inverse of an earlier ``H``, rebuilt from
-  the current one whenever CG needs more than ``PCG_REBUILD_STEPS`` steps;
-  a cold call builds it first and then converges in about one step. Only
-  when a fresh inverse cannot bring the true residual to ``PCG_RTOL``
-  (ill-conditioned ``H``) does LU solve the system, then and for the rest
-  of the fit;
-* anything else: conjugate gradient on the normal equations of the vec
-  system, warm-started at the previous iterate.
+* any other weights: ``C = P(alpha) Atilde``, ``Atilde = (lam A^{-1} +
+  ridge I)^{-1}``, where ``P`` scatters ``alpha`` into the m observed
+  entries and ``alpha`` solves the SPD system ``(S (Atilde kron K) S' +
+  diag(1/w)) alpha = y`` (Bonilla, Chai & Williams 2008) by preconditioned
+  CG, warm-started at the previous ``alpha``. With one observed entry per
+  row (``"one_hot"``, m = n) the matrix is explicit, the preconditioner an
+  explicit inverse of an earlier one and LU the fallback; with any other
+  mask (``"cg"``) the matrix is an operator, preconditioned by ``diag(w)``.
 
-What the one-hot route carries between calls lives in a per-fit
-``_SupervisedState`` that ``fit_gram`` creates once and hands to every
-supervised step.
+A per-fit ``_SupervisedState``, created by ``fit_gram``, carries the warm
+start and the one-hot preconditioner from call to call.
 
 With a geometric delta schedule the loop converges at each barrier size,
 shrinks delta by a constant factor, and warm-starts the next phase.
@@ -58,8 +54,8 @@ from .penalties import project_structure, unsupervised_min
 MODES = ("altmin", "bcd")
 SCHEDULES = ("fixed", "geometric")
 MAX_HALVINGS = 60
-PCG_RTOL = 1e-12  # one-hot exit: true residual <= PCG_RTOL * ||y||
-PCG_REBUILD_STEPS = 8  # more PCG steps than this rebuild the preconditioner
+PCG_RTOL = 1e-12  # C-step exit: true residual <= PCG_RTOL * ||y||
+PCG_REBUILD_STEPS = 8  # more one-hot PCG steps rebuild the preconditioner
 
 
 @dataclass
@@ -121,10 +117,11 @@ class FitReport:
 
     ``supervised_route`` is the route of the C-step: ``"spectral"``,
     ``"one_hot"`` or ``"cg"`` in altmin mode, ``"gradient"`` in bcd mode.
-    On the one-hot route, ``pcg_steps`` counts the preconditioned CG steps
-    over the whole fit, ``inverse_rebuilds`` the preconditioners built and
-    ``lu_solves`` the solves left to LU because the system was too
-    ill-conditioned for PCG.
+    ``pcg_steps`` counts the preconditioned CG steps over the whole fit, on
+    the one-hot and ``"cg"`` routes. Only the one-hot route fills
+    ``inverse_rebuilds``, the preconditioners built, and ``lu_solves``, the
+    solves left to LU because the system was too ill-conditioned for PCG.
+    The spectral and gradient routes leave all three at 0.
     """
 
     objective_trajectory: list
@@ -155,14 +152,17 @@ class ModelState:
 class _SupervisedState:
     """What one fit's supervised steps carry from one call to the next.
 
-    ``route`` is the route the last call took. The one-hot route keeps each
-    row's task ``tids``, loss weight ``wvec`` and target ``yvec``, its last
-    solution ``alpha`` (the next warm start), the preconditioner ``precond``
-    (an explicit inverse of an earlier system matrix) and three counters;
-    once ``lu_solves`` is nonzero, every solve of the fit is an LU solve.
+    ``route`` is the route the last call took. The observed-entry routes
+    keep the observed entries, taken from ``W > 0`` once per fit: their
+    ``rows``, task ``tids``, loss weights ``wvec`` and targets ``yvec``;
+    the last solution ``alpha`` (the next warm start) and the counters.
+    The one-hot route also keeps ``precond``, an explicit inverse of an
+    earlier system matrix; once ``lu_solves`` is nonzero, every solve of
+    the fit is an LU solve.
     """
 
     route: str = None
+    rows: np.ndarray = None
     tids: np.ndarray = None
     wvec: np.ndarray = None
     yvec: np.ndarray = None
@@ -180,84 +180,29 @@ def _weights_uniform(w):
     return None
 
 
-def _weights_one_hot(w):
-    """Column index of the single positive entry per row, or None."""
-    pos = w > 0
-    if np.all(np.sum(pos, axis=1) == 1):
-        return np.argmax(pos, axis=1)
-    return None
-
-
-def _cg_normal_equations(k, w, lam_mat, y, c0, rtol=1e-8, maxiter=None,
-                         stall_tol=1e-6):
-    """CG on ``K(W*(KC)) + K C Lam = K(W*Y)`` over matrices.
-
-    The operator is symmetric PSD in the Frobenius inner product. Singular
-    but consistent systems (rank-deficient K) are fine: iterates stay in the
-    relevant Krylov space.
+def _pcg(matvec, b, x, precond, tol, max_steps, state):
+    """At most ``max_steps`` steps of preconditioned CG on the SPD system
+    ``matvec(x) = b``, from ``x``; ``precond(r)`` applies the
+    preconditioner. Returns ``(x, res)`` with ``res`` the true residual
+    ``||b - matvec(x)||``, checked whenever the recurrence residual is
+    within ``tol``; a failed check restarts CG from the true residual.
+    ``res`` is NaN if the system or the preconditioner proves not PD in
+    floating point. Steps taken are added to ``state.pcg_steps``.
     """
-    b = k @ (w * y)
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros_like(y)
-    if maxiter is None:
-        maxiter = 10 * y.size
-
-    def op(c):
-        kc = k @ c
-        return k @ (w * kc) + kc @ lam_mat
-
-    x = np.array(c0, dtype=float)
-    r = b - op(x)
-    p = r.copy()
-    rs = float(np.sum(r * r))
-    tol = rtol * bnorm
-    for _ in range(maxiter):
-        if np.sqrt(rs) <= tol:
-            break
-        ap = op(p)
-        denom = float(np.sum(p * ap))
-        if denom <= 0:
-            break  # ran out of curvature (null-space direction)
-        alpha = rs / denom
-        x += alpha * p
-        r -= alpha * ap
-        rs_new = float(np.sum(r * r))
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    rel = np.linalg.norm(b - op(x)) / bnorm
-    if rel > stall_tol:
-        raise CgStall(
-            "conjugate gradient stalled at relative residual %.3e" % rel
-        )
-    return x
-
-
-def _structure_inverse_weights(a, lam, ridge):
-    """Eigenvalues/vectors of ``Atilde = (lam A^{-1} + ridge I)^{-1}``."""
-    return 1.0 / (lam / pd_eigenvalues(a) + ridge), a.eigenvectors
-
-
-def _pcg(h, b, x, precond, tol, state):
-    """At most ``PCG_REBUILD_STEPS`` steps of preconditioned CG on the SPD
-    system ``h x = b``, from ``x``. Returns ``(x, done)``; ``done`` means
-    the true residual ``||b - h x||`` is within ``tol``. The recurrence
-    residual only says when to check it, and a failed check restarts CG
-    from the true residual. Steps taken are added to ``state.pcg_steps``.
-    """
-    r = b - h @ x
+    r = b - matvec(x)
+    res = float(np.linalg.norm(r))
     steps = 0
-    while not float(np.linalg.norm(r)) <= tol:  # NaN never converges
-        if steps == PCG_REBUILD_STEPS:
-            return x, False
-        z = precond @ r
+    while not res <= tol:  # NaN never converges
+        if steps == max_steps:
+            return x, res
+        z = precond(r)
         rz = float(r @ z)
         p = z
-        while steps < PCG_REBUILD_STEPS:
-            hp = h @ p
+        while steps < max_steps:
+            hp = matvec(p)
             curv = float(p @ hp)
             if not (rz > 0.0 and curv > 0.0):
-                return x, False  # h or precond not PD in floating point
+                return x, float("nan")
             step = rz / curv
             x = x + step * p
             r -= step * hp
@@ -265,56 +210,119 @@ def _pcg(h, b, x, precond, tol, state):
             state.pcg_steps += 1
             if float(np.linalg.norm(r)) <= tol:
                 break
-            z = precond @ r
+            z = precond(r)
             rz_new = float(r @ z)
             p = z + (rz_new / rz) * p
             rz = rz_new
-        r = b - h @ x
-    return x, True
+        r = b - matvec(x)
+        res = float(np.linalg.norm(r))
+    return x, res
 
 
-def _solve_one_hot(h, y, state):
-    """Solve ``h x = y`` by PCG from ``state.alpha`` on ``state.precond``.
+def _solve_one_hot(k, a_tilde, y, x, tol, state):
+    """Solve the one-hot system by PCG on its explicit matrix ``H``.
 
-    If that fails to converge within ``PCG_REBUILD_STEPS`` steps (or there
-    is no preconditioner yet), the inverse is rebuilt from ``h`` and PCG
-    goes on from where it stopped. If even a fresh inverse cannot bring the
-    true residual to ``PCG_RTOL * ||y||``, the system is too ill-conditioned
-    for PCG: LU solves it, and every later call of the fit. So does a ``y``
-    whose norm is not finite, since no residual test can accept a solve.
+    PCG runs from ``x`` on ``state.precond``. If that fails to converge
+    within ``PCG_REBUILD_STEPS`` steps (or there is no preconditioner yet),
+    the inverse is rebuilt from ``H`` and PCG goes on from where it
+    stopped. If even a fresh inverse cannot bring the true residual to
+    ``tol``, the system is too ill-conditioned for PCG: LU solves it, and
+    every later call of the fit. So does a ``y`` whose norm is not finite,
+    since no residual test can accept a solve.
     """
-    tol = PCG_RTOL * float(np.linalg.norm(y))
-    if tol == 0.0:
-        return np.zeros_like(y)
+    tids = state.tids
+    h = np.take(a_tilde[tids], tids, axis=1)
+    h *= k
+    h.flat[::tids.size + 1] += 1.0 / state.wvec
     if state.lu_solves or not tol < float("inf"):
         state.lu_solves += 1
         return np.linalg.solve(h, y)
-    x = np.zeros_like(y) if state.alpha is None else state.alpha
     if state.precond is not None:
-        x, done = _pcg(h, y, x, state.precond, tol, state)
-        if done:
+        x, res = _pcg(h.__matmul__, y, x, state.precond.__matmul__, tol,
+                      PCG_REBUILD_STEPS, state)
+        if res <= tol:
             return x
     state.precond = np.linalg.inv(h)
     state.precond += state.precond.T  # symmetric, as PCG assumes
     state.precond *= 0.5
     state.rebuilds += 1
-    x, done = _pcg(h, y, x, state.precond, tol, state)
-    if done:
+    x, res = _pcg(h.__matmul__, y, x, state.precond.__matmul__, tol,
+                  PCG_REBUILD_STEPS, state)
+    if res <= tol:
         return x
     state.precond = None
     state.lu_solves += 1
     return np.linalg.solve(h, y)
 
 
-def _supervised_exact(inst, a, c_prev, state=None):
+def _solve_operator(k, a_tilde, y, x, tol, state):
+    """Solve the observed-entry system by PCG on its operator form.
+
+    The matvec is ``(K P(x) Atilde)[rows, tids] + x / w``, the
+    preconditioner ``diag(w)``. Each pass takes at most m steps and ends
+    in a true-residual restart; a pass that does not lower the true
+    residual raises ``CgStall`` with the relative residual reached.
+    """
+    rows, tids, w = state.rows, state.tids, state.wvec
+    scattered = np.zeros((k.shape[0], a_tilde.shape[0]))
+
+    def matvec(v):
+        scattered[rows, tids] = v
+        return (k @ scattered @ a_tilde)[rows, tids] + v / w
+
+    res = float("inf")
+    while True:
+        x, res_new = _pcg(matvec, y, x, w.__mul__, tol, y.size, state)
+        if res_new <= tol < float("inf"):  # an infinite y never converges
+            return x
+        if not res_new < res:
+            raise CgStall(
+                "observed-entry PCG stalled at relative residual %.3e"
+                % (res_new / float(np.linalg.norm(y)))
+            )
+        res = res_new
+
+
+def _observed_step(inst, a, state):
+    """C-step in observed-entry form, ``C = P(alpha) Atilde``, solved on
+    the route ``state.route`` names: ``"one_hot"`` or ``"cg"``.
+
+    Takes the observed entries from ``W > 0`` if ``state`` has none yet.
+    The solve brings ``alpha`` to a true residual of at most
+    ``PCG_RTOL * ||y||``, from the warm start: the last ``alpha``, or zeros
+    on a cold call.
+    """
+    if state.rows is None:
+        state.rows, state.tids = np.nonzero(inst.W > 0)
+        state.wvec = inst.W[state.rows, state.tids]
+        state.yvec = inst.Y[state.rows, state.tids]
+    one_hot = state.route == "one_hot"
+    v = a.eigenvectors  # Atilde = (lam A^{-1} + ridge I)^{-1}
+    a_tilde = (v * (1.0 / (inst.lam / pd_eigenvalues(a) + inst.ridge))) @ v.T
+    y = state.yvec
+    tol = PCG_RTOL * float(np.linalg.norm(y))
+    if tol == 0.0:
+        state.alpha = np.zeros_like(y)
+    else:
+        x = np.zeros_like(y) if state.alpha is None else state.alpha
+        solve = _solve_one_hot if one_hot else _solve_operator
+        state.alpha = solve(inst.K, a_tilde, y, x, tol, state)
+    if one_hot:  # P(alpha) @ Atilde, with one entry per row of P(alpha)
+        return state.alpha[:, None] * a_tilde[state.tids, :]
+    c = np.zeros_like(inst.Y)
+    c[state.rows, state.tids] = state.alpha
+    return c @ a_tilde
+
+
+def _supervised_exact(inst, a, state=None):
     """Exact minimizer of the C-block, routed by the weight pattern.
 
-    ``state`` carries the one-hot route's warm start and preconditioner
-    from call to call; without one, the call starts cold.
+    ``state`` carries the observed-entry routes' warm start and the
+    one-hot preconditioner from call to call; without one, the call starts
+    cold.
     """
     if state is None:
         state = _SupervisedState()
-    k = inst.K
     w_uniform = _weights_uniform(inst.W)
     if w_uniform is not None:
         state.route = "spectral"
@@ -322,26 +330,9 @@ def _supervised_exact(inst, a, c_prev, state=None):
             inst.gram.K, a, inst.lam / w_uniform, inst.Y,
             ridge=inst.ridge / w_uniform,
         )
-    if state.tids is None:
-        state.tids = _weights_one_hot(inst.W)
-        if state.tids is not None:
-            rows = np.arange(inst.n)
-            state.wvec = inst.W[rows, state.tids]
-            state.yvec = inst.Y[rows, state.tids]
-    dt, v = _structure_inverse_weights(a, inst.lam, inst.ridge)
-    tids = state.tids
-    if tids is not None:
-        state.route = "one_hot"
-        a_tilde = (v * dt) @ v.T
-        h = np.take(a_tilde[tids], tids, axis=1)
-        h *= k
-        h.flat[::inst.n + 1] += 1.0 / state.wvec
-        state.alpha = _solve_one_hot(h, state.yvec, state)
-        return state.alpha[:, None] * a_tilde[tids, :]
-    # general masked case: CG on the vec normal equations
-    state.route = "cg"
-    lam_mat = (v / dt) @ v.T  # lam * A^{-1} + ridge * I
-    return _cg_normal_equations(k, inst.W, lam_mat, inst.Y, c_prev)
+    one_hot = np.all(np.sum(inst.W > 0, axis=1) == 1)  # one entry per row
+    state.route = "one_hot" if one_hot else "cg"
+    return _observed_step(inst, a, state)
 
 
 def _safe_S(inst, c, a, kc=None):
@@ -372,7 +363,7 @@ def supervised_step(inst, a, c_prev, mode="altmin", step=None, state=None):
     ``state`` is the fit's ``_SupervisedState``, if the caller keeps one.
     """
     if mode == "altmin":
-        return _supervised_exact(inst, a, c_prev, state)
+        return _supervised_exact(inst, a, state)
     if state is not None:
         state.route = "gradient"
     g = grad_S_C(inst, c_prev, a)
@@ -542,5 +533,5 @@ def refit_supervised(model, new_lambda):
     if model.inst is None:
         raise ValueError("model carries no problem instance to refit")
     inst = replace(model.inst, lam=new_lambda)
-    c = _supervised_exact(inst, model.A, model.C)
+    c = _supervised_exact(inst, model.A)
     return ModelState(C=c, A=model.A, gram=model.gram, inst=inst)

@@ -27,7 +27,9 @@ from smtl.oracles import (
     random_instance,
 )
 from smtl.penalties import PenaltySpec, penalty_value, unsupervised_min
-from smtl.solver import SolverConfig, _cg_normal_equations, fit, fit_gram
+from smtl.solver import (
+    SolverConfig, _SupervisedState, _observed_step, fit, fit_gram,
+)
 from smtl.synth import SyntheticSpec, synth_from_weights, synth_generate
 
 
@@ -178,9 +180,7 @@ def test_ac06_solver_path_consistency():
         g = rng.standard_normal((3, 3))
         a = PsdMatrix(g @ g.T + 0.2 * np.eye(3))
         fast = sylvester_ls_solve(inst.gram.K, a, inst.lam, inst.Y)
-        cg = _cg_normal_equations(inst.K, inst.W,
-                                  inst.lam * np.linalg.inv(a.data),
-                                  inst.Y, np.zeros_like(inst.Y))
+        cg = _observed_step(inst, a, _SupervisedState(route="cg"))
         worst_cg = max(worst_cg, float(np.max(np.abs(fast - cg))))
     ok = worst_kron <= 1e-8 and worst_cg <= 1e-7
     _report(6, "solver-path-consistency", ok,

@@ -1,8 +1,9 @@
 """Solver behavior: exact block solves, monotone descent, invariants.
 
 The supervised step has three routes (spectral, single-observation-per-row,
-conjugate gradient); they must agree wherever their domains overlap, and
-the fixed-identity penalty must reduce to independent kernel ridge.
+and PCG on the observed-entry operator for any other mask); they must agree
+wherever their domains overlap, and the fixed-identity penalty must reduce
+to independent kernel ridge.
 """
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from smtl.data import TaskDataset, dataset_from_rows
-from smtl.errors import EmptyTask, NotStrictlyPd
+from smtl.errors import CgStall, EmptyTask, NotStrictlyPd
 from smtl.kernels import GramMatrix, KernelSpec
 from smtl.linalg import PsdMatrix, sylvester_ls_solve
 from smtl.objectives import ProblemInstance, eval_S, grad_S_A, grad_S_C
@@ -18,7 +19,7 @@ from smtl.penalties import PenaltySpec
 from smtl.solver import (
     SolverConfig,
     _SupervisedState,
-    _cg_normal_equations,
+    _observed_step,
     _supervised_exact,
     fit,
     fit_gram,
@@ -69,7 +70,7 @@ class TestSupervisedRoutes:
         """With A = I and all-ones weights, columns decouple into
         standard kernel ridge (K + lam I)^-1 y_t."""
         inst = full_weight_instance(seed=1, penalty=PenaltySpec.fixed(np.eye(3)))
-        c = _supervised_exact(inst, PsdMatrix(np.eye(3)), None)
+        c = _supervised_exact(inst, PsdMatrix(np.eye(3)))
         k = inst.K
         expected = np.linalg.solve(k + inst.lam * np.eye(inst.n), inst.Y)
         assert_allclose(c, expected, atol=1e-10)
@@ -80,14 +81,12 @@ class TestSupervisedRoutes:
             inst = full_weight_instance(seed=10 + trial)
             a = PsdMatrix(np.diag(0.5 + rng.random(3)))
             exact = sylvester_ls_solve(inst.gram.K, a, inst.lam, inst.Y)
-            a_inv = np.linalg.inv(a.data)
-            cg = _cg_normal_equations(inst.K, inst.W, inst.lam * a_inv,
-                                      inst.Y, np.zeros_like(inst.Y))
+            cg = _observed_step(inst, a, _SupervisedState(route="cg"))
             assert np.max(np.abs(cg - exact)) <= 1e-7
 
     def test_one_hot_route_matches_cg(self):
-        """The per-row-observation shortcut must agree with CG on the
-        same masked problem."""
+        """The per-row-observation shortcut must agree with the operator
+        form of the same observed-entry system."""
         ds = make_dataset(seed=3)
         gram = GramMatrix(KernelSpec("gaussian", gamma=0.3), ds.X)
         rng = np.random.default_rng(3)
@@ -95,11 +94,8 @@ class TestSupervisedRoutes:
         inst = ProblemInstance(gram=gram, Y=ds.Y, W=ds.W, lam=0.2,
                                penalty=PenaltySpec.schatten(1.0, 1.0),
                                delta=1e-3)
-        fast = _supervised_exact(inst, a, None)
-        a_inv = np.linalg.inv(a.data)
-        slow = _cg_normal_equations(inst.K, inst.W, inst.lam * a_inv,
-                                    inst.Y, np.zeros_like(inst.Y),
-                                    rtol=1e-12)
+        fast = _supervised_exact(inst, a)
+        slow = _observed_step(inst, a, _SupervisedState(route="cg"))
         assert np.max(np.abs(fast - slow)) <= 1e-7
 
     def test_supervised_step_never_increases_objective(self):
@@ -151,14 +147,14 @@ class TestOneHotPcg:
         inst = one_hot_instance(kernel)  # linear: rank 4 < n = 60
         a = random_structure(np.random.default_rng(3), inst.n_tasks)
         state = _SupervisedState()
-        _supervised_exact(inst, PsdMatrix(a), None, state)
+        _supervised_exact(inst, PsdMatrix(a), state)
         alpha, _ = direct_one_hot_alpha(inst, a)
         assert rel_err(state.alpha, alpha) <= 1e-10
         assert state.route == "one_hot"
         assert state.rebuilds == 1 and state.lu_solves == 0
         # warm-started at its own solution, a repeat solve takes no step
         steps = state.pcg_steps
-        _supervised_exact(inst, PsdMatrix(a), None, state)
+        _supervised_exact(inst, PsdMatrix(a), state)
         assert state.pcg_steps == steps and state.rebuilds == 1
 
     def test_shared_state_tracks_drifting_structure(self):
@@ -171,7 +167,7 @@ class TestOneHotPcg:
         state = _SupervisedState()
         for i in range(25):
             a = a0 + 0.15 * i * drift
-            _supervised_exact(inst, PsdMatrix(a), None, state)
+            _supervised_exact(inst, PsdMatrix(a), state)
             alpha, _ = direct_one_hot_alpha(inst, a)
             assert rel_err(state.alpha, alpha) <= 1e-10, i
         assert state.rebuilds >= 2  # the cold build plus at least one
@@ -185,7 +181,7 @@ class TestOneHotPcg:
         a = random_structure(np.random.default_rng(5), inst.n_tasks)
         state = _SupervisedState()
         for _ in range(2):
-            _supervised_exact(inst, PsdMatrix(a), None, state)
+            _supervised_exact(inst, PsdMatrix(a), state)
             alpha, cond = direct_one_hot_alpha(inst, a)
             assert cond > 1e6
             assert rel_err(state.alpha, alpha) <= 1e-14 * cond
@@ -199,7 +195,7 @@ class TestOneHotPcg:
         state = _SupervisedState()
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for _ in range(2):
-                c = _supervised_exact(inst, a, None, state)
+                c = _supervised_exact(inst, a, state)
         assert np.array_equal(c, np.zeros_like(c))
         assert state.pcg_steps == state.rebuilds == state.lu_solves == 0
 
@@ -222,9 +218,68 @@ class TestOneHotPcg:
             assert rep.supervised_route == route
             if route == "one_hot":
                 assert rep.pcg_steps > 0 and rep.inverse_rebuilds >= 1
+            elif route == "cg":
+                assert rep.pcg_steps > 0 and rep.inverse_rebuilds == 0
             else:
                 assert rep.pcg_steps == rep.inverse_rebuilds == 0
             assert rep.lu_solves == 0
+
+
+def test_masked_gaussian_fit_solves_observed_entry_system():
+    """About 30% of the entries unobserved, with a gaussian kernel whose K
+    is far too ill-conditioned for CG on the normal equations. The
+    observed-entry system's eigenvalues are at least 1/max(w), so the fit
+    completes and each C-step's alpha solves the m x m system."""
+    rng = np.random.default_rng(30)
+    n, n_tasks, d = 150, 15, 10
+    x = rng.standard_normal((n, d))
+    y = x @ rng.standard_normal((d, n_tasks))
+    y += 0.5 * rng.standard_normal(y.shape)
+    observed = rng.random(y.shape) >= 0.3
+    ds = TaskDataset(X=x, Y=y * observed, W=observed / n,
+                     task_ids=np.zeros(n, dtype=int),
+                     task_sizes=observed.sum(axis=0))
+    model, rep = fit(ds, KernelSpec("gaussian", gamma=1 / 20),
+                     PenaltySpec.schatten(1.0, 1.0), 0.1,
+                     config=SolverConfig(max_iter=100))
+    assert rep.supervised_route == "cg" and rep.pcg_steps > 0
+    traj = np.asarray(rep.objective_trajectory)
+    assert np.all(np.isfinite(traj))
+    assert np.all(np.diff(traj) <= 1e-10 * (1 + np.abs(traj[:-1])))
+
+    inst, a = model.inst, model.A.data
+    state = _SupervisedState()
+    _supervised_exact(inst, model.A, state)
+    rows, tids = np.nonzero(observed)
+    a_tilde = np.linalg.inv(inst.lam * np.linalg.inv(a))
+    h = (inst.K[np.ix_(rows, rows)] * a_tilde[np.ix_(tids, tids)]
+         + np.diag(1.0 / ds.W[rows, tids]))
+    assert rel_err(state.alpha, np.linalg.solve(h, ds.Y[rows, tids])) <= 1e-10
+
+
+@pytest.mark.parametrize("lam, bad_target",
+                         [(1e-8, 1.0), (0.1, np.nan), (0.1, np.inf)],
+                         ids=["lam_1e-8_rank_deficient", "nan", "inf"])
+def test_masked_route_raises_cg_stall_when_stuck(lam, bad_target):
+    """PCG on the observed-entry operator restarts from the true residual
+    while a pass lowers it, and raises CgStall once a pass does not. At
+    lam = 1e-8 on a rank-4 kernel roundoff bounds the residual far above
+    PCG_RTOL * ||y||; a non-finite target can never be solved."""
+    rng = np.random.default_rng(31)
+    x = rng.standard_normal((36, 4))
+    w = (rng.random((36, 3)) < 0.7) * 1.0
+    y = w * rng.standard_normal(w.shape)
+    i, t = np.argwhere(w)[0]
+    y[i, t] *= bad_target
+    inst = ProblemInstance(gram=GramMatrix(KernelSpec("linear"), x), Y=y,
+                           W=w, lam=lam,
+                           penalty=PenaltySpec.schatten(1.0, 1.0))
+    a = PsdMatrix(random_structure(rng, 3))
+    state = _SupervisedState()
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(CgStall, match="relative residual"):
+        _supervised_exact(inst, a, state)
+    assert state.route == "cg"
 
 
 def test_per_task_weights_reduce_to_single_task_ridge():
@@ -455,7 +510,7 @@ def test_refit_supervised_matches_fresh_solve():
         ProblemInstance(gram=model.gram, Y=inst.Y, W=inst.W, lam=0.05,
                         penalty=inst.penalty, ridge=inst.ridge,
                         delta=inst.delta),
-        model.A, model.C)
+        model.A)
     assert_allclose(new_model.C, expected, atol=1e-12)
     assert new_model.A is model.A
 
