@@ -47,10 +47,12 @@ class DimensionMismatch(SmtlError):
 
 class CgStall(SmtlError):
     """Preconditioned CG on a masked fit's observed-entry system stopped
-    short of its tolerance: a pass of at most m steps (m observed entries),
-    restarted from the true residual, did not lower that residual, as
-    happens at the roundoff floor or on a non-finite target. The message
-    gives the relative residual reached."""
+    (a restart from the true residual did not lower it, or 2m steps for m
+    observed entries ran out) above both its tolerance and the roundoff
+    bound of its matrix-vector product, or that bound is no smaller than
+    the target, as on a non-finite target or at a vanishing lambda on a
+    kernel with a null space. The message gives the relative residual
+    reached and the relative bound."""
 
 
 class NonFiniteObjective(SmtlError):

@@ -152,8 +152,8 @@ class ModelState:
 class _SupervisedState:
     """What one fit's supervised steps carry from one call to the next.
 
-    ``route`` is the route the last call took. The observed-entry routes
-    keep the observed entries, taken from ``W > 0`` once per fit: their
+    ``route`` is the route of the C-step. The observed-entry routes keep
+    the observed entries, taken from ``W > 0`` once per fit: their
     ``rows``, task ``tids``, loss weights ``wvec`` and targets ``yvec``;
     the last solution ``alpha`` (the next warm start) and the counters.
     The one-hot route also keeps ``precond``, an explicit inverse of an
@@ -172,6 +172,13 @@ class _SupervisedState:
     rebuilds: int = 0
     lu_solves: int = 0
 
+    def observe(self, inst):
+        """Take the observed entries from ``inst.W > 0``; returns self."""
+        self.rows, self.tids = np.nonzero(inst.W > 0)
+        self.wvec = inst.W[self.rows, self.tids]
+        self.yvec = inst.Y[self.rows, self.tids]
+        return self
+
 
 def _weights_uniform(w):
     w0 = w.flat[0] if w.size else 0.0
@@ -183,11 +190,11 @@ def _weights_uniform(w):
 def _pcg(matvec, b, x, precond, tol, max_steps, state):
     """At most ``max_steps`` steps of preconditioned CG on the SPD system
     ``matvec(x) = b``, from ``x``; ``precond(r)`` applies the
-    preconditioner. Returns ``(x, res)`` with ``res`` the true residual
-    ``||b - matvec(x)||``, checked whenever the recurrence residual is
-    within ``tol``; a failed check restarts CG from the true residual.
-    ``res`` is NaN if the system or the preconditioner proves not PD in
-    floating point. Steps taken are added to ``state.pcg_steps``.
+    preconditioner. Whenever the recurrence residual is within ``tol`` or
+    the curvature is not positive, CG restarts from the true residual
+    ``||b - matvec(x)||``, and stops once a restart does not lower it.
+    Returns ``(x, res)``: the best ``x`` seen and its true residual, NaN
+    if ``b`` is. Steps taken are added to ``state.pcg_steps``.
     """
     r = b - matvec(x)
     res = float(np.linalg.norm(r))
@@ -195,6 +202,7 @@ def _pcg(matvec, b, x, precond, tol, max_steps, state):
     while not res <= tol:  # NaN never converges
         if steps == max_steps:
             return x, res
+        x_checked = x
         z = precond(r)
         rz = float(r @ z)
         p = z
@@ -202,7 +210,7 @@ def _pcg(matvec, b, x, precond, tol, max_steps, state):
             hp = matvec(p)
             curv = float(p @ hp)
             if not (rz > 0.0 and curv > 0.0):
-                return x, float("nan")
+                break
             step = rz / curv
             x = x + step * p
             r -= step * hp
@@ -215,7 +223,10 @@ def _pcg(matvec, b, x, precond, tol, max_steps, state):
             p = z + (rz_new / rz) * p
             rz = rz_new
         r = b - matvec(x)
-        res = float(np.linalg.norm(r))
+        res_new = float(np.linalg.norm(r))
+        if not res_new < res:
+            return x_checked, res
+        res = res_new
     return x, res
 
 
@@ -259,9 +270,11 @@ def _solve_operator(k, a_tilde, y, x, tol, state):
     """Solve the observed-entry system by PCG on its operator form.
 
     The matvec is ``(K P(x) Atilde)[rows, tids] + x / w``, the
-    preconditioner ``diag(w)``. Each pass takes at most m steps and ends
-    in a true-residual restart; a pass that does not lower the true
-    residual raises ``CgStall`` with the relative residual reached.
+    preconditioner ``diag(w)``. PCG may take 2m steps, twice what exact
+    arithmetic needs. Short of ``tol``, a solve is accepted within the
+    matvec's roundoff, ``(n + T) u ||K||_F ||Atilde||_F ||x||`` (u the unit
+    roundoff) at ``||x|| = max(w) ||y||``, a bound on the solution's norm.
+    It raises ``CgStall`` above that, or if that roundoff reaches ``||y||``.
     """
     rows, tids, w = state.rows, state.tids, state.wvec
     scattered = np.zeros((k.shape[0], a_tilde.shape[0]))
@@ -270,33 +283,24 @@ def _solve_operator(k, a_tilde, y, x, tol, state):
         scattered[rows, tids] = v
         return (k @ scattered @ a_tilde)[rows, tids] + v / w
 
-    res = float("inf")
-    while True:
-        x, res_new = _pcg(matvec, y, x, w.__mul__, tol, y.size, state)
-        if res_new <= tol < float("inf"):  # an infinite y never converges
-            return x
-        if not res_new < res:
-            raise CgStall(
-                "observed-entry PCG stalled at relative residual %.3e"
-                % (res_new / float(np.linalg.norm(y)))
-            )
-        res = res_new
+    x, res = _pcg(matvec, y, x, w.__mul__, tol, 2 * y.size, state)
+    y_norm = float(np.linalg.norm(y))
+    bound = (0.5 * np.finfo(float).eps * sum(scattered.shape) * w.max()
+             * np.linalg.norm(k) * np.linalg.norm(a_tilde) * y_norm)
+    if res <= tol < float("inf") or res <= bound < y_norm:
+        return x
+    raise CgStall("observed-entry PCG stalled at relative residual %.3e "
+                  "(roundoff bound %.3e)" % (res / y_norm, bound / y_norm))
 
 
-def _observed_step(inst, a, state):
-    """C-step in observed-entry form, ``C = P(alpha) Atilde``, solved on
-    the route ``state.route`` names: ``"one_hot"`` or ``"cg"``.
+def _observed_step(inst, a, state, solve):
+    """C-step in observed-entry form, ``C = P(alpha) Atilde``, with
+    ``alpha`` from ``solve``: ``_solve_one_hot`` or ``_solve_operator``.
 
-    Takes the observed entries from ``W > 0`` if ``state`` has none yet.
-    The solve brings ``alpha`` to a true residual of at most
-    ``PCG_RTOL * ||y||``, from the warm start: the last ``alpha``, or zeros
-    on a cold call.
+    ``state`` holds the observed entries. The solve brings ``alpha`` to a
+    true residual of at most ``PCG_RTOL * ||y||``, from the warm start:
+    the last ``alpha``, or zeros on a cold call.
     """
-    if state.rows is None:
-        state.rows, state.tids = np.nonzero(inst.W > 0)
-        state.wvec = inst.W[state.rows, state.tids]
-        state.yvec = inst.Y[state.rows, state.tids]
-    one_hot = state.route == "one_hot"
     v = a.eigenvectors  # Atilde = (lam A^{-1} + ridge I)^{-1}
     a_tilde = (v * (1.0 / (inst.lam / pd_eigenvalues(a) + inst.ridge))) @ v.T
     y = state.yvec
@@ -305,9 +309,8 @@ def _observed_step(inst, a, state):
         state.alpha = np.zeros_like(y)
     else:
         x = np.zeros_like(y) if state.alpha is None else state.alpha
-        solve = _solve_one_hot if one_hot else _solve_operator
         state.alpha = solve(inst.K, a_tilde, y, x, tol, state)
-    if one_hot:  # P(alpha) @ Atilde, with one entry per row of P(alpha)
+    if solve is _solve_one_hot:  # P(alpha) @ Atilde, one entry per row
         return state.alpha[:, None] * a_tilde[state.tids, :]
     c = np.zeros_like(inst.Y)
     c[state.rows, state.tids] = state.alpha
@@ -317,9 +320,9 @@ def _observed_step(inst, a, state):
 def _supervised_exact(inst, a, state=None):
     """Exact minimizer of the C-block, routed by the weight pattern.
 
-    ``state`` carries the observed-entry routes' warm start and the
-    one-hot preconditioner from call to call; without one, the call starts
-    cold.
+    ``state`` carries the observed entries, the observed-entry routes'
+    warm start and the one-hot preconditioner from call to call; without
+    one, the call starts cold.
     """
     if state is None:
         state = _SupervisedState()
@@ -330,9 +333,12 @@ def _supervised_exact(inst, a, state=None):
             inst.gram.K, a, inst.lam / w_uniform, inst.Y,
             ridge=inst.ridge / w_uniform,
         )
-    one_hot = np.all(np.sum(inst.W > 0, axis=1) == 1)  # one entry per row
+    if state.rows is None:
+        state.observe(inst)
+    one_hot = np.array_equal(state.rows, np.arange(inst.n))  # one per row
     state.route = "one_hot" if one_hot else "cg"
-    return _observed_step(inst, a, state)
+    return _observed_step(inst, a, state,
+                          _solve_one_hot if one_hot else _solve_operator)
 
 
 def _safe_S(inst, c, a, kc=None):

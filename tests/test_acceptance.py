@@ -28,7 +28,8 @@ from smtl.oracles import (
 )
 from smtl.penalties import PenaltySpec, penalty_value, unsupervised_min
 from smtl.solver import (
-    SolverConfig, _SupervisedState, _observed_step, fit, fit_gram,
+    SolverConfig, _SupervisedState, _observed_step, _solve_operator, fit,
+    fit_gram,
 )
 from smtl.synth import SyntheticSpec, synth_from_weights, synth_generate
 
@@ -180,7 +181,8 @@ def test_ac06_solver_path_consistency():
         g = rng.standard_normal((3, 3))
         a = PsdMatrix(g @ g.T + 0.2 * np.eye(3))
         fast = sylvester_ls_solve(inst.gram.K, a, inst.lam, inst.Y)
-        cg = _observed_step(inst, a, _SupervisedState(route="cg"))
+        cg = _observed_step(inst, a, _SupervisedState().observe(inst),
+                            _solve_operator)
         worst_cg = max(worst_cg, float(np.max(np.abs(fast - cg))))
     ok = worst_kron <= 1e-8 and worst_cg <= 1e-7
     _report(6, "solver-path-consistency", ok,

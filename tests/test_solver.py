@@ -20,6 +20,7 @@ from smtl.solver import (
     SolverConfig,
     _SupervisedState,
     _observed_step,
+    _solve_operator,
     _supervised_exact,
     fit,
     fit_gram,
@@ -81,7 +82,8 @@ class TestSupervisedRoutes:
             inst = full_weight_instance(seed=10 + trial)
             a = PsdMatrix(np.diag(0.5 + rng.random(3)))
             exact = sylvester_ls_solve(inst.gram.K, a, inst.lam, inst.Y)
-            cg = _observed_step(inst, a, _SupervisedState(route="cg"))
+            cg = _observed_step(inst, a, _SupervisedState().observe(inst),
+                                _solve_operator)
             assert np.max(np.abs(cg - exact)) <= 1e-7
 
     def test_one_hot_route_matches_cg(self):
@@ -95,7 +97,8 @@ class TestSupervisedRoutes:
                                penalty=PenaltySpec.schatten(1.0, 1.0),
                                delta=1e-3)
         fast = _supervised_exact(inst, a)
-        slow = _observed_step(inst, a, _SupervisedState(route="cg"))
+        slow = _observed_step(inst, a, _SupervisedState().observe(inst),
+                              _solve_operator)
         assert np.max(np.abs(fast - slow)) <= 1e-7
 
     def test_supervised_step_never_increases_objective(self):
@@ -257,28 +260,53 @@ def test_masked_gaussian_fit_solves_observed_entry_system():
     assert rel_err(state.alpha, np.linalg.solve(h, ds.Y[rows, tids])) <= 1e-10
 
 
-@pytest.mark.parametrize("lam, bad_target",
-                         [(1e-8, 1.0), (0.1, np.nan), (0.1, np.inf)],
-                         ids=["lam_1e-8_rank_deficient", "nan", "inf"])
-def test_masked_route_raises_cg_stall_when_stuck(lam, bad_target):
-    """PCG on the observed-entry operator restarts from the true residual
-    while a pass lowers it, and raises CgStall once a pass does not. At
-    lam = 1e-8 on a rank-4 kernel roundoff bounds the residual far above
-    PCG_RTOL * ||y||; a non-finite target can never be solved."""
+def masked_linear_instance(lam):
+    """About 30% of the entries unobserved, observed W = 1, on a linear
+    kernel of rank 4 < n = 36; also returns a structure."""
     rng = np.random.default_rng(31)
     x = rng.standard_normal((36, 4))
     w = (rng.random((36, 3)) < 0.7) * 1.0
-    y = w * rng.standard_normal(w.shape)
-    i, t = np.argwhere(w)[0]
-    y[i, t] *= bad_target
-    inst = ProblemInstance(gram=GramMatrix(KernelSpec("linear"), x), Y=y,
-                           W=w, lam=lam,
+    inst = ProblemInstance(gram=GramMatrix(KernelSpec("linear"), x),
+                           Y=w * rng.standard_normal(w.shape), W=w, lam=lam,
                            penalty=PenaltySpec.schatten(1.0, 1.0))
-    a = PsdMatrix(random_structure(rng, 3))
+    return inst, random_structure(rng, 3)
+
+
+def test_masked_route_accepts_roundoff_bound_on_rank_deficient_kernel():
+    """lam = 1e-8 on a rank-4 kernel: cond ~ 3e9, so roundoff in the
+    operator's matvec keeps the true residual far above PCG_RTOL * ||y||.
+    PCG stalls before its 2m-step limit, inside the roundoff bound, and KC
+    matches a dense solve of the m x m system as closely as that solve's
+    own accuracy allows."""
+    inst, a = masked_linear_instance(1e-8)
+    state = _SupervisedState()
+    c = _supervised_exact(inst, PsdMatrix(a), state)
+    assert state.route == "cg"
+    rows, tids = np.nonzero(inst.W)
+    a_tilde = np.linalg.inv(inst.lam * np.linalg.inv(a))
+    h = (inst.K[np.ix_(rows, rows)] * a_tilde[np.ix_(tids, tids)]
+         + np.diag(1.0 / inst.W[rows, tids]))
+    y = inst.Y[rows, tids]
+    assert rel_err(h @ state.alpha, y) > 1e-10  # short of PCG_RTOL
+    assert state.pcg_steps < 2 * rows.size  # a stall, not the step limit
+    p_alpha = np.zeros_like(inst.Y)  # P(alpha), alpha by LU
+    p_alpha[rows, tids] = np.linalg.solve(h, y)
+    kc_dense = inst.K @ p_alpha @ a_tilde
+    cond = np.linalg.cond(h)
+    assert cond > 1e9
+    assert rel_err(inst.K @ c, kc_dense) <= 1e-14 * cond
+
+
+@pytest.mark.parametrize("bad_target", [np.nan, np.inf], ids=["nan", "inf"])
+def test_masked_route_raises_cg_stall_on_non_finite_target(bad_target):
+    """No residual test can accept a solve whose target is not finite."""
+    inst, a = masked_linear_instance(0.1)
+    i, t = np.argwhere(inst.W)[0]
+    inst.Y[i, t] *= bad_target
     state = _SupervisedState()
     with np.errstate(invalid="ignore"), \
             pytest.raises(CgStall, match="relative residual"):
-        _supervised_exact(inst, a, state)
+        _supervised_exact(inst, PsdMatrix(a), state)
     assert state.route == "cg"
 
 
