@@ -33,12 +33,16 @@ def pairwise_sq_dists(x1, x2):
     """Squared euclidean distances between rows of two matrices.
 
     Uses the expansion ``||a - b||^2 = ||a||^2 + ||b||^2 - 2 a.b`` and clips
-    tiny negatives produced by cancellation.
+    tiny negatives produced by cancellation. Works in place, so at most two
+    ``(m, r)`` arrays are alive at once.
     """
     sq1 = np.sum(x1 * x1, axis=1)[:, None]
     sq2 = np.sum(x2 * x2, axis=1)[None, :]
-    d = sq1 + sq2 - 2.0 * (x1 @ x2.T)
-    return np.maximum(d, 0.0)
+    d = sq1 + sq2
+    dot = x1 @ x2.T
+    dot *= 2.0
+    d -= dot
+    return np.maximum(d, 0.0, out=d)
 
 
 def gram(spec, x1, x2=None):
@@ -62,7 +66,9 @@ def gram(spec, x1, x2=None):
     if spec.kind == "linear":
         k = x1 @ x2.T
     else:
-        k = np.exp(-spec.gamma * pairwise_sq_dists(x1, x2))
+        k = pairwise_sq_dists(x1, x2)
+        k *= -spec.gamma
+        np.exp(k, out=k)
     if self_gram:
         k += k.T
         k *= 0.5

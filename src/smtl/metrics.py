@@ -12,16 +12,39 @@ from .errors import (
 from .kernels import gram
 
 
+# Test rows per block of the gaussian cross-Gram are chosen so that one
+# block holds about this many kernel values (8 MiB of float64).
+CROSS_GRAM_BLOCK = 1 << 20
+
+
 def predict(model, x_new):
-    """Predictions of a fitted model at new inputs, one column per task."""
+    """Predictions of a fitted model at new inputs, one column per task.
+
+    Task t's prediction at x is ``sum_i K(x, x_i) C[i, t]``. No m x n
+    (test x training) cross-Gram is formed whole:
+
+    * the linear kernel uses the primal weights, ``x_new @ (X_train' C)``,
+      at O((m + n) d T) cost;
+    * the gaussian kernel fills the m x T output one block of test rows at
+      a time, each block's cross-Gram holding about ``CROSS_GRAM_BLOCK``
+      kernel values, so the memory beyond the output is bounded by one
+      block (and the squared distances it is built from).
+    """
     x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
+    spec, x_train = model.gram.spec, model.gram.X_train
     if x_new.shape[1] != model.gram.d:
         raise DimensionMismatch(
             "inputs have %d features, the model was trained with %d"
             % (x_new.shape[1], model.gram.d)
         )
-    kx = gram(model.gram.spec, x_new, model.gram.X_train)
-    return kx @ model.C
+    if spec.kind == "linear":
+        return x_new @ (x_train.T @ model.C)
+    out = np.empty((x_new.shape[0], model.C.shape[1]))
+    rows = max(1, CROSS_GRAM_BLOCK // model.gram.n)
+    for i in range(0, x_new.shape[0], rows):
+        np.matmul(gram(spec, x_new[i:i + rows], x_train), model.C,
+                  out=out[i:i + rows])
+    return out
 
 
 def nmse(y_true, z, mask=None):
@@ -30,27 +53,44 @@ def nmse(y_true, z, mask=None):
     Each task's MSE is divided by the population variance of that task's
     true targets, so predicting the per-task mean scores exactly 1. With
     ``mask`` (a nonnegative matrix, zero marking unobserved entries) both
-    the MSE and the variance are computed over observed entries only.
+    the MSE and the variance are computed over observed entries only, and
+    tasks with no observed entry are left out of the average (with none
+    left, the result is NaN). A task whose observed targets are all equal
+    raises :class:`ZeroVariance`.
+
+    All tasks are scored at once by column reductions over one scratch
+    array the shape of ``y_true``. Each task's observed targets are first
+    shifted by its first observed target, so a task whose targets are all
+    equal reads exactly zero (its max equals its min) and is caught without
+    roundoff; the variance is the same after the shift. Unobserved entries
+    are never read into the sums.
     """
     y_true = np.asarray(y_true, dtype=float)
     z = np.asarray(z, dtype=float)
     if y_true.shape != z.shape:
         raise DimensionMismatch("y_true and z must share a shape")
-    n_tasks = y_true.shape[1]
-    ratios = []
-    for t in range(n_tasks):
-        if mask is None:
-            yt, zt = y_true[:, t], z[:, t]
-        else:
-            keep = np.asarray(mask)[:, t] > 0
-            if not np.any(keep):
-                continue
-            yt, zt = y_true[keep, t], z[keep, t]
-        var = float(np.var(yt))
-        if var <= 0:
-            raise ZeroVariance(t)
-        ratios.append(float(np.mean((yt - zt) ** 2)) / var)
-    return float(np.mean(ratios))
+    # Unmasked, ``where=True`` lets the ufuncs below run unmasked loops.
+    keep = True if mask is None else np.asarray(mask) > 0
+    if mask is not None and keep.shape != y_true.shape:
+        raise DimensionMismatch("mask and y_true must share a shape")
+    observed = np.broadcast_to(keep, y_true.shape)
+    count = np.count_nonzero(observed, axis=0)
+    scored = count > 0
+    if not scored.any():
+        return float("nan")
+    first = y_true[np.argmax(observed, axis=0), np.arange(y_true.shape[1])]
+    buf = np.zeros(y_true.shape)
+    np.subtract(y_true, first, out=buf, where=keep)
+    flat = scored & (buf.max(axis=0) == buf.min(axis=0))
+    if flat.any():
+        raise ZeroVariance(int(np.argmax(flat)))
+    np.subtract(buf, buf.sum(axis=0) / np.maximum(count, 1), out=buf, where=keep)
+    np.square(buf, out=buf)
+    sq_dev = buf.sum(axis=0)
+    np.subtract(y_true, z, out=buf, where=keep)
+    np.square(buf, out=buf)
+    sq_err = buf.sum(axis=0)
+    return float(np.mean(sq_err[scored] / sq_dev[scored]))
 
 
 def accuracy(labels, z):

@@ -1,4 +1,7 @@
-"""Metric definitions: nMSE normalization, argmax accuracy, improvement score."""
+"""Prediction at new inputs, and the metric definitions: nMSE normalization,
+argmax accuracy, improvement score."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +14,88 @@ from smtl.errors import (
     NonPositiveNmse,
     ZeroVariance,
 )
-from smtl.metrics import accuracy, nmse, normalized_improvement
+from smtl.kernels import GramMatrix, KernelSpec, gram
+from smtl.metrics import CROSS_GRAM_BLOCK, accuracy, nmse, normalized_improvement, predict
+from smtl.model_io import load_model, save_model
+from smtl.penalties import PenaltySpec
+from smtl.solver import ModelState, SolverConfig, fit
+from smtl.synth import SyntheticSpec, synth_generate
+
+KERNELS = {"linear": KernelSpec("linear"), "gaussian": KernelSpec("gaussian", gamma=0.3)}
+
+
+def random_model(spec, n, d, n_tasks, seed=0):
+    """A model with random coefficients; prediction needs nothing else."""
+    rng = np.random.default_rng(seed)
+    return ModelState(C=rng.standard_normal((n, n_tasks)), A=None,
+                      gram=GramMatrix(spec, rng.standard_normal((n, d))))
+
+
+def one_shot(model, x_new):
+    """Prediction through the whole test x training cross-Gram."""
+    return gram(model.gram.spec, np.atleast_2d(x_new), model.gram.X_train) @ model.C
+
+
+def per_task_nmse(y, z, mask=None):
+    """nMSE task by task over strided columns, as a plain loop."""
+    ratios = []
+    for t in range(y.shape[1]):
+        keep = np.ones(y.shape[0], bool) if mask is None else mask[:, t] > 0
+        if keep.any():
+            ratios.append(np.mean((y[keep, t] - z[keep, t]) ** 2) / np.var(y[keep, t]))
+    return np.mean(ratios)
+
+
+class TestPredict:
+    def test_linear_uses_primal_weights(self):
+        model = random_model(KERNELS["linear"], 60, 5, 4)
+        x_new = np.random.default_rng(1).standard_normal((33, 5))
+        assert_allclose(predict(model, x_new), one_shot(model, x_new), rtol=1e-12)
+
+    @pytest.mark.parametrize("m", ["1", "block-1", "block", "2blocks+3", "1-D"])
+    def test_gaussian_blocks_match_one_shot(self, m):
+        n = 50
+        rows = CROSS_GRAM_BLOCK // n
+        model = random_model(KERNELS["gaussian"], n, 3, 4)
+        size = {"1": 1, "block-1": rows - 1, "block": rows, "2blocks+3": 2 * rows + 3,
+                "1-D": 1}[m]
+        x_new = np.random.default_rng(2).standard_normal((size, 3))
+        if m == "1-D":
+            x_new = x_new[0]
+        z = predict(model, x_new)
+        assert z.shape == (size, 4)
+        assert_allclose(z, one_shot(model, x_new), rtol=1e-12)
+
+    @pytest.mark.parametrize("kind", sorted(KERNELS))
+    def test_loaded_model_predicts_the_same(self, kind, tmp_path):
+        ds, _ = synth_generate(SyntheticSpec(d=3, n_tasks=3, n_per_task=8), seed=0)
+        model, _ = fit(ds, KERNELS[kind], PenaltySpec.schatten(1.0, 1.0), 0.2,
+                       config=SolverConfig(max_iter=10))
+        save_model(model, tmp_path / "m.txt")
+        x_new = np.random.default_rng(3).standard_normal((9, 3))
+        assert np.array_equal(predict(load_model(tmp_path / "m.txt"), x_new),
+                              predict(model, x_new))
+
+    @pytest.mark.parametrize("kind", sorted(KERNELS))
+    def test_feature_count_mismatch(self, kind):
+        model = random_model(KERNELS[kind], 10, 3, 2)
+        with pytest.raises(DimensionMismatch):
+            predict(model, np.zeros((4, 5)))
+
+    @pytest.mark.parametrize("kind", sorted(KERNELS))
+    def test_memory_stays_below_the_cross_gram(self, kind):
+        # 20 000 test rows against 500 training rows: the whole cross-Gram
+        # would be 76 MiB; prediction may hold a quarter of it at most.
+        m, n = 20_000, 500
+        model = random_model(KERNELS[kind], n, 8, 4)
+        x_new = np.random.default_rng(4).standard_normal((m, 8))
+        tracemalloc.start()
+        try:
+            predict(model, x_new)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m * n * 8 / 4
 
 
 class TestNmse:
@@ -57,9 +141,50 @@ class TestNmse:
         with pytest.raises(ZeroVariance):
             nmse(y, np.zeros_like(y))
 
+    def test_inexact_constant_rejected(self):
+        # seven copies of 0.1 do not average to exactly 0.1, so a variance
+        # computed from the mean reads about 1e-34, not 0
+        y = np.column_stack([np.arange(7.0), np.full(7, 0.1)])
+        with pytest.raises(ZeroVariance) as err:
+            nmse(y, 0.5 * y)
+        assert err.value.task == 1
+
+    def test_masked_constant_rejected(self):
+        # task 1's observed targets are all 0.1; its unobserved ones differ
+        rng = np.random.default_rng(5)
+        y = rng.standard_normal((12, 3))
+        mask = np.ones((12, 3))
+        mask[::2, 1] = 0.0
+        y[1::2, 1] = 0.1
+        with pytest.raises(ZeroVariance) as err:
+            nmse(y, np.zeros_like(y), mask=mask)
+        assert err.value.task == 1
+        mask[0, 1] = 1.0
+        assert np.isfinite(nmse(y, np.zeros_like(y), mask=mask))
+
+    def test_nothing_observed_scores_nan(self):
+        assert np.isnan(nmse(np.zeros((0, 3)), np.zeros((0, 3))))
+        y = np.arange(8.0).reshape(4, 2)
+        assert np.isnan(nmse(y, y, mask=np.zeros((4, 2))))
+
+    @pytest.mark.parametrize("pattern", ["unmasked", "random", "empty_task"])
+    def test_matches_per_task_loop(self, pattern):
+        rng = np.random.default_rng(6)
+        y = rng.standard_normal((50, 300)) * rng.uniform(0.1, 10.0, 300) + 3.0
+        z = y + rng.standard_normal(y.shape)
+        mask = None
+        if pattern != "unmasked":
+            mask = (rng.random(y.shape) > 0.3).astype(float)
+        if pattern == "empty_task":
+            mask[:, 17] = 0.0
+            y[:, 17] = np.nan  # never observed, so never read
+        assert_allclose(nmse(y, z, mask=mask), per_task_nmse(y, z, mask), rtol=1e-12)
+
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
             nmse(np.zeros((4, 2)), np.zeros((5, 2)))
+        with pytest.raises(DimensionMismatch):
+            nmse(np.eye(4, 2), np.zeros((4, 2)), mask=np.ones((4, 3)))
 
 
 class TestAccuracy:
