@@ -8,6 +8,7 @@ from .errors import BadKernelParam, DimensionMismatch
 from .linalg import psd_clip
 
 KERNEL_KINDS = ("linear", "gaussian")
+SYMMETRIZE_BLOCK = 128  # tile side of the in-place self-Gram symmetrization
 
 
 @dataclass(frozen=True)
@@ -70,9 +71,22 @@ def gram(spec, x1, x2=None):
         k *= -spec.gamma
         np.exp(k, out=k)
     if self_gram:
-        k += k.T
-        k *= 0.5
+        _symmetrize(k)
     return k
+
+
+def _symmetrize(k):
+    """Replace a square ``k`` by ``(k + k') / 2`` in place, one pair of
+    tiles at a time, so the scratch is one tile rather than the n x n copy
+    that ``k += k.T`` makes of its overlapping operand. Each entry is
+    computed as ``(k_ij + k_ji) * 0.5``, exactly as there."""
+    n, b = k.shape[0], SYMMETRIZE_BLOCK
+    for i in range(0, n, b):
+        for j in range(i, n, b):
+            tile = k[i:i + b, j:j + b] + k[j:j + b, i:i + b].T
+            tile *= 0.5
+            k[i:i + b, j:j + b] = tile
+            k[j:j + b, i:i + b] = tile.T
 
 
 class GramMatrix:
@@ -82,14 +96,22 @@ class GramMatrix:
     evaluated until it is used, and each form is built at most once:
 
     * ``.raw`` is the symmetrized kernel matrix ``gram(spec, X_train)``, a
-      read-only ``(n, n)`` ndarray. The objectives and every supervised
-      route read it.
+      read-only ``(n, n)`` ndarray.
     * ``.K`` is its spectral form, a :class:`~smtl.linalg.PsdMatrix` from
       one eigendecomposition of ``.raw``. Eigenvalues down to
       ``-1e-8 * max(1, w_max)`` are clipped to zero in the spectrum only;
       more negative ones raise :class:`~smtl.errors.NotPsd`. Its ``data``
       is ``.raw`` itself. Only the uniform-weight spectral solve and the
       oracles need it.
+
+    Products ``K @ m`` go through :meth:`dot`, which picks their form from
+    the kernel kind and the shape of ``X_train``. A linear kernel with
+    ``2 d < n`` (``factored``) multiplies through the n x d inputs,
+    ``X (X' m)``: 2ndT flops against n^2 T, and no n x n array is read.
+    :func:`smtl.objectives.diag_quad_forms` then takes ``m'Km`` as
+    ``||X'm||^2``, free of roundoff from m's components in K's null space.
+    Every other kernel multiplies by ``.raw``. The one-hot route's explicit
+    system matrix reads ``.raw`` on every kernel.
 
     A model that only predicts (e.g. one read by ``load_model``) builds
     neither: prediction needs just the spec and ``X_train``. Both forms
@@ -120,6 +142,18 @@ class GramMatrix:
         if self._K is None:
             self._K = psd_clip(self.raw, tol=1e-8, keep_data=True)
         return self._K
+
+    @property
+    def factored(self):
+        """Whether :meth:`dot` multiplies through ``X_train``."""
+        return self.spec.kind == "linear" and 2 * self.d < self.n
+
+    def dot(self, m):
+        """``K @ m``: ``X (X' m)`` if ``factored``, else ``raw @ m``."""
+        if self.factored:
+            x = self.X_train
+            return x @ (x.T @ m)
+        return self.raw @ m
 
     @property
     def n(self):

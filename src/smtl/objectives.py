@@ -19,7 +19,8 @@ scales with ``||C v_i|| ||K C v_i||``, which is small exactly where ``w_i``
 is small. Forming ``C'KC`` first would leave an error of order
 ``eps ||C'KC||`` in every ``q_i``, and dividing it by a ``w_i`` of order
 delta makes the barrier objective rise between iterations at tiny barrier
-sizes.
+sizes. Products with K go through ``GramMatrix.dot``; when it multiplies
+through the inputs (``K = X X'``), ``q_i = ||X' C v_i||^2``.
 
 The value-preserving maps between Q- and R-minimizers are ``map_Q_to_R``
 (``C -> C A``) and ``map_R_to_Q`` (``C -> C A^+``).
@@ -106,7 +107,7 @@ def eval_Q(inst, c, a):
     """Original objective; predictions are ``K C A``."""
     c = _check_c(inst, c)
     a = _as_structure(a)
-    kc = inst.K @ c
+    kc = inst.gram.dot(c)
     m = c.T @ kc
     v, _ = loss_value_grad(inst.Y, kc @ a.data, inst.W)
     value = v + inst.lam * float(np.sum(a.data * m))
@@ -115,8 +116,17 @@ def eval_Q(inst, c, a):
     return value + penalty_value(inst.penalty, a)
 
 
-def diag_quad_forms(c, kc, v):
-    """Diagonal of ``V' C'KC V`` from the columns of ``C V`` and ``KC V``."""
+def diag_quad_forms(gram, c, kc, v):
+    """Diagonal of ``V' C'KC V`` from the columns of ``C V`` and ``KC V``.
+
+    With a factored ``gram`` (``K = X X'``) the forms are the squared
+    column norms of ``X' C V``. Their roundoff then scales with
+    ``||X' C v_i||``, not with C's components in K's null space, which do
+    not change KC but can be of order ``1/lam``.
+    """
+    if gram.factored:
+        xcv = (gram.X_train.T @ c) @ v
+        return np.sum(xcv * xcv, axis=0)
     return np.sum((c @ v) * (kc @ v), axis=0)
 
 
@@ -124,14 +134,14 @@ def eval_R(inst, c, a):
     """Convex reformulation; ``+inf`` off the feasible range set."""
     c = _check_c(inst, c)
     a = _as_structure(a)
-    kc = inst.K @ c
+    kc = inst.gram.dot(c)
     m = c.T @ kc
     if not range_contained(m, a, tol=RANGE_TOL):
         return float("inf")
     v, _ = loss_value_grad(inst.Y, kc, inst.W)
     w = a.eigenvalues
     keep = w > a.rank_cut()
-    quads = diag_quad_forms(c, kc, a.eigenvectors[:, keep])
+    quads = diag_quad_forms(inst.gram, c, kc, a.eigenvectors[:, keep])
     value = v + inst.lam * float(np.sum(quads / w[keep]))
     if inst.ridge:
         value += inst.ridge * float(np.trace(m))
@@ -159,9 +169,9 @@ def eval_S(inst, c, a, kc=None):
     a = _as_structure(a)
     w = pd_eigenvalues(a)
     if kc is None:
-        kc = inst.K @ c
+        kc = inst.gram.dot(c)
     v, _ = loss_value_grad(inst.Y, kc, inst.W)
-    quads = diag_quad_forms(c, kc, a.eigenvectors)
+    quads = diag_quad_forms(inst.gram, c, kc, a.eigenvectors)
     trace = np.sum(quads / w) + inst.delta ** 2 * np.sum(1.0 / w)
     value = v + inst.lam * float(trace)
     if inst.ridge:
@@ -179,9 +189,9 @@ def grad_S_C(inst, c, a):
     """Gradient of the barrier objective in ``C`` (penalty plays no part)."""
     c = _check_c(inst, c)
     a_inv = _inverse(_as_structure(a))
-    kc = inst.K @ c
+    kc = inst.gram.dot(c)
     _, gz = loss_value_grad(inst.Y, kc, inst.W)
-    g = inst.K @ gz + 2.0 * inst.lam * (kc @ a_inv)
+    g = inst.gram.dot(gz) + 2.0 * inst.lam * (kc @ a_inv)
     if inst.ridge:
         g = g + 2.0 * inst.ridge * kc
     return g
@@ -196,7 +206,7 @@ def grad_S_A(inst, c, a):
     c = _check_c(inst, c)
     a = _as_structure(a)
     a_inv = _inverse(a)
-    kc = inst.K @ c
+    kc = inst.gram.dot(c)
     m = c.T @ kc
     b = m + (inst.delta ** 2) * np.eye(inst.n_tasks)
     g = -inst.lam * (a_inv @ b @ a_inv)
@@ -224,7 +234,7 @@ def map_R_to_Q(inst, c_r, a_r):
     """
     c_r = _check_c(inst, c_r)
     a_r = _as_structure(a_r)
-    m = c_r.T @ inst.K @ c_r
+    m = c_r.T @ inst.gram.dot(c_r)
     if not range_contained(m, a_r, tol=RANGE_TOL):
         raise InfeasiblePair("Ran(C'KC) is not contained in Ran(A)")
     return c_r @ pinv_psd(a_r).data, a_r

@@ -22,6 +22,11 @@ The supervised (C) step picks the cheapest exact route available:
   explicit inverse of an earlier one and LU the fallback; with any other
   mask (``"cg"``) the matrix is an operator, preconditioned by ``diag(w)``.
 
+Every product with K goes through ``GramMatrix.dot``, so a linear kernel
+with 2d < n is applied as ``X (X' M)`` and the ``"cg"`` route never reads
+the n x n matrix. The one-hot route's explicit matrix needs K's entries,
+and the spectral solve its eigenpairs.
+
 A per-fit ``_SupervisedState``, created by ``fit_gram``, carries the warm
 start and the one-hot preconditioner from call to call.
 
@@ -230,7 +235,7 @@ def _pcg(matvec, b, x, precond, tol, max_steps, state):
     return x, res
 
 
-def _solve_one_hot(k, a_tilde, y, x, tol, state):
+def _solve_one_hot(gram, a_tilde, y, x, tol, state):
     """Solve the one-hot system by PCG on its explicit matrix ``H``.
 
     PCG runs from ``x`` on ``state.precond``. If that fails to converge
@@ -243,7 +248,7 @@ def _solve_one_hot(k, a_tilde, y, x, tol, state):
     """
     tids = state.tids
     h = np.take(a_tilde[tids], tids, axis=1)
-    h *= k
+    h *= gram.raw
     h.flat[::tids.size + 1] += 1.0 / state.wvec
     if state.lu_solves or not tol < float("inf"):
         state.lu_solves += 1
@@ -266,27 +271,40 @@ def _solve_one_hot(k, a_tilde, y, x, tol, state):
     return np.linalg.solve(h, y)
 
 
-def _solve_operator(k, a_tilde, y, x, tol, state):
+def _solve_operator(gram, a_tilde, y, x, tol, state):
     """Solve the observed-entry system by PCG on its operator form.
 
-    The matvec is ``(K P(x) Atilde)[rows, tids] + x / w``, the
-    preconditioner ``diag(w)``. PCG may take 2m steps, twice what exact
-    arithmetic needs. Short of ``tol``, a solve is accepted within the
-    matvec's roundoff, ``(n + T) u ||K||_F ||Atilde||_F ||x||`` (u the unit
-    roundoff) at ``||x|| = max(w) ||y||``, a bound on the solution's norm.
-    It raises ``CgStall`` above that, or if that roundoff reaches ``||y||``.
+    The matvec is ``(K P(x) Atilde)[rows, tids] + x / w``, with the K
+    product from ``gram.dot``; the preconditioner is ``diag(w)``. PCG may
+    take 2m steps, twice what exact arithmetic needs. Short of ``tol``, a
+    solve is accepted within the matvec's roundoff,
+    ``(n + T) u ||K||_F ||Atilde||_F ||x||`` (u the unit roundoff) at
+    ``||x|| = max(w) ||y||``, a bound on the solution's norm. A factored
+    product ``X (X' m)`` adds d to ``n + T`` and takes ``||K||_F`` as
+    ``||X'X||_F``, equal in exact arithmetic. It raises ``CgStall`` above
+    that bound, or if the bound reaches ``||y||``.
     """
-    rows, tids, w = state.rows, state.tids, state.wvec
-    scattered = np.zeros((k.shape[0], a_tilde.shape[0]))
+    w = state.wvec
+    scattered = np.zeros((gram.n, a_tilde.shape[0]))
+    # The observed entries by flat position: indexing a 1-D view is several
+    # times faster than indexing by (rows, tids).
+    flat = np.ravel_multi_index((state.rows, state.tids), scattered.shape)
+    scattered_flat = scattered.reshape(-1)
 
     def matvec(v):
-        scattered[rows, tids] = v
-        return (k @ scattered @ a_tilde)[rows, tids] + v / w
+        scattered_flat[flat] = v
+        return (gram.dot(scattered) @ a_tilde).take(flat) + v / w
 
     x, res = _pcg(matvec, y, x, w.__mul__, tol, 2 * y.size, state)
     y_norm = float(np.linalg.norm(y))
-    bound = (0.5 * np.finfo(float).eps * sum(scattered.shape) * w.max()
-             * np.linalg.norm(k) * np.linalg.norm(a_tilde) * y_norm)
+    if gram.factored:
+        terms = sum(scattered.shape) + gram.d
+        k_norm = np.linalg.norm(gram.X_train.T @ gram.X_train)
+    else:
+        terms = sum(scattered.shape)
+        k_norm = np.linalg.norm(gram.raw)
+    bound = (0.5 * np.finfo(float).eps * terms * w.max()
+             * k_norm * np.linalg.norm(a_tilde) * y_norm)
     if res <= tol < float("inf") or res <= bound < y_norm:
         return x
     raise CgStall("observed-entry PCG stalled at relative residual %.3e "
@@ -309,7 +327,7 @@ def _observed_step(inst, a, state, solve):
         state.alpha = np.zeros_like(y)
     else:
         x = np.zeros_like(y) if state.alpha is None else state.alpha
-        state.alpha = solve(inst.K, a_tilde, y, x, tol, state)
+        state.alpha = solve(inst.gram, a_tilde, y, x, tol, state)
     if solve is _solve_one_hot:  # P(alpha) @ Atilde, one entry per row
         return state.alpha[:, None] * a_tilde[state.tids, :]
     c = np.zeros_like(inst.Y)
@@ -397,9 +415,9 @@ def unsupervised_step(inst, c, a_prev, mode="altmin", step=None, kc=None):
         # diag(V'MV) are accurate there, as in eval_S. Adding delta^2 to
         # them keeps B strictly PD at tiny barrier floors.
         if kc is None:
-            kc = inst.K @ c
+            kc = inst.gram.dot(c)
         em = linalg.sym_eig(c.T @ kc)
-        quads = diag_quad_forms(c, kc, em.eigenvectors)
+        quads = diag_quad_forms(inst.gram, c, kc, em.eigenvectors)
         sigma = np.maximum(quads, 0.0) + inst.delta ** 2
         b = PsdMatrix.from_eig(sigma, em.eigenvectors)
         return unsupervised_min(inst.penalty, b, inst.lam)
@@ -469,7 +487,7 @@ def fit_gram(gram, y, w, penalty, lam, ridge=0.0, config=None, callback=None):
             c = supervised_step(inst, a, c, mode=config.mode,
                                 step=config.step_c, state=state)
             t1 = time.perf_counter()
-            kc = inst.K @ c  # shared by the A-step and eval_S
+            kc = inst.gram.dot(c)  # shared by the A-step and eval_S
             if config.track_substeps:
                 substeps.append(_safe_S(inst, c, a, kc))
             a = unsupervised_step(inst, c, a, mode=config.mode,

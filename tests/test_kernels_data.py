@@ -1,5 +1,8 @@
 """Kernels, the long-format loader, and the loss evaluator."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -47,6 +50,34 @@ def test_gaussian_self_gram_diagonal_ones():
     assert_allclose(np.diag(k), np.ones(6), atol=1e-12)
     assert np.all(k > 0) and np.all(k <= 1 + 1e-12)
     assert_allclose(k, k.T, atol=0)
+
+
+def sha1(a):
+    return hashlib.sha1(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("n", [1, 129, 300])
+@pytest.mark.parametrize("spec", [KernelSpec("linear"),
+                                  KernelSpec("gaussian", gamma=0.3)],
+                         ids=["linear", "gaussian"])
+def test_self_gram_is_bitwise_half_sum_with_transpose(spec, n):
+    """The tiled in-place symmetrization gives exactly ``(K + K') / 2``."""
+    x = np.random.default_rng(n).standard_normal((n, 5))
+    k = gram(spec, x, x)  # the same arithmetic, unsymmetrized
+    assert sha1(gram(spec, x)) == sha1((k + k.T) * 0.5)
+
+
+def test_linear_self_gram_peak_memory_is_one_result():
+    x = np.random.default_rng(0).standard_normal((1000, 10))
+    tracemalloc.start()
+    try:
+        k = gram(KernelSpec("linear"), x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * k.nbytes
+    raw = x @ x.T
+    assert sha1(k) == sha1((raw + raw.T) * 0.5)
 
 
 def test_kernel_param_validation():

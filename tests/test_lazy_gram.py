@@ -3,7 +3,9 @@
 Construction evaluates no kernel; the raw kernel matrix is built on first
 use, and its spectral form (one n x n eigendecomposition) only for the
 uniform-weight spectral solve. The one-hot and CG routes, and a model read
-back from disk for prediction, never decompose an n x n matrix.
+back from disk for prediction, never decompose an n x n matrix. Products
+with a linear kernel whose 2d < n go through the n x d inputs, so the CG
+route never evaluates that kernel at all.
 """
 
 import time
@@ -21,7 +23,7 @@ from smtl.linalg import psd_clip
 from smtl.metrics import predict
 from smtl.model_io import load_model, save_model
 from smtl.penalties import PenaltySpec
-from smtl.solver import SolverConfig, fit
+from smtl.solver import SolverConfig, fit, fit_gram
 
 N, T = 30, 3
 
@@ -143,3 +145,39 @@ def test_kernel_evaluation_is_timed_as_gram(monkeypatch):
     _, rep = fit_small(dataset("uniform"))
     assert rep.wall_times["gram"] >= pause
     assert rep.wall_times["fit"] < pause
+
+
+def test_factored_dot_matches_raw_and_evaluates_no_kernel(kernel_calls):
+    """A linear kernel with 2d < n multiplies through X_train."""
+    rng = np.random.default_rng(7)
+    gm = GramMatrix(KernelSpec("linear"), rng.standard_normal((N, 4)))
+    m = rng.standard_normal((N, T))
+    assert gm.factored
+    km = gm.dot(m)
+    assert kernel_calls == []
+    raw_km = gm.raw @ m
+    assert np.linalg.norm(km - raw_km) <= 1e-12 * np.linalg.norm(raw_km)
+
+
+@pytest.mark.parametrize("spec, d", [
+    (KernelSpec("gaussian", gamma=0.4), 4),
+    (KernelSpec("linear"), N // 2),  # 2d = n
+    (KernelSpec("linear"), N + 5),
+], ids=["gaussian", "linear_2d_eq_n", "linear_d_gt_n"])
+def test_unfactored_dot_is_the_raw_product(spec, d):
+    rng = np.random.default_rng(8)
+    gm = GramMatrix(spec, rng.standard_normal((N, d)))
+    m = rng.standard_normal((N, T))
+    assert not gm.factored
+    assert np.array_equal(gm.dot(m), gm.raw @ m)
+
+
+def test_factored_masked_fit_evaluates_no_kernel(kernel_calls, n_by_n_eigs):
+    """On the "cg" route every K product goes through ``dot``, so a linear
+    kernel with 2d < n is never evaluated."""
+    ds = dataset("masked")
+    gm = GramMatrix(KernelSpec("linear"), ds.X)
+    _, rep = fit_gram(gm, ds.Y, ds.W, PenaltySpec.schatten(1.0, 1.0), 0.2,
+                      config=SolverConfig(max_iter=5))
+    assert rep.supervised_route == "cg" and rep.iters >= 1
+    assert kernel_calls == [] and n_by_n_eigs == []

@@ -9,6 +9,7 @@ from smtl.kernels import GramMatrix, KernelSpec
 from smtl.linalg import PsdMatrix
 from smtl.objectives import (
     ProblemInstance,
+    diag_quad_forms,
     eval_Q,
     eval_R,
     eval_S,
@@ -150,6 +151,30 @@ def test_eval_s_accurate_where_a_is_of_order_delta():
                          + delta ** 2 * np.sum(1.0 / w))
            + np.sum(w))
     assert abs(eval_S(inst, c, a) - ref) <= 1e-12 * (1.0 + abs(ref))
+
+
+def test_factored_quad_forms_ignore_null_space_bulk():
+    """On a linear kernel with 2d < n the forms are ``||X'C v_i||^2``. C
+    here is a rank-2 range part plus null-space bulk 1e8 times larger, in
+    every task. The forms of the four directions the range part misses are
+    0; they read about (eps ||X|| ||C||)^2 ~ 1e-12, where the form from
+    ``C V`` and ``KC V`` reads ~1e-6, the bulk times KC's roundoff."""
+    rng = np.random.default_rng(13)
+    n, d, n_tasks, rank = 40, 4, 6, 2
+    x = rng.standard_normal((n, d))
+    gram = GramMatrix(KernelSpec("linear"), x)
+    assert gram.factored
+    v = np.linalg.qr(rng.standard_normal((n_tasks, n_tasks)))[0]
+    c_range = x @ rng.standard_normal((d, rank)) @ v[:, :rank].T
+    null_basis = np.linalg.svd(x)[0][:, d:]  # orthogonal to X's columns
+    c = c_range + 1e8 * null_basis @ rng.standard_normal((n - d, n_tasks))
+    kc = gram.dot(c)
+    quads = diag_quad_forms(gram, c, kc, v)
+    ref = np.sum((x.T @ c_range @ v[:, :rank]) ** 2, axis=0)
+    assert_allclose(quads[:rank], ref, rtol=1e-8)
+    assert np.all(np.abs(quads[rank:]) <= 1e-10)
+    generic = np.sum((c @ v) * (kc @ v), axis=0)
+    assert np.max(np.abs(generic[rank:])) > 1e-10
 
 
 def test_eval_s_nondecreasing_in_delta():

@@ -260,6 +260,31 @@ def test_masked_gaussian_fit_solves_observed_entry_system():
     assert rel_err(state.alpha, np.linalg.solve(h, ds.Y[rows, tids])) <= 1e-10
 
 
+@pytest.mark.parametrize("seed", [0, 13])
+@pytest.mark.parametrize("lam", [1e-4, 1e-6, 1e-8, 1e-10])
+def test_masked_fit_on_rank_deficient_kernel_descends_at_small_lam(lam, seed):
+    """A rank-10 linear kernel (n = 150, d = 10): C = P(alpha) Atilde then
+    carries components in K's null space of order 1/lam. They do not change
+    KC; with K applied as X (X' C) and C'KC taken from X' C, they do not
+    leak into the objective either, and altmin descends. (With C'KC taken
+    from C and KC instead, seed 13 rises by 1.1e-10 of S at lam = 1e-8.)"""
+    rng = np.random.default_rng(seed)
+    n, n_tasks, d = 150, 15, 10
+    x = rng.standard_normal((n, d))
+    y = x @ rng.standard_normal((d, n_tasks))
+    y += 0.5 * rng.standard_normal(y.shape)
+    observed = rng.random(y.shape) >= 0.3
+    ds = TaskDataset(X=x, Y=y * observed, W=observed * 1.0,
+                     task_ids=np.zeros(n, dtype=int),
+                     task_sizes=observed.sum(axis=0))
+    _, rep = fit(ds, KernelSpec("linear"), PenaltySpec.schatten(1.0, 1.0),
+                 lam, config=SolverConfig(max_iter=100))
+    assert rep.supervised_route == "cg"
+    traj = np.asarray(rep.objective_trajectory)
+    assert np.all(np.isfinite(traj))
+    assert np.all(np.diff(traj) <= 1e-10 * (1 + np.abs(traj[:-1])))
+
+
 def masked_linear_instance(lam):
     """About 30% of the entries unobserved, observed W = 1, on a linear
     kernel of rank 4 < n = 36; also returns a structure."""
