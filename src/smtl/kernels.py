@@ -104,14 +104,16 @@ class GramMatrix:
       is ``.raw`` itself. Only the uniform-weight spectral solve and the
       oracles need it.
 
-    Products ``K @ m`` go through :meth:`dot`, which picks their form from
-    the kernel kind and the shape of ``X_train``. A linear kernel with
-    ``2 d < n`` (``factored``) multiplies through the n x d inputs,
-    ``X (X' m)``: 2ndT flops against n^2 T, and no n x n array is read.
-    :func:`smtl.objectives.diag_quad_forms` then takes ``m'Km`` as
-    ``||X'm||^2``, free of roundoff from m's components in K's null space.
-    Every other kernel multiplies by ``.raw``. The one-hot route's explicit
-    system matrix reads ``.raw`` on every kernel.
+    Products with K go through :meth:`dot` (``K @ m``), :meth:`quad`
+    (``C'KC``) and :meth:`diag_quads` (the diagonal of ``V'C'KCV``); their
+    roundoff is sized by :attr:`dot_terms` and :attr:`fro_norm`. These pick
+    their form from the kernel kind and the shape of ``X_train``. A linear
+    kernel with ``d < n`` (``factored``) has rank at most ``d < n``: it is
+    applied through the n x d inputs as ``X (X' m)`` (2ndT flops against
+    n^2 T, and no n x n array read), and ``C'KC`` is ``(X'C)'(X'C)``, so
+    C's components in K's null space, which can be of order ``1/lam``,
+    add no roundoff to it. Every other kernel multiplies by ``.raw``. The
+    one-hot route's explicit system matrix reads ``.raw`` on every kernel.
 
     A model that only predicts (e.g. one read by ``load_model``) builds
     neither: prediction needs just the spec and ``X_train``. Both forms
@@ -145,8 +147,9 @@ class GramMatrix:
 
     @property
     def factored(self):
-        """Whether :meth:`dot` multiplies through ``X_train``."""
-        return self.spec.kind == "linear" and 2 * self.d < self.n
+        """Whether products go through ``X_train``: a linear kernel with
+        ``d < n``, whose rank is below n."""
+        return self.spec.kind == "linear" and self.d < self.n
 
     def dot(self, m):
         """``K @ m``: ``X (X' m)`` if ``factored``, else ``raw @ m``."""
@@ -154,6 +157,41 @@ class GramMatrix:
             x = self.X_train
             return x @ (x.T @ m)
         return self.raw @ m
+
+    def quad(self, c, kc=None):
+        """``C'KC`` (T x T): ``(X'C)'(X'C)`` if ``factored``, else
+        ``C'(KC)``. ``kc`` is ``K @ c``, if the caller has it."""
+        if self.factored:
+            xc = self.X_train.T @ c
+            return xc.T @ xc
+        return c.T @ (self.dot(c) if kc is None else kc)
+
+    def diag_quads(self, c, kc, v):
+        """Diagonal of ``V'C'KCV``, column by column: the squared column
+        norms of ``X'CV`` if ``factored``, else ``sum((CV) * (KCV))``.
+
+        The roundoff in each form scales with that column's own size, not
+        with ``||C'KC||`` as it would if ``C'KC`` were formed first.
+        """
+        if self.factored:
+            xcv = (self.X_train.T @ c) @ v
+            return np.sum(xcv * xcv, axis=0)
+        return np.sum((c @ v) * (kc @ v), axis=0)
+
+    @property
+    def dot_terms(self):
+        """Terms summed into each entry of :meth:`dot`, for its roundoff
+        bound: ``n``, or ``n + d`` (``X' m``, then ``X`` times it) if
+        ``factored``."""
+        return self.n + self.d if self.factored else self.n
+
+    @property
+    def fro_norm(self):
+        """``||K||_F``, as :meth:`dot` applies K: ``||X'X||_F`` (d x d,
+        equal in exact arithmetic) if ``factored``."""
+        if self.factored:
+            return float(np.linalg.norm(self.X_train.T @ self.X_train))
+        return float(np.linalg.norm(self.raw))
 
     @property
     def n(self):

@@ -13,14 +13,14 @@ matrix ``A`` (T x T) are exposed:
 
 Both trace terms are evaluated in A's eigenbasis ``A = V diag(w) V'``
 without forming ``C'KC``: ``tr(A^{-1} C'KC) = sum_i q_i / w_i`` with the
-quadratic forms ``q_i = (C v_i)'(K C v_i)`` taken column by column from
-``C V`` and ``KC V`` (``diag_quad_forms``). The roundoff in each ``q_i`` then
-scales with ``||C v_i|| ||K C v_i||``, which is small exactly where ``w_i``
-is small. Forming ``C'KC`` first would leave an error of order
-``eps ||C'KC||`` in every ``q_i``, and dividing it by a ``w_i`` of order
-delta makes the barrier objective rise between iterations at tiny barrier
-sizes. Products with K go through ``GramMatrix.dot``; when it multiplies
-through the inputs (``K = X X'``), ``q_i = ||X' C v_i||^2``.
+quadratic forms ``q_i = v_i' C'KC v_i`` taken column by column
+(``GramMatrix.diag_quads``). The roundoff in each ``q_i`` then scales with
+that column's size, which is small exactly where ``w_i`` is small. Forming
+``C'KC`` first would leave an error of order ``eps ||C'KC||`` in every
+``q_i``, and dividing it by a ``w_i`` of order delta makes the barrier
+objective rise between iterations at tiny barrier sizes. Every product
+with K (``K @ C``, ``C'KC`` and these forms) comes from the
+``GramMatrix``, which picks its form.
 
 The value-preserving maps between Q- and R-minimizers are ``map_Q_to_R``
 (``C -> C A``) and ``map_R_to_Q`` (``C -> C A^+``).
@@ -108,7 +108,7 @@ def eval_Q(inst, c, a):
     c = _check_c(inst, c)
     a = _as_structure(a)
     kc = inst.gram.dot(c)
-    m = c.T @ kc
+    m = inst.gram.quad(c, kc)
     v, _ = loss_value_grad(inst.Y, kc @ a.data, inst.W)
     value = v + inst.lam * float(np.sum(a.data * m))
     if inst.ridge:
@@ -116,32 +116,18 @@ def eval_Q(inst, c, a):
     return value + penalty_value(inst.penalty, a)
 
 
-def diag_quad_forms(gram, c, kc, v):
-    """Diagonal of ``V' C'KC V`` from the columns of ``C V`` and ``KC V``.
-
-    With a factored ``gram`` (``K = X X'``) the forms are the squared
-    column norms of ``X' C V``. Their roundoff then scales with
-    ``||X' C v_i||``, not with C's components in K's null space, which do
-    not change KC but can be of order ``1/lam``.
-    """
-    if gram.factored:
-        xcv = (gram.X_train.T @ c) @ v
-        return np.sum(xcv * xcv, axis=0)
-    return np.sum((c @ v) * (kc @ v), axis=0)
-
-
 def eval_R(inst, c, a):
     """Convex reformulation; ``+inf`` off the feasible range set."""
     c = _check_c(inst, c)
     a = _as_structure(a)
     kc = inst.gram.dot(c)
-    m = c.T @ kc
+    m = inst.gram.quad(c, kc)
     if not range_contained(m, a, tol=RANGE_TOL):
         return float("inf")
     v, _ = loss_value_grad(inst.Y, kc, inst.W)
     w = a.eigenvalues
     keep = w > a.rank_cut()
-    quads = diag_quad_forms(inst.gram, c, kc, a.eigenvectors[:, keep])
+    quads = inst.gram.diag_quads(c, kc, a.eigenvectors[:, keep])
     value = v + inst.lam * float(np.sum(quads / w[keep]))
     if inst.ridge:
         value += inst.ridge * float(np.trace(m))
@@ -153,8 +139,9 @@ def eval_S(inst, c, a, kc=None):
 
     The trace term ``tr(A^{-1}(C'KC + delta^2 I))`` is
     ``sum_i (q_i + delta^2) / w_i`` over A's eigenpairs, with ``q_i`` from
-    ``diag_quad_forms``; ``C'KC + delta^2 I`` is never formed, so its roundoff
-    is not divided by eigenvalues of order delta (see the module notes).
+    ``GramMatrix.diag_quads``; ``C'KC + delta^2 I`` is never formed, so
+    its roundoff is not divided by eigenvalues of order delta (see the
+    module notes).
     The ridge term ``tr(C'KC)`` is ``sum(C * KC)``. ``kc`` is ``K @ C``, if
     the caller has it.
 
@@ -171,7 +158,7 @@ def eval_S(inst, c, a, kc=None):
     if kc is None:
         kc = inst.gram.dot(c)
     v, _ = loss_value_grad(inst.Y, kc, inst.W)
-    quads = diag_quad_forms(inst.gram, c, kc, a.eigenvectors)
+    quads = inst.gram.diag_quads(c, kc, a.eigenvectors)
     trace = np.sum(quads / w) + inst.delta ** 2 * np.sum(1.0 / w)
     value = v + inst.lam * float(trace)
     if inst.ridge:
@@ -207,7 +194,7 @@ def grad_S_A(inst, c, a):
     a = _as_structure(a)
     a_inv = _inverse(a)
     kc = inst.gram.dot(c)
-    m = c.T @ kc
+    m = inst.gram.quad(c, kc)
     b = m + (inst.delta ** 2) * np.eye(inst.n_tasks)
     g = -inst.lam * (a_inv @ b @ a_inv)
     g = 0.5 * (g + g.T)
@@ -234,7 +221,7 @@ def map_R_to_Q(inst, c_r, a_r):
     """
     c_r = _check_c(inst, c_r)
     a_r = _as_structure(a_r)
-    m = c_r.T @ inst.gram.dot(c_r)
+    m = inst.gram.quad(c_r)
     if not range_contained(m, a_r, tol=RANGE_TOL):
         raise InfeasiblePair("Ran(C'KC) is not contained in Ran(A)")
     return c_r @ pinv_psd(a_r).data, a_r

@@ -22,10 +22,10 @@ The supervised (C) step picks the cheapest exact route available:
   explicit inverse of an earlier one and LU the fallback; with any other
   mask (``"cg"``) the matrix is an operator, preconditioned by ``diag(w)``.
 
-Every product with K goes through ``GramMatrix.dot``, so a linear kernel
-with 2d < n is applied as ``X (X' M)`` and the ``"cg"`` route never reads
-the n x n matrix. The one-hot route's explicit matrix needs K's entries,
-and the spectral solve its eigenpairs.
+Every product with K comes from the ``GramMatrix`` (``dot``, ``quad``,
+``diag_quads``), so a linear kernel with d < n is applied as ``X (X' M)``
+and the ``"cg"`` route never reads the n x n matrix. The one-hot route's
+explicit matrix needs K's entries, and the spectral solve its eigenpairs.
 
 A per-fit ``_SupervisedState``, created by ``fit_gram``, carries the warm
 start and the one-hot preconditioner from call to call.
@@ -52,7 +52,7 @@ from . import linalg
 from .kernels import GramMatrix
 from .linalg import PsdMatrix, pd_eigenvalues, sylvester_ls_solve
 from .objectives import (
-    ProblemInstance, diag_quad_forms, eval_S, grad_S_A, grad_S_C,
+    ProblemInstance, eval_S, grad_S_A, grad_S_C,
 )
 from .penalties import project_structure, unsupervised_min
 
@@ -278,11 +278,11 @@ def _solve_operator(gram, a_tilde, y, x, tol, state):
     product from ``gram.dot``; the preconditioner is ``diag(w)``. PCG may
     take 2m steps, twice what exact arithmetic needs. Short of ``tol``, a
     solve is accepted within the matvec's roundoff,
-    ``(n + T) u ||K||_F ||Atilde||_F ||x||`` (u the unit roundoff) at
-    ``||x|| = max(w) ||y||``, a bound on the solution's norm. A factored
-    product ``X (X' m)`` adds d to ``n + T`` and takes ``||K||_F`` as
-    ``||X'X||_F``, equal in exact arithmetic. It raises ``CgStall`` above
-    that bound, or if the bound reaches ``||y||``.
+    ``(gram.dot_terms + T) u gram.fro_norm ||Atilde||_F ||x||`` (u the unit
+    roundoff) at ``||x|| = max(w) ||y||``, a bound on the solution's norm:
+    ``(n + T) u ||K||_F ...``, or ``(n + d + T) u ||X'X||_F ...`` when K is
+    applied as ``X (X' m)``. It raises ``CgStall`` above that bound, or if
+    the bound reaches ``||y||``.
     """
     w = state.wvec
     scattered = np.zeros((gram.n, a_tilde.shape[0]))
@@ -297,14 +297,8 @@ def _solve_operator(gram, a_tilde, y, x, tol, state):
 
     x, res = _pcg(matvec, y, x, w.__mul__, tol, 2 * y.size, state)
     y_norm = float(np.linalg.norm(y))
-    if gram.factored:
-        terms = sum(scattered.shape) + gram.d
-        k_norm = np.linalg.norm(gram.X_train.T @ gram.X_train)
-    else:
-        terms = sum(scattered.shape)
-        k_norm = np.linalg.norm(gram.raw)
-    bound = (0.5 * np.finfo(float).eps * terms * w.max()
-             * k_norm * np.linalg.norm(a_tilde) * y_norm)
+    bound = (0.5 * np.finfo(float).eps * (gram.dot_terms + a_tilde.shape[0])
+             * w.max() * gram.fro_norm * np.linalg.norm(a_tilde) * y_norm)
     if res <= tol < float("inf") or res <= bound < y_norm:
         return x
     raise CgStall("observed-entry PCG stalled at relative residual %.3e "
@@ -416,8 +410,8 @@ def unsupervised_step(inst, c, a_prev, mode="altmin", step=None, kc=None):
         # them keeps B strictly PD at tiny barrier floors.
         if kc is None:
             kc = inst.gram.dot(c)
-        em = linalg.sym_eig(c.T @ kc)
-        quads = diag_quad_forms(inst.gram, c, kc, em.eigenvectors)
+        em = linalg.sym_eig(inst.gram.quad(c, kc))
+        quads = inst.gram.diag_quads(c, kc, em.eigenvectors)
         sigma = np.maximum(quads, 0.0) + inst.delta ** 2
         b = PsdMatrix.from_eig(sigma, em.eigenvectors)
         return unsupervised_min(inst.penalty, b, inst.lam)

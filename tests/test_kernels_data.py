@@ -21,7 +21,7 @@ from smtl.errors import (
     InconsistentDimension,
     ParseError,
 )
-from smtl.kernels import GramMatrix, KernelSpec, gram
+from smtl.kernels import GramMatrix, KernelSpec, _symmetrize, gram
 
 
 def test_linear_gram_is_xxt():
@@ -57,14 +57,26 @@ def sha1(a):
 
 
 @pytest.mark.parametrize("n", [1, 129, 300])
+def test_symmetrize_is_bitwise_half_sum_with_transpose(n):
+    """The tiled in-place symmetrization gives exactly ``(K + K') / 2``."""
+    k = np.random.default_rng(n).standard_normal((n, n))
+    ref = (k + k.T) * 0.5
+    _symmetrize(k)
+    assert sha1(k) == sha1(ref)
+
+
 @pytest.mark.parametrize("spec", [KernelSpec("linear"),
                                   KernelSpec("gaussian", gamma=0.3)],
                          ids=["linear", "gaussian"])
-def test_self_gram_is_bitwise_half_sum_with_transpose(spec, n):
-    """The tiled in-place symmetrization gives exactly ``(K + K') / 2``."""
-    x = np.random.default_rng(n).standard_normal((n, 5))
+def test_self_gram_of_strided_inputs_is_symmetric(spec):
+    """From contiguous inputs BLAS computes ``x x'`` symmetric already;
+    from column-strided ones it need not (here 9e-16 off at n = 300), and
+    the self-Gram is then the half sum with its transpose."""
+    x = np.random.default_rng(3).standard_normal((300, 10))[:, ::2]
     k = gram(spec, x, x)  # the same arithmetic, unsymmetrized
-    assert sha1(gram(spec, x)) == sha1((k + k.T) * 0.5)
+    sym = gram(spec, x)
+    assert np.array_equal(sym, sym.T)
+    assert sha1(sym) == sha1((k + k.T) * 0.5)
 
 
 def test_linear_self_gram_peak_memory_is_one_result():

@@ -4,7 +4,7 @@ Construction evaluates no kernel; the raw kernel matrix is built on first
 use, and its spectral form (one n x n eigendecomposition) only for the
 uniform-weight spectral solve. The one-hot and CG routes, and a model read
 back from disk for prediction, never decompose an n x n matrix. Products
-with a linear kernel whose 2d < n go through the n x d inputs, so the CG
+with a linear kernel whose d < n go through the n x d inputs, so the CG
 route never evaluates that kernel at all.
 """
 
@@ -147,34 +147,46 @@ def test_kernel_evaluation_is_timed_as_gram(monkeypatch):
     assert rep.wall_times["fit"] < pause
 
 
-def test_factored_dot_matches_raw_and_evaluates_no_kernel(kernel_calls):
-    """A linear kernel with 2d < n multiplies through X_train."""
+def rel_err(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("d", [4, N // 2, N - 1])
+def test_factored_products_match_raw_and_evaluate_no_kernel(kernel_calls, d):
+    """A linear kernel with d < n multiplies through X_train."""
     rng = np.random.default_rng(7)
-    gm = GramMatrix(KernelSpec("linear"), rng.standard_normal((N, 4)))
-    m = rng.standard_normal((N, T))
-    assert gm.factored
-    km = gm.dot(m)
+    gm = GramMatrix(KernelSpec("linear"), rng.standard_normal((N, d)))
+    c = rng.standard_normal((N, T))
+    v = np.linalg.qr(rng.standard_normal((T, T)))[0]
+    assert gm.factored and gm.dot_terms == N + d
+    kc = gm.dot(c)
+    products = (kc, gm.quad(c, kc), gm.diag_quads(c, kc, v), gm.fro_norm)
     assert kernel_calls == []
-    raw_km = gm.raw @ m
-    assert np.linalg.norm(km - raw_km) <= 1e-12 * np.linalg.norm(raw_km)
+    k = gm.raw
+    refs = (k @ c, c.T @ k @ c, np.diag(v.T @ c.T @ k @ c @ v),
+            np.linalg.norm(k))
+    for got, ref in zip(products, refs):
+        assert rel_err(got, ref) <= 1e-12
 
 
 @pytest.mark.parametrize("spec, d", [
     (KernelSpec("gaussian", gamma=0.4), 4),
-    (KernelSpec("linear"), N // 2),  # 2d = n
+    (KernelSpec("linear"), N),
     (KernelSpec("linear"), N + 5),
-], ids=["gaussian", "linear_2d_eq_n", "linear_d_gt_n"])
+], ids=["gaussian", "linear_d_eq_n", "linear_d_gt_n"])
 def test_unfactored_dot_is_the_raw_product(spec, d):
     rng = np.random.default_rng(8)
     gm = GramMatrix(spec, rng.standard_normal((N, d)))
     m = rng.standard_normal((N, T))
-    assert not gm.factored
+    assert not gm.factored and gm.dot_terms == N
     assert np.array_equal(gm.dot(m), gm.raw @ m)
+    assert np.array_equal(gm.quad(m), m.T @ (gm.raw @ m))
+    assert gm.fro_norm == np.linalg.norm(gm.raw)
 
 
 def test_factored_masked_fit_evaluates_no_kernel(kernel_calls, n_by_n_eigs):
     """On the "cg" route every K product goes through ``dot``, so a linear
-    kernel with 2d < n is never evaluated."""
+    kernel with d < n is never evaluated."""
     ds = dataset("masked")
     gm = GramMatrix(KernelSpec("linear"), ds.X)
     _, rep = fit_gram(gm, ds.Y, ds.W, PenaltySpec.schatten(1.0, 1.0), 0.2,

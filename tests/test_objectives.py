@@ -9,7 +9,6 @@ from smtl.kernels import GramMatrix, KernelSpec
 from smtl.linalg import PsdMatrix
 from smtl.objectives import (
     ProblemInstance,
-    diag_quad_forms,
     eval_Q,
     eval_R,
     eval_S,
@@ -154,7 +153,7 @@ def test_eval_s_accurate_where_a_is_of_order_delta():
 
 
 def test_factored_quad_forms_ignore_null_space_bulk():
-    """On a linear kernel with 2d < n the forms are ``||X'C v_i||^2``. C
+    """On a linear kernel with d < n the forms are ``||X'C v_i||^2``. C
     here is a rank-2 range part plus null-space bulk 1e8 times larger, in
     every task. The forms of the four directions the range part misses are
     0; they read about (eps ||X|| ||C||)^2 ~ 1e-12, where the form from
@@ -169,7 +168,7 @@ def test_factored_quad_forms_ignore_null_space_bulk():
     null_basis = np.linalg.svd(x)[0][:, d:]  # orthogonal to X's columns
     c = c_range + 1e8 * null_basis @ rng.standard_normal((n - d, n_tasks))
     kc = gram.dot(c)
-    quads = diag_quad_forms(gram, c, kc, v)
+    quads = gram.diag_quads(c, kc, v)
     ref = np.sum((x.T @ c_range @ v[:, :rank]) ** 2, axis=0)
     assert_allclose(quads[:rank], ref, rtol=1e-8)
     assert np.all(np.abs(quads[rank:]) <= 1e-10)

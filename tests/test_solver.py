@@ -260,16 +260,11 @@ def test_masked_gaussian_fit_solves_observed_entry_system():
     assert rel_err(state.alpha, np.linalg.solve(h, ds.Y[rows, tids])) <= 1e-10
 
 
-@pytest.mark.parametrize("seed", [0, 13])
-@pytest.mark.parametrize("lam", [1e-4, 1e-6, 1e-8, 1e-10])
-def test_masked_fit_on_rank_deficient_kernel_descends_at_small_lam(lam, seed):
-    """A rank-10 linear kernel (n = 150, d = 10): C = P(alpha) Atilde then
-    carries components in K's null space of order 1/lam. They do not change
-    KC; with K applied as X (X' C) and C'KC taken from X' C, they do not
-    leak into the objective either, and altmin descends. (With C'KC taken
-    from C and KC instead, seed 13 rises by 1.1e-10 of S at lam = 1e-8.)"""
+def rank_deficient_masked_trajectory(d, seed, lam):
+    """Altmin on a linear kernel of rank d < n = 150, T = 15, about 30% of
+    the entries unobserved, W = 1; returns the objective trajectory."""
     rng = np.random.default_rng(seed)
-    n, n_tasks, d = 150, 15, 10
+    n, n_tasks = 150, 15
     x = rng.standard_normal((n, d))
     y = x @ rng.standard_normal((d, n_tasks))
     y += 0.5 * rng.standard_normal(y.shape)
@@ -282,7 +277,31 @@ def test_masked_fit_on_rank_deficient_kernel_descends_at_small_lam(lam, seed):
     assert rep.supervised_route == "cg"
     traj = np.asarray(rep.objective_trajectory)
     assert np.all(np.isfinite(traj))
+    return traj
+
+
+def assert_descends(traj):
     assert np.all(np.diff(traj) <= 1e-10 * (1 + np.abs(traj[:-1])))
+
+
+@pytest.mark.parametrize("seed", [0, 13])
+@pytest.mark.parametrize("lam", [1e-4, 1e-6, 1e-8, 1e-10])
+def test_masked_fit_on_rank_deficient_kernel_descends_at_small_lam(lam, seed):
+    """A rank-10 linear kernel: C = P(alpha) Atilde then carries components
+    in K's null space of order 1/lam. They do not change KC; with K applied
+    as X (X' C) and C'KC taken from X' C, they do not leak into the
+    objective either, and altmin descends. (With C'KC taken from C and KC
+    instead, seed 13 rises by 1.1e-10 of S at lam = 1e-8.)"""
+    assert_descends(rank_deficient_masked_trajectory(10, seed, lam))
+
+
+@pytest.mark.parametrize("seed", [0, 13])
+@pytest.mark.parametrize("lam", [1e-6, 1e-8])
+def test_masked_fit_on_wide_rank_deficient_kernel_descends(lam, seed):
+    """d = 80 of n = 150: K still has a null space, and is applied through
+    X as well. (Multiplied as the n x n matrix, seed 0 rises by 2.4e-7 and
+    1.2 of S, and seed 13 raises CgStall at lam = 1e-8.)"""
+    assert_descends(rank_deficient_masked_trajectory(80, seed, lam))
 
 
 def masked_linear_instance(lam):
