@@ -2,7 +2,9 @@
 
 Lines are ``key = value``; ``#`` starts a comment; blank lines are ignored.
 Unknown and duplicate keys are hard errors with 1-based line numbers, which
-catches typos instead of silently running defaults.
+catches typos instead of silently running defaults. So are ``inf`` and
+``nan`` values, ``lambda <= 0`` and ``ridge < 0``; other values are checked
+by the component they configure.
 """
 
 from dataclasses import dataclass, fields
@@ -16,38 +18,46 @@ from .solver import SolverConfig
 
 
 def _parse_float(s):
-    return float(s)
-
-
-def _parse_int(s):
-    v = int(s)
+    v = float(s)
+    if not np.isfinite(v):
+        raise ValueError("not a finite number")
     return v
 
 
-def _parse_str(s):
-    return s
+def _parse_positive(s):
+    v = _parse_float(s)
+    if not v > 0:
+        raise ValueError("not positive")
+    return v
+
+
+def _parse_nonnegative(s):
+    v = _parse_float(s)
+    if v < 0:
+        raise ValueError("negative")
+    return v
 
 
 # key -> (attribute, parser)
 CONFIG_KEYS = {
-    "kernel.type": ("kernel_type", _parse_str),
+    "kernel.type": ("kernel_type", str),
     "kernel.gamma": ("kernel_gamma", _parse_float),
-    "penalty.type": ("penalty_type", _parse_str),
+    "penalty.type": ("penalty_type", str),
     "penalty.p": ("penalty_p", _parse_float),
     "penalty.mu": ("penalty_mu", _parse_float),
-    "penalty.r": ("penalty_r", _parse_int),
+    "penalty.r": ("penalty_r", int),
     "penalty.eps_m": ("penalty_eps_m", _parse_float),
     "penalty.eps_b": ("penalty_eps_b", _parse_float),
     "penalty.eps_w": ("penalty_eps_w", _parse_float),
-    "lambda": ("lam", _parse_float),
-    "ridge": ("ridge", _parse_float),
+    "lambda": ("lam", _parse_positive),
+    "ridge": ("ridge", _parse_nonnegative),
     "delta": ("delta", _parse_float),
-    "delta.schedule": ("delta_schedule", _parse_str),
+    "delta.schedule": ("delta_schedule", str),
     "delta.factor": ("delta_factor", _parse_float),
     "delta.floor": ("delta_floor", _parse_float),
     "epsilon": ("epsilon", _parse_float),
-    "max_iter": ("max_iter", _parse_int),
-    "mode": ("mode", _parse_str),
+    "max_iter": ("max_iter", int),
+    "mode": ("mode", str),
     "step_c": ("step_c", _parse_float),
     "step_a": ("step_a", _parse_float),
 }

@@ -92,13 +92,12 @@ def dataset_from_rows(task_ids, y, x, weighting="per_task"):
     return TaskDataset(X=x, Y=ymat, W=wmat, task_ids=task_ids, task_sizes=sizes)
 
 
-def load_dataset(path, format="long", weighting="per_task"):
+def load_dataset(path, weighting="per_task"):
     """Load a long-format CSV file.
 
     Parameters
     ----------
     path : str or Path
-    format : only "long" is supported
     weighting : "per_task" (weight 1/n_t on each observed entry) or
         "uniform" (weight 1/n)
 
@@ -111,8 +110,6 @@ def load_dataset(path, format="long", weighting="per_task"):
     EmptyTask
         Some task id in [0, max_id] has no rows.
     """
-    if format != "long":
-        raise ValueError("unsupported dataset format %r" % (format,))
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = fh.read().split("\n")
     # A trailing newline leaves one empty tail element; drop empties at the end

@@ -13,12 +13,12 @@ Conventions used throughout the package:
 * matrices are symmetrized as ``(A + A.T) / 2`` before any decomposition to
   absorb roundoff;
 * rank decisions (pseudoinverses, range projectors, fractional powers)
-  count eigenvalues at or below ``rank_tol * max(eigenvalue)`` as zero;
+  count eigenvalues at or below ``RANK_TOL * max(eigenvalue)`` as zero;
 * inverting a barrier iterate (a structure matrix A, or B = C'KC + delta^2 I
   in the A-step) needs only strict positivity, ``w > 0``, tested in one
   place, :func:`pd_eigenvalues`. The relative rank test would be wrong
   there: with barrier size delta, A's smallest eigenvalues are of order
-  delta and B's of order delta^2, far below ``rank_tol * ||A||`` yet
+  delta and B's of order delta^2, far below ``RANK_TOL * ||A||`` yet
   legitimately positive.
 """
 
@@ -33,7 +33,7 @@ from .errors import (
     SingularMatrix,
 )
 
-DEFAULT_RANK_TOL = 1e-10
+RANK_TOL = 1e-10
 
 
 class SymEig:
@@ -109,8 +109,8 @@ class PsdMatrix:
     """Symmetric positive semidefinite matrix with a cached spectral form.
 
     The decomposition is computed once in the constructor and never mutated,
-    so instances can be shared freely. ``rank_tol`` is relative to the
-    largest eigenvalue and controls which eigenvalues are treated as zero.
+    so instances can be shared freely. Eigenvalues at or below
+    ``RANK_TOL`` times the largest count as zero.
 
     ``data`` is the dense read-only matrix. Instances made by
     :meth:`from_eig` build it from the spectral form on first read only,
@@ -121,26 +121,25 @@ class PsdMatrix:
     Raises
     ------
     NotPsd
-        If the smallest eigenvalue is below ``-rank_tol * max(1, w_max)``.
+        If the smallest eigenvalue is below ``-RANK_TOL * max(1, w_max)``.
     """
 
-    __slots__ = ("_data", "rank_tol", "eig")
+    __slots__ = ("_data", "eig")
 
-    def __init__(self, data, rank_tol=DEFAULT_RANK_TOL):
+    def __init__(self, data):
         eig = sym_eig(data)
         w = eig.eigenvalues
         wmax = max(w[0], 0.0) if w.size else 0.0
-        if w.size and w[-1] < -rank_tol * max(1.0, wmax):
+        if w.size and w[-1] < -RANK_TOL * max(1.0, wmax):
             raise NotPsd(
                 "smallest eigenvalue %.3e is below the PSD tolerance" % w[-1]
             )
         a = np.asarray(data, dtype=float)
         self._data = _frozen(0.5 * (a + a.T))
-        self.rank_tol = float(rank_tol)
         self.eig = eig
 
     @classmethod
-    def from_eig(cls, eigenvalues, eigenvectors, rank_tol=DEFAULT_RANK_TOL):
+    def from_eig(cls, eigenvalues, eigenvectors):
         """Build from a known spectral form without re-decomposing.
 
         Eigenvalues may arrive in any order; they are sorted non-increasing
@@ -153,7 +152,6 @@ class PsdMatrix:
         v = _fix_signs(v[:, order])
         obj = cls.__new__(cls)
         obj._data = None  # built from eig on first read of .data
-        obj.rank_tol = float(rank_tol)
         obj.eig = SymEig(w.copy(), v)
         return obj
 
@@ -186,7 +184,7 @@ class PsdMatrix:
 
     def rank_cut(self):
         """Absolute threshold below which eigenvalues count as zero."""
-        return self.rank_tol * max(self.eigenvalues[0], 0.0)
+        return RANK_TOL * max(self.eigenvalues[0], 0.0)
 
     def rank(self):
         return int(np.sum(self.eigenvalues > self.rank_cut()))
@@ -196,11 +194,12 @@ class PsdMatrix:
         return bool(self.eigenvalues[-1] > self.rank_cut())
 
 
-def _as_psd(a, rank_tol=DEFAULT_RANK_TOL):
-    return a if isinstance(a, PsdMatrix) else PsdMatrix(a, rank_tol=rank_tol)
+def _as_psd(a):
+    """``a`` itself if it is a :class:`PsdMatrix`, else ``PsdMatrix(a)``."""
+    return a if isinstance(a, PsdMatrix) else PsdMatrix(a)
 
 
-def psd_clip(a, tol=DEFAULT_RANK_TOL, keep_data=False):
+def psd_clip(a, tol=RANK_TOL, keep_data=False):
     """Project a nearly-PSD symmetric matrix onto the PSD cone.
 
     Negative eigenvalues no smaller than ``-tol * max(1, w_max)`` are clipped
@@ -224,7 +223,6 @@ def psd_clip(a, tol=DEFAULT_RANK_TOL, keep_data=False):
         return PsdMatrix.from_eig(np.maximum(w, 0.0), eig.eigenvectors)
     out = PsdMatrix.__new__(PsdMatrix)
     out._data = a
-    out.rank_tol = DEFAULT_RANK_TOL
     out.eig = SymEig(np.maximum(w, 0.0), eig.eigenvectors)
     return out
 
@@ -235,7 +233,7 @@ def pinv_psd(a):
     w = a.eigenvalues
     cut = a.rank_cut()
     inv = np.where(w > cut, 1.0 / np.where(w > cut, w, 1.0), 0.0)
-    return PsdMatrix.from_eig(inv, a.eigenvectors, rank_tol=a.rank_tol)
+    return PsdMatrix.from_eig(inv, a.eigenvectors)
 
 
 def psd_power(a, q):
@@ -256,7 +254,7 @@ def psd_power(a, q):
         powered = np.where(nonzero, 1.0, 0.0)
     else:
         powered = np.where(nonzero, safe ** float(q), 0.0)
-    return PsdMatrix.from_eig(powered, a.eigenvectors, rank_tol=a.rank_tol)
+    return PsdMatrix.from_eig(powered, a.eigenvectors)
 
 
 def schatten(a, p):

@@ -33,7 +33,7 @@ import numpy as np
 from .data import loss_value_grad
 from .errors import DimensionMismatch, InfeasiblePair
 from .linalg import (
-    PsdMatrix, pd_eigenvalues, pinv_psd, psd_power, range_contained,
+    _as_psd, pd_eigenvalues, pinv_psd, psd_power, range_contained,
 )
 from .penalties import PenaltySpec, penalty_value
 
@@ -90,10 +90,6 @@ class ProblemInstance:
         return replace(self, delta=delta)
 
 
-def _as_structure(a):
-    return a if isinstance(a, PsdMatrix) else PsdMatrix(a)
-
-
 def _check_c(inst, c):
     c = np.asarray(c, dtype=float)
     if c.shape != (inst.n, inst.n_tasks):
@@ -106,7 +102,7 @@ def _check_c(inst, c):
 def eval_Q(inst, c, a):
     """Original objective; predictions are ``K C A``."""
     c = _check_c(inst, c)
-    a = _as_structure(a)
+    a = _as_psd(a)
     kc = inst.gram.dot(c)
     m = inst.gram.quad(c, kc)
     v, _ = loss_value_grad(inst.Y, kc @ a.data, inst.W)
@@ -119,7 +115,7 @@ def eval_Q(inst, c, a):
 def eval_R(inst, c, a):
     """Convex reformulation; ``+inf`` off the feasible range set."""
     c = _check_c(inst, c)
-    a = _as_structure(a)
+    a = _as_psd(a)
     kc = inst.gram.dot(c)
     m = inst.gram.quad(c, kc)
     if not range_contained(m, a, tol=RANGE_TOL):
@@ -153,7 +149,7 @@ def eval_S(inst, c, a, kc=None):
     if not inst.delta > 0:
         raise ValueError("eval_S needs delta > 0 on the instance")
     c = _check_c(inst, c)
-    a = _as_structure(a)
+    a = _as_psd(a)
     w = pd_eigenvalues(a)
     if kc is None:
         kc = inst.gram.dot(c)
@@ -175,7 +171,7 @@ def _inverse(a):
 def grad_S_C(inst, c, a):
     """Gradient of the barrier objective in ``C`` (penalty plays no part)."""
     c = _check_c(inst, c)
-    a_inv = _inverse(_as_structure(a))
+    a_inv = _inverse(_as_psd(a))
     kc = inst.gram.dot(c)
     _, gz = loss_value_grad(inst.Y, kc, inst.W)
     g = inst.gram.dot(gz) + 2.0 * inst.lam * (kc @ a_inv)
@@ -191,7 +187,7 @@ def grad_S_A(inst, c, a):
     (the indicator contributes via projection, not differentiation).
     """
     c = _check_c(inst, c)
-    a = _as_structure(a)
+    a = _as_psd(a)
     a_inv = _inverse(a)
     kc = inst.gram.dot(c)
     m = inst.gram.quad(c, kc)
@@ -207,7 +203,7 @@ def grad_S_A(inst, c, a):
 def map_Q_to_R(inst, c_q, a_q):
     """Carry a Q-point to the R-parameterization: ``(C A, A)``."""
     c_q = _check_c(inst, c_q)
-    a_q = _as_structure(a_q)
+    a_q = _as_psd(a_q)
     return c_q @ a_q.data, a_q
 
 
@@ -220,7 +216,7 @@ def map_R_to_Q(inst, c_r, a_r):
         If ``Ran(C'KC)`` is not contained in ``Ran(A)``.
     """
     c_r = _check_c(inst, c_r)
-    a_r = _as_structure(a_r)
+    a_r = _as_psd(a_r)
     m = inst.gram.quad(c_r)
     if not range_contained(m, a_r, tol=RANGE_TOL):
         raise InfeasiblePair("Ran(C'KC) is not contained in Ran(A)")

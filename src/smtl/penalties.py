@@ -18,6 +18,11 @@ For each penalty, :func:`unsupervised_min` returns the exact minimizer of
 structure update of the alternating algorithm. Because the trace term and
 every penalty here are spectral, the minimizer shares eigenvectors with
 ``B``; only eigenvalues get remapped.
+
+The cluster map ``M -> A`` is written once (:func:`_cluster_structure`).
+Its inverse is read in A's eigenbasis (:func:`_cluster_assignment`), where
+``V'MV`` is a diagonal minus a rank-one term: membership needs only A's
+eigenpairs. When ``eps_b == eps_w``, M drops out and structures use M = 0.
 """
 
 from dataclasses import dataclass
@@ -31,7 +36,9 @@ from .errors import (
     NotPd,
     UnsupportedPenalty,
 )
-from .linalg import PsdMatrix, pd_eigenvalues, pinv_psd, sym_eig
+from .linalg import (
+    PsdMatrix, _as_psd, pd_eigenvalues, pinv_psd, psd_clip, sym_eig,
+)
 
 PENALTY_KINDS = ("schatten", "trace_one", "cluster", "fixed")
 
@@ -74,8 +81,7 @@ class PenaltySpec:
 
     @classmethod
     def fixed(cls, a0):
-        a0 = a0 if isinstance(a0, PsdMatrix) else PsdMatrix(a0)
-        return cls(kind="fixed", a0=a0)
+        return cls(kind="fixed", a0=_as_psd(a0))
 
     @property
     def smooth(self):
@@ -87,27 +93,45 @@ def _ones_projector(n_tasks):
     return np.full((n_tasks, n_tasks), 1.0 / n_tasks)
 
 
-def _cluster_inverse_map(spec, m, n_tasks):
-    """The affine map ``M -> A^{-1}(M)`` of the cluster penalty."""
-    u = _ones_projector(n_tasks)
-    eye = np.eye(n_tasks)
-    return spec.eps_m * u + spec.eps_b * (m - u) + spec.eps_w * (eye - m)
+def _check_tasks(spec, n_tasks):
+    """Raise when the penalty's parameters do not fit ``n_tasks`` tasks."""
+    if spec.kind == "cluster" and spec.r > n_tasks:
+        raise BadRank("cluster count r=%d exceeds T=%d" % (spec.r, n_tasks))
+    if spec.kind == "fixed" and spec.a0.dim != n_tasks:
+        raise BadPenaltyParam("fixed structure is not %d x %d" % (n_tasks, n_tasks))
 
 
-def _cluster_recover_m(spec, a_inv, n_tasks):
-    """Invert the affine map; returns None when eps_b == eps_w (M drops out)."""
-    if spec.eps_b == spec.eps_w:
-        return None
+def _cluster_structure(spec, m):
+    """The cluster map ``M -> A``: invert ``A^{-1}(M)``, which must be PD."""
+    n_tasks = m.shape[0]
     u = _ones_projector(n_tasks)
-    eye = np.eye(n_tasks)
-    return (a_inv - (spec.eps_m - spec.eps_b) * u - spec.eps_w * eye) / (
-        spec.eps_b - spec.eps_w
-    )
+    a_inv = spec.eps_m * u + spec.eps_b * (m - u) + spec.eps_w * (np.eye(n_tasks) - m)
+    e = sym_eig(a_inv)
+    if e.eigenvalues[-1] <= 1e-12 * max(1.0, abs(e.eigenvalues[0])):
+        raise BadPenaltyParam(
+            "structure inverse is not positive definite "
+            "(eigenvalue %.3e); check the epsilon weights" % e.eigenvalues[-1]
+        )
+    return PsdMatrix.from_eig(1.0 / e.eigenvalues, e.eigenvectors)
+
+
+def _cluster_assignment(spec, inv_w, v):
+    """``V'MV`` for the M that the cluster map takes to ``V diag(inv_w) V'``.
+
+    In the basis V, ``U = gg'/T`` with ``g = V'1``. When ``eps_b == eps_w``
+    the numerator ``V'(A^{-1} - A^{-1}(0))V`` is returned undivided.
+    """
+    g = v.sum(axis=0)
+    u_part = (spec.eps_m - spec.eps_b) / len(g) * np.outer(g, g)
+    num = np.diag(inv_w - spec.eps_w) - u_part
+    gap = spec.eps_b - spec.eps_w
+    return num / gap if gap else num
 
 
 def penalty_value(spec, a):
     """Evaluate ``F(A)``; indicator penalties return 0 or ``inf``."""
-    a = a if isinstance(a, PsdMatrix) else PsdMatrix(a)
+    a = _as_psd(a)
+    _check_tasks(spec, a.dim)
     w = np.maximum(a.eigenvalues, 0.0)
     if spec.kind == "schatten":
         return float(spec.mu * np.sum(w ** spec.p))
@@ -119,24 +143,16 @@ def penalty_value(spec, a):
             if np.linalg.norm(a.data - spec.a0.data) <= 1e-8
             else float("inf")
         )
-    # cluster: membership is checked by inverting the affine map
-    n_tasks = a.dim
-    if spec.r > n_tasks:
-        raise BadRank("cluster count r=%d exceeds T=%d" % (spec.r, n_tasks))
     if not a.is_pd():
         return float("inf")
-    a_inv = pinv_psd(a).data
-    m = _cluster_recover_m(spec, a_inv, n_tasks)
-    if m is None:
-        fixed_inv = _cluster_inverse_map(spec, np.zeros((n_tasks, n_tasks)), n_tasks)
-        ok = np.linalg.norm(a_inv - fixed_inv) <= 1e-6 * (1.0 + np.linalg.norm(a_inv))
-        return 0.0 if ok else float("inf")
-    em = sym_eig(m)
-    ok = (
-        em.eigenvalues[-1] >= -1e-6
-        and em.eigenvalues[0] <= 1.0 + 1e-6
-        and abs(float(np.sum(em.eigenvalues)) - spec.r) <= 1e-6
-    )
+    inv_w = 1.0 / a.eigenvalues
+    m = _cluster_assignment(spec, inv_w, a.eigenvectors)
+    if spec.eps_b == spec.eps_w:
+        ok = np.linalg.norm(m) <= 1e-6 * (1.0 + np.linalg.norm(inv_w))
+    else:
+        mw = np.linalg.eigvalsh(m)  # M's spectrum must lie in [0, 1], sum r
+        ok = (mw[0] >= -1e-6 and mw[-1] <= 1.0 + 1e-6
+              and abs(float(np.sum(mw)) - spec.r) <= 1e-6)
     return 0.0 if ok else float("inf")
 
 
@@ -172,12 +188,13 @@ def unsupervised_min(spec, b, lam):
       largest when eps_b < eps_w; ties broken by eigenvector index);
     * fixed: ``A0`` independent of ``B``.
     """
-    b = b if isinstance(b, PsdMatrix) else PsdMatrix(b)
+    b = _as_psd(b)
     if not lam > 0:
         raise BadPenaltyParam("lam must be positive")
     sigma = pd_eigenvalues(b)
     v = b.eigenvectors
     n_tasks = b.dim
+    _check_tasks(spec, n_tasks)
 
     if spec.kind == "schatten":
         gamma = (lam * sigma / (spec.mu * spec.p)) ** (1.0 / (spec.p + 1.0))
@@ -188,36 +205,13 @@ def unsupervised_min(spec, b, lam):
         return PsdMatrix.from_eig(root / np.sum(root), v)
 
     if spec.kind == "fixed":
-        if spec.a0.dim != n_tasks:
-            raise BadPenaltyParam("fixed structure has wrong dimension")
         return spec.a0
 
-    # cluster
-    if spec.r > n_tasks:
-        raise BadRank("cluster count r=%d exceeds T=%d" % (spec.r, n_tasks))
-    if spec.eps_b > spec.eps_w:
-        sel = np.arange(n_tasks - spec.r, n_tasks)  # r smallest eigenvalues
-    elif spec.eps_b < spec.eps_w:
-        sel = np.arange(spec.r)  # r largest eigenvalues
-    else:
-        sel = None
-    if sel is None:
-        m = (spec.r / n_tasks) * np.eye(n_tasks)
-    else:
-        vs = v[:, sel]
-        m = vs @ vs.T
-    return structure_from_inverse(_cluster_inverse_map(spec, m, n_tasks))
-
-
-def structure_from_inverse(a_inv):
-    """Invert a symmetric matrix meant to be ``A^{-1}``; must be strictly PD."""
-    e = sym_eig(a_inv)
-    if e.eigenvalues[-1] <= 1e-12 * max(1.0, abs(e.eigenvalues[0])):
-        raise BadPenaltyParam(
-            "structure inverse is not positive definite "
-            "(eigenvalue %.3e); check the epsilon weights" % e.eigenvalues[-1]
-        )
-    return PsdMatrix.from_eig(1.0 / e.eigenvalues, e.eigenvectors)
+    if spec.eps_b == spec.eps_w:
+        return _cluster_structure(spec, np.zeros((n_tasks, n_tasks)))
+    # B's r smallest eigenvalues when eps_b > eps_w, else its r largest
+    vs = v[:, n_tasks - spec.r:] if spec.eps_b > spec.eps_w else v[:, :spec.r]
+    return _cluster_structure(spec, vs @ vs.T)
 
 
 def project_capped_simplex(v, r):
@@ -260,10 +254,9 @@ def project_structure(spec, a):
         raise UnsupportedPenalty("schatten penalties are smooth; nothing to project")
     a_arr = a.data if isinstance(a, PsdMatrix) else np.asarray(a, dtype=float)
     n_tasks = a_arr.shape[0]
+    _check_tasks(spec, n_tasks)
 
     if spec.kind == "fixed":
-        if spec.a0.dim != n_tasks:
-            raise BadPenaltyParam("fixed structure has wrong dimension")
         return spec.a0
 
     if spec.kind == "trace_one":
@@ -271,22 +264,15 @@ def project_structure(spec, a):
         w = project_capped_simplex(e.eigenvalues, 1.0)
         return PsdMatrix.from_eig(w, e.eigenvectors)
 
-    # cluster
-    if spec.r > n_tasks:
-        raise BadRank("cluster count r=%d exceeds T=%d" % (spec.r, n_tasks))
     if spec.eps_b == spec.eps_w:
-        return structure_from_inverse(
-            _cluster_inverse_map(spec, np.zeros((n_tasks, n_tasks)), n_tasks)
-        )
+        return _cluster_structure(spec, np.zeros((n_tasks, n_tasks)))
     e = sym_eig(a_arr)
     cut = 1e-12 * max(abs(e.eigenvalues[0]), 1.0)
     inv_w = np.where(np.abs(e.eigenvalues) > cut, 1.0 / e.eigenvalues, 0.0)
-    a_inv = (e.eigenvectors * inv_w) @ e.eigenvectors.T
-    m_raw = _cluster_recover_m(spec, a_inv, n_tasks)
-    em = sym_eig(m_raw)
+    em = sym_eig(_cluster_assignment(spec, inv_w, e.eigenvectors))
+    q = e.eigenvectors @ em.eigenvectors
     w = project_capped_simplex(em.eigenvalues, float(spec.r))
-    m = (em.eigenvectors * w) @ em.eigenvectors.T
-    return structure_from_inverse(_cluster_inverse_map(spec, m, n_tasks))
+    return _cluster_structure(spec, (q * w) @ q.T)
 
 
 # --- fixed structures from side information ---------------------------------
@@ -343,8 +329,6 @@ def structure_metric(theta):
 def structure_coding(l_embed):
     """Coupling induced by a linear output code: ``A = L' L``."""
     l_embed = np.atleast_2d(np.asarray(l_embed, dtype=float))
-    from .linalg import psd_clip
-
     return FixedStructure(
         a=psd_clip(l_embed.T @ l_embed, tol=1e-8),
         provenance="coding(l=%d)" % l_embed.shape[0],

@@ -50,7 +50,7 @@ from .errors import (
 # smtl.linalg.sym_eig (tracing, call-counting tests) sees the A-step too.
 from . import linalg
 from .kernels import GramMatrix
-from .linalg import PsdMatrix, pd_eigenvalues, sylvester_ls_solve
+from .linalg import PsdMatrix, _as_psd, pd_eigenvalues, sylvester_ls_solve
 from .objectives import (
     ProblemInstance, eval_S, grad_S_A, grad_S_C,
 )
@@ -432,10 +432,7 @@ def unsupervised_step(inst, c, a_prev, mode="altmin", step=None, kc=None):
 
 
 def _initial_structure(config, n_tasks):
-    a0 = config.a0
-    if a0 is None:
-        return PsdMatrix(np.eye(n_tasks))
-    a0 = a0 if isinstance(a0, PsdMatrix) else PsdMatrix(a0)
+    a0 = _as_psd(np.eye(n_tasks) if config.a0 is None else config.a0)
     if a0.dim != n_tasks:
         raise DimensionMismatch(
             "a0 is %d x %d but the dataset has %d tasks"

@@ -77,13 +77,18 @@ def test_model_data_dimension_mismatch(tmp_path):
 
 
 def test_rejected_config_value_is_config_error(tmp_path):
-    # parses fine, but the solver refuses delta = 0
+    # delta = 0 parses fine, but the solver refuses it; the others are
+    # rejected by the parser, and none may reach the solver
     data = tmp_path / "train.csv"
     write_csv(data, seed=2)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("delta = 0.0\n")
-    assert main(["fit", "--data", str(data), "--out", str(tmp_path / "m.txt"),
-                 "--config", str(cfg)]) == 2
+    for text in ("delta = 0.0", "lambda = 0", "ridge = -1", "lambda = inf",
+                 "delta = inf", "kernel.type = gaussian\nkernel.gamma = inf",
+                 "penalty.mu = inf"):
+        cfg.write_text(text + "\n")
+        assert main(["fit", "--data", str(data),
+                     "--out", str(tmp_path / "m.txt"),
+                     "--config", str(cfg)]) == 2, text
 
 
 def test_fit_all_zero_targets(tmp_path, capsys):
@@ -141,11 +146,13 @@ def test_verify_no_match_fails(capsys):
     assert "no checks match" in capsys.readouterr().err
 
 
-def test_benchmark_deterministic_columns(tmp_path, capsys):
+def test_benchmark_deterministic_columns(tmp_path, capsys, monkeypatch):
     import csv
 
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    for out in (a, b):
+    # a 1-thread run, then a second 1-thread run and a 2-thread run
+    a, b, c = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
+    for out, threads in ((a, "1"), (b, "1"), (c, "2")):
+        monkeypatch.setenv("SMTL_THREADS", threads)
         code = main(["benchmark", "--out", str(out), "--tasks", "2",
                      "--dims", "3,4", "--repeats", "1", "--seed", "5"])
         assert code == 0
@@ -154,12 +161,15 @@ def test_benchmark_deterministic_columns(tmp_path, capsys):
     # wall-clock columns vary; everything else must reproduce exactly
     stable = ("n_tasks", "dim", "repeat", "n", "iters", "objective",
               "termination")
-    with open(a) as fa, open(b) as fb:
-        rows_a, rows_b = list(csv.DictReader(fa)), list(csv.DictReader(fb))
-    assert len(rows_a) == len(rows_b) == 2
-    for ra, rb in zip(rows_a, rows_b):
-        for key in stable:
-            assert ra[key] == rb[key], key
+    with open(a) as fa:
+        rows_a = list(csv.DictReader(fa))
+    for other in (b, c):
+        with open(other) as fb:
+            rows_b = list(csv.DictReader(fb))
+        assert len(rows_a) == len(rows_b) == 2
+        for ra, rb in zip(rows_a, rows_b):
+            for key in stable:
+                assert ra[key] == rb[key], (other.name, key)
 
 
 def test_version_flag(capsys):

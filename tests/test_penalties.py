@@ -17,6 +17,7 @@ from smtl.errors import (
     NotStrictlyPd,
     UnsupportedPenalty,
 )
+from smtl.kernels import KernelSpec
 from smtl.linalg import PsdMatrix
 from smtl.penalties import (
     PenaltySpec,
@@ -29,6 +30,8 @@ from smtl.penalties import (
     structure_metric,
     unsupervised_min,
 )
+from smtl.solver import fit
+from smtl.synth import SyntheticSpec, synth_generate
 
 
 def random_pd(rng, n, jitter=0.05):
@@ -159,6 +162,59 @@ class TestCluster:
                              PsdMatrix(np.eye(2)), lam=1.0)
 
 
+def dense_cluster_verdict(spec, a):
+    """The dense route to cluster membership: form A^-1, recover M from the
+    affine map, and test M's eigenvalues (or, when eps_b == eps_w and M
+    drops out, compare A^-1 with the map's one value)."""
+    t = a.shape[0]
+    w = np.linalg.eigvalsh(a)
+    if w[0] <= 1e-10 * max(w[-1], 0.0):
+        return np.inf
+    a_inv = np.linalg.inv(a)
+    u = np.full((t, t), 1.0 / t)
+    base = (spec.eps_m - spec.eps_b) * u + spec.eps_w * np.eye(t)  # M = 0
+    if spec.eps_b == spec.eps_w:
+        gap = np.linalg.norm(a_inv - base)
+        return 0.0 if gap <= 1e-6 * (1.0 + np.linalg.norm(a_inv)) else np.inf
+    m = (a_inv - base) / (spec.eps_b - spec.eps_w)
+    mw = np.linalg.eigvalsh(0.5 * (m + m.T))
+    ok = (mw[0] >= -1e-6 and mw[-1] <= 1.0 + 1e-6
+          and abs(np.sum(mw) - spec.r) <= 1e-6)
+    return 0.0 if ok else np.inf
+
+
+class TestClusterMembership:
+    """penalty_value's cluster test, read from A's eigenpairs, against the
+    dense route on feasible and infeasible matrices."""
+
+    EPS = ((1.0, 1.5, 0.8), (1.0, 0.6, 2.0), (1.3, 1.0, 1.0))
+
+    def check(self, spec, a, expected):
+        ref = dense_cluster_verdict(spec, a)
+        assert ref == expected
+        assert penalty_value(spec, PsdMatrix(a)) == ref
+
+    @pytest.mark.parametrize("n_tasks", [2, 7, 40])
+    @pytest.mark.parametrize("eps", EPS)
+    def test_verdicts_match_dense_route(self, n_tasks, eps):
+        rng = np.random.default_rng(n_tasks)
+        spec = PenaltySpec.cluster(max(1, n_tasks // 3), *eps)
+        a = unsupervised_min(spec, PsdMatrix(random_pd(rng, n_tasks)), lam=0.7)
+        self.check(spec, a.data, 0.0)
+        self.check(spec, 1.1 * a.data, np.inf)
+        w, v = np.linalg.eigh(a.data)
+        w[n_tasks // 2] *= 1.05  # one eigenvalue perturbed
+        self.check(spec, (v * w) @ v.T, np.inf)
+        w[0] = 0.0  # singular: outside every cluster set
+        self.check(spec, (v * w) @ v.T, np.inf)
+
+    def test_identity_where_infeasible(self):
+        for n_tasks in (2, 7, 40):
+            for eps in self.EPS:
+                spec = PenaltySpec.cluster(max(1, n_tasks // 3), *eps)
+                self.check(spec, np.eye(n_tasks), np.inf)
+
+
 class TestCappedSimplex:
     def test_frozen_example(self):
         out = project_capped_simplex(np.array([0.9, 0.5, 0.2]), 1.0)
@@ -266,3 +322,12 @@ def test_penalty_value_indicators():
     assert penalty_value(PenaltySpec.trace_one(), a) == 0.0
     assert penalty_value(PenaltySpec.trace_one(), PsdMatrix(np.eye(2))) == np.inf
     assert penalty_value(PenaltySpec.fixed(np.eye(2)), PsdMatrix(np.eye(2))) == 0.0
+
+
+def test_fixed_structure_of_wrong_size_is_bad_penalty_param():
+    spec = PenaltySpec.fixed(np.eye(2))
+    with pytest.raises(BadPenaltyParam):
+        penalty_value(spec, np.eye(3))
+    ds3, _ = synth_generate(SyntheticSpec(d=2, n_tasks=3, n_per_task=4), seed=0)
+    with pytest.raises(BadPenaltyParam):
+        fit(ds3, KernelSpec("linear"), spec, 0.1)
