@@ -1,4 +1,4 @@
-"""Command-line entry points: fit, predict, benchmark, verify.
+"""Command-line entry points: fit, predict, verify.
 
 Exit codes: 0 success, 1 usage error, 2 unreadable or inconsistent input,
 3 numerical failure during solving, 4 verification failure.
@@ -10,13 +10,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .benchmark import BenchmarkGrid, run_grid
 from .config import RunConfig, load_config
 from .data import load_dataset
 from .errors import (
     BadKernelParam,
     BadLabel,
     BadPenaltyParam,
+    BadRank,
     ConfigError,
     DimensionMismatch,
     EmptyTask,
@@ -30,6 +30,7 @@ from .errors import (
 from .metrics import nmse, predict
 from .model_io import load_model, save_model
 from .oracles import run_all
+from .penalties import _check_tasks
 from .solver import fit
 
 EXIT_OK = 0
@@ -79,16 +80,6 @@ def build_parser():
     p_pred.add_argument("--nmse", action="store_true",
                         help="also print normalized MSE against the y column")
 
-    p_bench = sub.add_parser("benchmark", help="timing sweep to CSV")
-    p_bench.add_argument("--out", required=True)
-    p_bench.add_argument("--tasks", type=_int_list, default=(5, 10, 20),
-                         help="comma-separated task counts")
-    p_bench.add_argument("--dims", type=_int_list, default=(5, 50, 150),
-                         help="comma-separated input dimensions")
-    p_bench.add_argument("--repeats", type=int, default=3)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--lam", type=float, default=0.1)
-
     p_ver = sub.add_parser("verify",
                            help="run the independent equivalence checks")
     p_ver.add_argument("--filter", default=None,
@@ -103,8 +94,9 @@ def _cmd_fit(args):
     try:
         kernel = cfg.kernel_spec()
         penalty = cfg.penalty_spec(n_tasks=ds.n_tasks)
+        _check_tasks(penalty, ds.n_tasks)
         solver_config = cfg.solver_config()
-    except (ValueError, BadKernelParam, BadPenaltyParam) as exc:
+    except (ValueError, BadKernelParam, BadPenaltyParam, BadRank) as exc:
         # values that parsed but were rejected by the component they
         # configure; a config problem, not a solver failure
         raise ConfigError(0, str(exc)) from exc
@@ -133,30 +125,6 @@ def _cmd_predict(args):
     return EXIT_OK
 
 
-def _int_list(raw):
-    try:
-        values = tuple(int(part) for part in raw.split(",") if part.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            "expected comma-separated integers, got %r" % raw)
-    if not values:
-        raise argparse.ArgumentTypeError("empty list")
-    return values
-
-
-def _cmd_benchmark(args):
-    grid = BenchmarkGrid(
-        task_counts=args.tasks,
-        dims=args.dims,
-        repeats=args.repeats,
-        seed=args.seed,
-        lam=args.lam,
-    )
-    rows = run_grid(grid, out_path=args.out)
-    print("benchmark: %d cells written to %s" % (len(rows), args.out))
-    return EXIT_OK
-
-
 def _cmd_verify(args):
     reports = run_all(name_filter=args.filter, seed=args.seed)
     if not reports:
@@ -176,7 +144,6 @@ def _cmd_verify(args):
 _COMMANDS = {
     "fit": _cmd_fit,
     "predict": _cmd_predict,
-    "benchmark": _cmd_benchmark,
     "verify": _cmd_verify,
 }
 

@@ -22,7 +22,7 @@ needs, and evaluates the training Gram matrix only on first use.
 
 import numpy as np
 
-from .errors import ParseError, VersionMismatch
+from .errors import BadKernelParam, NotPsd, ParseError, VersionMismatch
 from .kernels import GramMatrix, KernelSpec
 from .linalg import PsdMatrix
 from .solver import ModelState
@@ -112,16 +112,23 @@ def load_model(path):
     if rd.next_line("[kernel] block") != "[kernel]":
         raise ParseError(rd.pos, "expected [kernel] block")
     kind_line = rd.next_line("kernel kind").split()
-    gamma_line = rd.next_line("kernel gamma").split()
     if len(kind_line) != 2 or kind_line[0] != "kind":
         raise ParseError(rd.pos, "expected 'kind <name>'")
+    try:
+        KernelSpec(kind=kind_line[1])
+    except BadKernelParam as exc:
+        raise ParseError(rd.pos, str(exc)) from exc
+    gamma_line = rd.next_line("kernel gamma").split()
     if len(gamma_line) != 2 or gamma_line[0] != "gamma":
         raise ParseError(rd.pos, "expected 'gamma <value>'")
     try:
         gamma = float(gamma_line[1])
     except ValueError:
         raise ParseError(rd.pos, "bad gamma value %r" % gamma_line[1])
-    spec = KernelSpec(kind=kind_line[1], gamma=gamma)
+    try:
+        spec = KernelSpec(kind=kind_line[1], gamma=gamma)
+    except BadKernelParam as exc:
+        raise ParseError(rd.pos, str(exc)) from exc
     x = rd.read_matrix("X")
     c = rd.read_matrix("C")
     a = rd.read_matrix("A")
@@ -129,5 +136,9 @@ def load_model(path):
         raise ParseError(rd.pos, "[C] row count does not match [X]")
     if a.shape[0] != a.shape[1] or a.shape[0] != c.shape[1]:
         raise ParseError(rd.pos, "[A] must be T x T matching [C] columns")
+    try:
+        a = PsdMatrix(a)
+    except NotPsd as exc:
+        raise ParseError(rd.pos, "[A]: %s" % exc) from exc
     gram = GramMatrix(spec, x)
-    return ModelState(C=c, A=PsdMatrix(a), gram=gram, inst=None)
+    return ModelState(C=c, A=a, gram=gram, inst=None)

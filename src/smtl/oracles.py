@@ -74,17 +74,37 @@ def random_instance(seed=None, rng=None, n=6, d=3, n_tasks=2, lam=0.5,
 
 # --- grid search over 2 x 2 PD matrices -------------------------------------
 
-def _min_over_pd2(eval_batch, coarse=40, rounds=3, shrink=0.1,
-                  lo=1e-3, hi=1e2, refine_pts=13):
-    """Minimize over PD [[a, b], [b, c]]: coarse log grid, then refinement.
+def _min_over_pd2(eval_batch, rounds, shrink, capped=False, coarse=40,
+                  refine_pts=13):
+    """Minimize over PD [[a, b], [b, c]]: coarse grid, then refinement.
 
     ``eval_batch(a, b, c)`` maps equal-length 1-d arrays to objective values
-    (``inf`` marks infeasible points). Refinement re-centers a shrinking
+    (``inf`` marks infeasible points). The diagonal runs over a log grid on
+    [1e-3, 1e2], or with ``capped=True`` over a linear grid on [1e-3, 1]
+    restricted to trace at most one. Refinement re-centers a shrinking
     window on the incumbent each round; the window never shrinks below
     twice the previous grid spacing, so the incumbent can keep drifting
     toward the basin bottom instead of being trapped by an early center.
     """
-    avals = np.geomspace(lo, hi, coarse)
+    if capped:
+        avals = np.linspace(1e-3, 1.0, coarse)
+        half = avals[1] - avals[0]
+
+        def window(x0, half):
+            return np.linspace(max(x0 - half, 1e-9), min(x0 + half, 1.0),
+                               refine_pts)
+
+        def evaluate(a, b, c):
+            return np.where(a + c <= 1.0 + 1e-12, eval_batch(a, b, c), np.inf)
+    else:
+        avals = np.geomspace(1e-3, 1e2, coarse)
+        half = np.log10(avals[1] / avals[0])
+
+        def window(x0, half):
+            return np.geomspace(x0 * 10.0 ** -half, x0 * 10.0 ** half,
+                                refine_pts)
+
+        evaluate = eval_batch
     frac = (np.arange(coarse) + 1.0) / (coarse + 1.0)
     aa, cc = np.meshgrid(avals, avals, indexing="ij")
     bmax = np.sqrt(aa * cc)
@@ -92,70 +112,20 @@ def _min_over_pd2(eval_batch, coarse=40, rounds=3, shrink=0.1,
     a_flat = np.broadcast_to(aa[:, :, None], bb.shape).ravel()
     c_flat = np.broadcast_to(cc[:, :, None], bb.shape).ravel()
     b_flat = bb.ravel()
-    vals = eval_batch(a_flat, b_flat, c_flat)
+    vals = evaluate(a_flat, b_flat, c_flat)
     i = int(np.argmin(vals))
     best_val = float(vals[i])
     best = (float(a_flat[i]), float(b_flat[i]), float(c_flat[i]))
-    half_log = np.log10(avals[1] / avals[0])
     half_b = 2.0 * np.sqrt(best[0] * best[2]) / (coarse + 1.0)
     for _ in range(rounds):
         a0, b0, c0 = best
-        na = np.geomspace(a0 * 10.0 ** -half_log, a0 * 10.0 ** half_log,
-                          refine_pts)
-        nc = np.geomspace(c0 * 10.0 ** -half_log, c0 * 10.0 ** half_log,
-                          refine_pts)
+        na = window(a0, half)
+        nc = window(c0, half)
         nb = np.linspace(b0 - half_b, b0 + half_b, refine_pts)
         a3, c3, b3 = np.meshgrid(na, nc, nb, indexing="ij")
         lim = np.sqrt(a3 * c3) * (1.0 - 1e-9)
         b3 = np.clip(b3, -lim, lim)
-        vals = eval_batch(a3.ravel(), b3.ravel(), c3.ravel())
-        i = int(np.argmin(vals))
-        if float(vals[i]) < best_val:
-            best_val = float(vals[i])
-            best = (float(a3.ravel()[i]), float(b3.ravel()[i]),
-                    float(c3.ravel()[i]))
-        half_log *= shrink
-        half_b *= shrink
-    return best_val, best
-
-
-def _min_over_pd2_capped(eval_batch, coarse=40, rounds=8, shrink=1.0 / 3.0,
-                         refine_pts=13):
-    """Same search restricted to PD matrices with trace at most one.
-
-    Only oracles use this variant, so it defaults to the reference-grade
-    refinement schedule.
-    """
-    avals = np.linspace(1e-3, 1.0, coarse)
-    frac = (np.arange(coarse) + 1.0) / (coarse + 1.0)
-    aa, cc = np.meshgrid(avals, avals, indexing="ij")
-    bmax = np.sqrt(aa * cc)
-    bb = bmax[:, :, None] * (2.0 * frac - 1.0)[None, None, :]
-    a_flat = np.broadcast_to(aa[:, :, None], bb.shape).ravel()
-    c_flat = np.broadcast_to(cc[:, :, None], bb.shape).ravel()
-    b_flat = bb.ravel()
-
-    def masked(a, b, c):
-        vals = eval_batch(a, b, c)
-        return np.where(a + c <= 1.0 + 1e-12, vals, np.inf)
-
-    vals = masked(a_flat, b_flat, c_flat)
-    i = int(np.argmin(vals))
-    best_val = float(vals[i])
-    best = (float(a_flat[i]), float(b_flat[i]), float(c_flat[i]))
-    half = avals[1] - avals[0]
-    half_b = 2.0 * np.sqrt(best[0] * best[2]) / (coarse + 1.0)
-    for _ in range(rounds):
-        a0, b0, c0 = best
-        na = np.linspace(max(a0 - half, 1e-9), min(a0 + half, 1.0),
-                         refine_pts)
-        nc = np.linspace(max(c0 - half, 1e-9), min(c0 + half, 1.0),
-                         refine_pts)
-        nb = np.linspace(b0 - half_b, b0 + half_b, refine_pts)
-        a3, c3, b3 = np.meshgrid(na, nc, nb, indexing="ij")
-        lim = np.sqrt(a3 * c3) * (1.0 - 1e-9)
-        b3 = np.clip(b3, -lim, lim)
-        vals = masked(a3.ravel(), b3.ravel(), c3.ravel())
+        vals = evaluate(a3.ravel(), b3.ravel(), c3.ravel())
         i = int(np.argmin(vals))
         if float(vals[i]) < best_val:
             best_val = float(vals[i])
@@ -235,7 +205,7 @@ def brute_force_min_S(inst, delta=None, penalty_eval=None,
         return np.where(ok, vals, np.inf)
 
     best_val, (a_, b_, c_) = _min_over_pd2(
-        eval_batch, coarse=coarse, rounds=rounds, shrink=shrink
+        eval_batch, rounds, shrink, coarse=coarse
     )
     a_best = PsdMatrix(np.array([[a_, b_], [b_, c_]]))
     c_best = sylvester_ls_solve(kmat, a_best, lam / w0, inst.Y,
@@ -556,9 +526,7 @@ def _brute_feature_problem(kt, y, lam, p, capped=False, gamma=None):
             vals = vals + lam * (d1 ** p + d2 ** p) ** (1.0 / p)
         return np.where(ok, vals, np.inf)
 
-    if capped:
-        return _min_over_pd2_capped(eval_batch)
-    return _min_over_pd2(eval_batch, rounds=_REF_ROUNDS, shrink=_REF_SHRINK)
+    return _min_over_pd2(eval_batch, _REF_ROUNDS, _REF_SHRINK, capped=capped)
 
 
 def _trace_norm_iterates(kt, y, reg, b):

@@ -7,8 +7,8 @@ ones. Inputs are standard normal; targets add gaussian noise.
 
 Draw order is fixed (shared vector, per-task vectors, inputs, noise) and
 all randomness flows through ``numpy.random.default_rng``, so a seed pins
-the dataset bit-for-bit. Seeds may be tuples, which is how the benchmark
-derives one independent substream per grid cell.
+the dataset bit-for-bit. Seeds may be tuples such as ``(seed, trial)``,
+which derive independent substreams from one base seed.
 """
 
 from dataclasses import dataclass

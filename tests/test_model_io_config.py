@@ -97,6 +97,37 @@ class TestModelRoundTrip:
         with pytest.raises(ParseError):
             load_model(bad)
 
+    @pytest.mark.parametrize("line, text", [
+        (3, "kind cubic"),
+        (4, "gamma -1"),
+    ])
+    def test_bad_kernel_is_parse_error_at_its_line(self, fitted, line, text):
+        model, tmp = fitted
+        path = tmp / "m.txt"
+        save_model(model, path)
+        lines = path.read_text().split("\n")
+        assert lines[line - 1].split()[0] == text.split()[0]
+        lines[line - 1] = text
+        bad = tmp / "kernel.txt"
+        bad.write_text("\n".join(lines))
+        with pytest.raises(ParseError) as err:
+            load_model(bad)
+        assert err.value.line == line
+
+    def test_indefinite_structure_is_parse_error_at_block_end(self, fitted):
+        model, tmp = fitted
+        path = tmp / "m.txt"
+        save_model(model, path)
+        lines = path.read_text().rstrip("\n").split("\n")
+        a_header = next(i for i, l in enumerate(lines) if l.startswith("[A]"))
+        row = lines[a_header + 1].split()
+        lines[a_header + 1] = " ".join(["-5"] + row[1:])
+        bad = tmp / "indefinite.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=r"\[A\]") as err:
+            load_model(bad)
+        assert err.value.line == len(lines)
+
 
 class TestConfigParsing:
     def test_defaults_match_solver(self):

@@ -10,7 +10,10 @@ import pytest
 from smtl.errors import UnsupportedPenalty
 from smtl.kernels import KernelSpec
 from smtl.oracles import (
+    _REF_ROUNDS,
+    _REF_SHRINK,
     OracleReport,
+    _min_over_pd2,
     brute_force_min_S,
     check_alignment,
     check_barrier_convergence,
@@ -35,6 +38,35 @@ def test_report_line_format():
                            expected=0.0, tolerance=1e-4, detail="boom")
     assert rep_bad.line().startswith("FAIL")
     assert "boom" in rep_bad.line()
+
+
+def _bowl(centre):
+    a0, b0, c0 = centre
+
+    def eval_batch(a, b, c):
+        return (a - a0) ** 2 + (b - b0) ** 2 + (c - c0) ** 2
+    return eval_batch
+
+
+@pytest.mark.parametrize("capped, centre", [
+    (False, (2.0, 0.5, 3.0)),
+    (True, (0.3, 0.1, 0.5)),
+])
+def test_pd2_search_finds_interior_minimizer(capped, centre):
+    val, best = _min_over_pd2(_bowl(centre), _REF_ROUNDS, _REF_SHRINK,
+                              capped=capped)
+    assert np.max(np.abs(np.subtract(best, centre))) <= 1e-4
+    assert val <= 3e-8
+
+
+def test_capped_pd2_search_stays_under_the_trace_cap():
+    # the bowl's centre has trace 1.6; under a + c <= 1 its minimum is at
+    # a = c = 0.5, b = 0
+    val, (a, b, c) = _min_over_pd2(_bowl((0.8, 0.0, 0.8)), _REF_ROUNDS,
+                                   _REF_SHRINK, capped=True)
+    assert a + c <= 1.0 + 1e-12
+    assert np.max(np.abs(np.subtract((a, b, c), (0.5, 0.0, 0.5)))) <= 1e-4
+    assert abs(val - 0.18) <= 1e-4
 
 
 class TestBruteForce:
