@@ -13,10 +13,7 @@ from . import __version__
 from .config import RunConfig, load_config
 from .data import load_dataset
 from .errors import (
-    BadKernelParam,
     BadLabel,
-    BadPenaltyParam,
-    BadRank,
     ConfigError,
     DimensionMismatch,
     EmptyTask,
@@ -30,7 +27,6 @@ from .errors import (
 from .metrics import nmse, predict
 from .model_io import load_model, save_model
 from .oracles import run_all
-from .penalties import _check_tasks
 from .solver import fit
 
 EXIT_OK = 0
@@ -91,15 +87,7 @@ def build_parser():
 def _cmd_fit(args):
     cfg = load_config(args.config) if args.config else RunConfig()
     ds = load_dataset(args.data, weighting=args.weighting)
-    try:
-        kernel = cfg.kernel_spec()
-        penalty = cfg.penalty_spec(n_tasks=ds.n_tasks)
-        _check_tasks(penalty, ds.n_tasks)
-        solver_config = cfg.solver_config()
-    except (ValueError, BadKernelParam, BadPenaltyParam, BadRank) as exc:
-        # values that parsed but were rejected by the component they
-        # configure; a config problem, not a solver failure
-        raise ConfigError(0, str(exc)) from exc
+    kernel, penalty, solver_config = cfg.build(ds.n_tasks)
     model, report = fit(ds, kernel, penalty, cfg.lam, ridge=cfg.ridge,
                         config=solver_config)
     save_model(model, args.out)

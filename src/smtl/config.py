@@ -1,19 +1,24 @@
 """Flat ``key = value`` run-configuration files.
 
 Lines are ``key = value``; ``#`` starts a comment; blank lines are ignored.
-Unknown and duplicate keys are hard errors with 1-based line numbers, which
-catches typos instead of silently running defaults. So are ``inf`` and
-``nan`` values, ``lambda <= 0`` and ``ridge < 0``; other values are checked
-by the component they configure.
+Each key sets one field of the component it configures: the ``kernel.*``
+keys a :class:`KernelSpec`, the solver keys a :class:`SolverConfig`, and
+the ``penalty.*`` keys the arguments of the :class:`PenaltySpec` builder
+that ``penalty.type`` names. Every default is the component's own. Unknown
+and duplicate keys, ``inf`` and ``nan`` values, ``lambda <= 0``,
+``ridge < 0`` and a kernel or solver value that its component rejects are
+errors with 1-based line numbers. Penalty values are checked when the
+penalty is built for a task count (:meth:`RunConfig.build`).
 """
 
-from dataclasses import dataclass, fields
+import inspect
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import BadPenaltyParam, ConfigError
+from .errors import BadKernelParam, BadPenaltyParam, BadRank, ConfigError
 from .kernels import KernelSpec
-from .penalties import PenaltySpec
+from .penalties import PENALTY_KINDS, PenaltySpec, check_tasks
 from .solver import SolverConfig
 
 
@@ -38,98 +43,71 @@ def _parse_nonnegative(s):
     return v
 
 
-# key -> (attribute, parser)
+# key -> (component, field, parser); "run" fields are RunConfig's own
 CONFIG_KEYS = {
-    "kernel.type": ("kernel_type", str),
-    "kernel.gamma": ("kernel_gamma", _parse_float),
-    "penalty.type": ("penalty_type", str),
-    "penalty.p": ("penalty_p", _parse_float),
-    "penalty.mu": ("penalty_mu", _parse_float),
-    "penalty.r": ("penalty_r", int),
-    "penalty.eps_m": ("penalty_eps_m", _parse_float),
-    "penalty.eps_b": ("penalty_eps_b", _parse_float),
-    "penalty.eps_w": ("penalty_eps_w", _parse_float),
-    "lambda": ("lam", _parse_positive),
-    "ridge": ("ridge", _parse_nonnegative),
-    "delta": ("delta", _parse_float),
-    "delta.schedule": ("delta_schedule", str),
-    "delta.factor": ("delta_factor", _parse_float),
-    "delta.floor": ("delta_floor", _parse_float),
-    "epsilon": ("epsilon", _parse_float),
-    "max_iter": ("max_iter", int),
-    "mode": ("mode", str),
-    "step_c": ("step_c", _parse_float),
-    "step_a": ("step_a", _parse_float),
+    "kernel.type": ("kernel", "kind", str),
+    "kernel.gamma": ("kernel", "gamma", _parse_float),
+    "penalty.type": ("penalty", "type", str),
+    "penalty.p": ("penalty", "p", _parse_float),
+    "penalty.mu": ("penalty", "mu", _parse_float),
+    "penalty.r": ("penalty", "r", int),
+    "penalty.eps_m": ("penalty", "eps_m", _parse_float),
+    "penalty.eps_b": ("penalty", "eps_b", _parse_float),
+    "penalty.eps_w": ("penalty", "eps_w", _parse_float),
+    "lambda": ("run", "lam", _parse_positive),
+    "ridge": ("run", "ridge", _parse_nonnegative),
+    "delta": ("solver", "delta", _parse_float),
+    "delta.schedule": ("solver", "delta_schedule", str),
+    "delta.factor": ("solver", "delta_factor", _parse_float),
+    "delta.floor": ("solver", "delta_floor", _parse_float),
+    "epsilon": ("solver", "epsilon", _parse_float),
+    "max_iter": ("solver", "max_iter", int),
+    "mode": ("solver", "mode", str),
+    "step_c": ("solver", "step_c", _parse_float),
+    "step_a": ("solver", "step_a", _parse_float),
 }
 
 
 @dataclass
 class RunConfig:
-    """Parsed configuration with defaults matching the solver's."""
+    """A parsed configuration: the kernel and solver settings as the
+    components themselves, the penalty values the file set (builder
+    arguments by name, plus ``type``), and the fit's ``lam`` and ``ridge``."""
 
-    kernel_type: str = "linear"
-    kernel_gamma: float = 1.0
-    penalty_type: str = "schatten"
-    penalty_p: float = 1.0
-    penalty_mu: float = 1.0
-    penalty_r: int = 1
-    penalty_eps_m: float = 1.0
-    penalty_eps_b: float = 1.0
-    penalty_eps_w: float = 1.0
+    kernel: KernelSpec = field(default_factory=KernelSpec)
+    solver: SolverConfig = field(default_factory=SolverConfig)
+    penalty: dict = field(default_factory=lambda: {"type": "schatten"})
     lam: float = 0.1
     ridge: float = 0.0
-    delta: float = 1e-3
-    delta_schedule: str = "fixed"
-    delta_factor: float = 0.1
-    delta_floor: float = 1e-6
-    epsilon: float = 1e-8
-    max_iter: int = 500
-    mode: str = "altmin"
-    step_c: float = 1e-3
-    step_a: float = 1e-3
 
-    def kernel_spec(self):
-        return KernelSpec(kind=self.kernel_type, gamma=self.kernel_gamma)
+    def build(self, n_tasks):
+        """``(KernelSpec, PenaltySpec, SolverConfig)`` for ``n_tasks`` tasks.
 
-    def penalty_spec(self, n_tasks=None):
-        """Build the penalty. ``fixed`` means the identity structure, so the
-        task count must be known."""
-        if self.penalty_type == "schatten":
-            return PenaltySpec.schatten(p=self.penalty_p, mu=self.penalty_mu)
-        if self.penalty_type == "trace_one":
-            return PenaltySpec.trace_one()
-        if self.penalty_type == "cluster":
-            return PenaltySpec.cluster(
-                self.penalty_r,
-                eps_m=self.penalty_eps_m,
-                eps_b=self.penalty_eps_b,
-                eps_w=self.penalty_eps_w,
-            )
-        if self.penalty_type == "fixed":
-            if n_tasks is None:
-                raise BadPenaltyParam("fixed penalty needs the task count")
-            return PenaltySpec.fixed(np.eye(n_tasks))
-        raise BadPenaltyParam("unknown penalty type %r" % (self.penalty_type,))
-
-    def solver_config(self):
-        return SolverConfig(
-            mode=self.mode,
-            epsilon=self.epsilon,
-            max_iter=self.max_iter,
-            delta=self.delta,
-            delta_schedule=self.delta_schedule,
-            delta_factor=self.delta_factor,
-            delta_floor=self.delta_floor,
-            step_c=self.step_c,
-            step_a=self.step_a,
-        )
+        The builder that ``penalty.type`` names reads the penalty values it
+        takes and ignores the rest; ``fixed`` is the identity structure.
+        A penalty that its builder or the task count rejects raises
+        :class:`ConfigError`.
+        """
+        kind = self.penalty["type"]
+        if kind not in PENALTY_KINDS:
+            raise ConfigError(0, "unknown penalty type %r" % (kind,))
+        builder = getattr(PenaltySpec, kind)
+        takes = inspect.signature(builder).parameters
+        args = {k: v for k, v in self.penalty.items() if k in takes}
+        if kind == "fixed":
+            args["a0"] = np.eye(n_tasks)
+        try:
+            penalty = builder(**args)
+            check_tasks(penalty, n_tasks)
+        except (BadPenaltyParam, BadRank) as exc:
+            raise ConfigError(0, str(exc)) from exc
+        return self.kernel, penalty, self.solver
 
 
 def parse_config(text):
     """Parse configuration text into a :class:`RunConfig`."""
     cfg = RunConfig()
     seen = set()
-    valid_attrs = {f.name for f in fields(RunConfig)}
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -144,14 +122,20 @@ def parse_config(text):
         if key in seen:
             raise ConfigError(lineno, "duplicate key %r" % key)
         seen.add(key)
-        attr, parser = CONFIG_KEYS[key]
-        assert attr in valid_attrs
         if not value:
             raise ConfigError(lineno, "missing value for %r" % key)
+        component, name, parser = CONFIG_KEYS[key]
         try:
-            setattr(cfg, attr, parser(value))
-        except ValueError:
-            raise ConfigError(lineno, "bad value %r for %r" % (value, key))
+            parsed = parser(value)
+            if component == "run":
+                setattr(cfg, name, parsed)
+            elif component == "penalty":
+                cfg.penalty[name] = parsed
+            else:  # the component's own checks run on the new value
+                setattr(cfg, component,
+                        replace(getattr(cfg, component), **{name: parsed}))
+        except (ValueError, BadKernelParam) as exc:
+            raise ConfigError(lineno, "bad value %r for %r: %s" % (value, key, exc)) from exc
     return cfg
 
 

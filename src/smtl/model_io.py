@@ -90,6 +90,11 @@ class _Reader:
                 out[i] = [float(v) for v in vals]
             except ValueError:
                 raise ParseError(self.pos, "non-numeric value in [%s] row %d" % (name, i + 1))
+        finite = np.isfinite(out).all(axis=1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ParseError(self.pos - rows + i + 1,
+                             "non-finite value in [%s] row %d" % (name, i + 1))
         return out
 
 
@@ -125,6 +130,8 @@ def load_model(path):
         gamma = float(gamma_line[1])
     except ValueError:
         raise ParseError(rd.pos, "bad gamma value %r" % gamma_line[1])
+    if not np.isfinite(gamma):
+        raise ParseError(rd.pos, "non-finite gamma value %r" % gamma_line[1])
     try:
         spec = KernelSpec(kind=kind_line[1], gamma=gamma)
     except BadKernelParam as exc:

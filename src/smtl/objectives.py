@@ -33,7 +33,7 @@ import numpy as np
 from .data import loss_value_grad
 from .errors import DimensionMismatch, InfeasiblePair
 from .linalg import (
-    _as_psd, pd_eigenvalues, pinv_psd, psd_power, range_contained,
+    _as_psd, pd_eigenvalues, pinv_psd, range_contained,
 )
 from .penalties import PenaltySpec, penalty_value
 
@@ -162,19 +162,18 @@ def eval_S(inst, c, a, kc=None):
     return value + penalty_value(inst.penalty, a)
 
 
-def _inverse(a):
-    """Dense ``A^{-1}`` of a strictly PD matrix, from its eigenpairs."""
-    v = a.eigenvectors
-    return (v / pd_eigenvalues(a)) @ v.T
-
-
 def grad_S_C(inst, c, a):
-    """Gradient of the barrier objective in ``C`` (penalty plays no part)."""
+    """Gradient of the barrier objective in ``C`` (penalty plays no part).
+
+    The coupled term ``2 lam KC A^{-1}`` is ``2 lam ((KC V) / w) V'``.
+    """
     c = _check_c(inst, c)
-    a_inv = _inverse(_as_psd(a))
+    a = _as_psd(a)
+    w = pd_eigenvalues(a)
+    v = a.eigenvectors
     kc = inst.gram.dot(c)
     _, gz = loss_value_grad(inst.Y, kc, inst.W)
-    g = inst.gram.dot(gz) + 2.0 * inst.lam * (kc @ a_inv)
+    g = inst.gram.dot(gz) + 2.0 * inst.lam * (((kc @ v) / w) @ v.T)
     if inst.ridge:
         g = g + 2.0 * inst.ridge * kc
     return g
@@ -183,21 +182,27 @@ def grad_S_C(inst, c, a):
 def grad_S_A(inst, c, a):
     """Gradient of the barrier objective in ``A``.
 
-    For indicator penalties this is the gradient of the smooth part only
-    (the indicator contributes via projection, not differentiation).
+    In A's eigenbasis the gradient is
+    ``-lam W^{-1} (V'C'KCV + delta^2 I) W^{-1} + mu p W^{p-1}``, rotated
+    back once. ``V'C'KCV`` comes from the column forms ``(CV)'(KCV)``, so,
+    as in ``eval_S``, the roundoff of the dense ``C'KC`` is not divided by
+    eigenvalues of order delta. For indicator penalties this is the
+    gradient of the smooth part only (the indicator contributes via
+    projection, not differentiation).
     """
     c = _check_c(inst, c)
     a = _as_psd(a)
-    a_inv = _inverse(a)
+    w = pd_eigenvalues(a)
+    v = a.eigenvectors
     kc = inst.gram.dot(c)
-    m = inst.gram.quad(c, kc)
-    b = m + (inst.delta ** 2) * np.eye(inst.n_tasks)
-    g = -inst.lam * (a_inv @ b @ a_inv)
-    g = 0.5 * (g + g.T)
+    g = inst.gram.quad(c @ v, kc @ v)
+    g[np.diag_indices_from(g)] += inst.delta ** 2
+    g *= -inst.lam / np.outer(w, w)
     if inst.penalty.smooth:
         p, mu = inst.penalty.p, inst.penalty.mu
-        g = g + mu * p * psd_power(a, p - 1.0).data
-    return g
+        g[np.diag_indices_from(g)] += mu * p * w ** (p - 1.0)
+    g = (v @ g) @ v.T
+    return 0.5 * (g + g.T)
 
 
 def map_Q_to_R(inst, c_q, a_q):

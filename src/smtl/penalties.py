@@ -69,7 +69,7 @@ class PenaltySpec:
         return cls(kind="trace_one")
 
     @classmethod
-    def cluster(cls, r, eps_m=1.0, eps_b=1.0, eps_w=1.0):
+    def cluster(cls, r=1, eps_m=1.0, eps_b=1.0, eps_w=1.0):
         if int(r) != r or r < 1:
             raise BadRank("cluster count r must be a positive integer")
         if not (eps_m > 0 and eps_b > 0 and eps_w > 0):
@@ -93,7 +93,7 @@ def _ones_projector(n_tasks):
     return np.full((n_tasks, n_tasks), 1.0 / n_tasks)
 
 
-def _check_tasks(spec, n_tasks):
+def check_tasks(spec, n_tasks):
     """Raise when the penalty's parameters do not fit ``n_tasks`` tasks."""
     if spec.kind == "cluster" and spec.r > n_tasks:
         raise BadRank("cluster count r=%d exceeds T=%d" % (spec.r, n_tasks))
@@ -131,7 +131,7 @@ def _cluster_assignment(spec, inv_w, v):
 def penalty_value(spec, a):
     """Evaluate ``F(A)``; indicator penalties return 0 or ``inf``."""
     a = _as_psd(a)
-    _check_tasks(spec, a.dim)
+    check_tasks(spec, a.dim)
     w = np.maximum(a.eigenvalues, 0.0)
     if spec.kind == "schatten":
         return float(spec.mu * np.sum(w ** spec.p))
@@ -194,7 +194,7 @@ def unsupervised_min(spec, b, lam):
     sigma = pd_eigenvalues(b)
     v = b.eigenvectors
     n_tasks = b.dim
-    _check_tasks(spec, n_tasks)
+    check_tasks(spec, n_tasks)
 
     if spec.kind == "schatten":
         gamma = (lam * sigma / (spec.mu * spec.p)) ** (1.0 / (spec.p + 1.0))
@@ -254,7 +254,7 @@ def project_structure(spec, a):
         raise UnsupportedPenalty("schatten penalties are smooth; nothing to project")
     a_arr = a.data if isinstance(a, PsdMatrix) else np.asarray(a, dtype=float)
     n_tasks = a_arr.shape[0]
-    _check_tasks(spec, n_tasks)
+    check_tasks(spec, n_tasks)
 
     if spec.kind == "fixed":
         return spec.a0

@@ -71,7 +71,9 @@ class SolverConfig:
     values; delta is the initial barrier size.
     With the geometric schedule, delta is multiplied by ``delta_factor``
     after each converged phase until it would drop below ``delta_floor``.
-    ``a0`` overrides the identity initialization of the structure matrix.
+    ``a0`` overrides the identity initialization of the structure matrix;
+    bcd with an indicator penalty starts from its projection onto the
+    feasible set.
     """
 
     mode: str = "altmin"
@@ -366,7 +368,7 @@ def _backtrack(inst, value_prev, candidate, fallback, step_fn):
     step_scale = 1.0
     for _ in range(MAX_HALVINGS):
         val = _safe_S(inst, *cand)
-        if val <= value_prev or not np.isfinite(value_prev):
+        if val <= value_prev:
             return cand
         step_scale *= 0.5
         cand = step_fn(step_scale)
@@ -454,6 +456,9 @@ def fit_gram(gram, y, w, penalty, lam, ridge=0.0, config=None, callback=None):
     n_tasks = np.asarray(y).shape[1]
     c = np.zeros((gram.n, n_tasks))
     a = _initial_structure(config, n_tasks)
+    if config.mode == "bcd" and not penalty.smooth:
+        # bcd only lowers S, which is +inf off an indicator's feasible set
+        a = project_structure(penalty, a)
 
     trajectory = []
     phase_starts = []

@@ -77,16 +77,19 @@ def test_model_data_dimension_mismatch(tmp_path):
 
 
 def test_rejected_config_value_is_config_error(tmp_path):
-    # delta = 0 and the cluster counts parse fine, but the component they
-    # configure refuses them; the others are rejected by the parser, and
-    # none may reach the solver
+    # the parser rejects non-finite values, lambda and ridge; the kernel
+    # and the solver config refuse theirs as they are set, and the penalty
+    # builder and the task count theirs when the penalty is built. None
+    # may reach the solver
     data = tmp_path / "train.csv"
     write_csv(data, seed=2)
     cfg = tmp_path / "run.cfg"
     for text in ("delta = 0.0", "lambda = 0", "ridge = -1", "lambda = inf",
                  "delta = inf", "kernel.type = gaussian\nkernel.gamma = inf",
                  "penalty.mu = inf", "penalty.type = cluster\npenalty.r = 0",
-                 "penalty.type = cluster\npenalty.r = 5"):
+                 "penalty.type = cluster\npenalty.r = 5",
+                 "penalty.type = cluster\npenalty.eps_w = -1",
+                 "penalty.p = 0.5", "mode = foo"):
         cfg.write_text(text + "\n")
         assert main(["fit", "--data", str(data),
                      "--out", str(tmp_path / "m.txt"),

@@ -1,11 +1,13 @@
 """Model persistence round-trips and run-configuration parsing."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from smtl.config import CONFIG_KEYS, RunConfig, load_config, parse_config
-from smtl.errors import BadPenaltyParam, ConfigError, ParseError, VersionMismatch
+from smtl.config import CONFIG_KEYS, load_config, parse_config
+from smtl.errors import ConfigError, ParseError, VersionMismatch
 from smtl.kernels import KernelSpec
 from smtl.metrics import predict
 from smtl.model_io import load_model, save_model
@@ -114,6 +116,28 @@ class TestModelRoundTrip:
             load_model(bad)
         assert err.value.line == line
 
+    @pytest.mark.parametrize("block, row, value", [
+        ("kernel", 2, "inf"),  # the gamma line
+        ("X", 2, "nan"),
+        ("C", 3, "inf"),
+        ("A", 1, "-inf"),
+    ])
+    def test_non_finite_value_is_parse_error_at_its_line(self, fitted, block,
+                                                          row, value):
+        model, tmp = fitted
+        path = tmp / "m.txt"
+        save_model(model, path)
+        lines = path.read_text().split("\n")
+        header = next(i for i, l in enumerate(lines)
+                      if l.startswith("[%s]" % block))
+        parts = lines[header + row].split()
+        lines[header + row] = " ".join(parts[:1] + [value] + parts[2:])
+        bad = tmp / "non_finite.txt"
+        bad.write_text("\n".join(lines))
+        with pytest.raises(ParseError) as err:
+            load_model(bad)
+        assert err.value.line == header + row + 1
+
     def test_indefinite_structure_is_parse_error_at_block_end(self, fitted):
         model, tmp = fitted
         path = tmp / "m.txt"
@@ -131,13 +155,13 @@ class TestModelRoundTrip:
 
 class TestConfigParsing:
     def test_defaults_match_solver(self):
+        # every default is the component's own
         cfg = parse_config("")
-        sc = cfg.solver_config()
-        ref = SolverConfig()
-        assert sc.epsilon == ref.epsilon
-        assert sc.max_iter == RunConfig().max_iter
-        assert sc.delta == ref.delta
-        assert sc.delta_schedule == ref.delta_schedule
+        kernel, penalty, solver = cfg.build(3)
+        assert solver == SolverConfig()
+        assert kernel == KernelSpec()
+        assert vars(penalty) == vars(PenaltySpec.schatten())
+        assert (cfg.lam, cfg.ridge) == (0.1, 0.0)
 
     def test_every_documented_key_parses(self):
         lines = []
@@ -145,21 +169,21 @@ class TestConfigParsing:
             "kernel.type": "gaussian", "penalty.type": "cluster",
             "mode": "bcd", "delta.schedule": "geometric",
         }
-        for key, (attr, parser) in CONFIG_KEYS.items():
+        for key, (_, _, parser) in CONFIG_KEYS.items():
             if key in samples:
                 lines.append("%s = %s" % (key, samples[key]))
-            elif parser is int or "r" == key.rsplit(".", 1)[-1] or attr in ("max_iter", "penalty_r"):
+            elif parser is int:
                 lines.append("%s = 3" % key)
             else:
                 lines.append("%s = 0.25" % key)
         cfg = parse_config("\n".join(lines))
-        assert cfg.kernel_type == "gaussian"
-        assert cfg.penalty_type == "cluster"
-        assert cfg.mode == "bcd"
-        assert cfg.delta_schedule == "geometric"
+        kernel, penalty, solver = cfg.build(3)
+        assert kernel == KernelSpec("gaussian", gamma=0.25)
+        assert vars(penalty) == vars(PenaltySpec.cluster(3, 0.25, 0.25, 0.25))
+        assert solver.mode == "bcd"
+        assert solver.delta_schedule == "geometric"
+        assert solver.max_iter == 3
         assert cfg.lam == 0.25
-        assert cfg.max_iter == 3
-        assert cfg.penalty_r == 3
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config(
@@ -170,7 +194,7 @@ class TestConfigParsing:
             "max_iter = 9\n"
         )
         assert cfg.lam == 0.5
-        assert cfg.max_iter == 9
+        assert cfg.solver.max_iter == 9
 
     def test_unknown_key_reports_line(self):
         with pytest.raises(ConfigError) as exc:
@@ -187,6 +211,17 @@ class TestConfigParsing:
             parse_config("max_iter = soon\n")
         assert "soon" in str(exc.value)
 
+    @pytest.mark.parametrize("text, line", [
+        ("max_iter = 5\nmode = foo\n", 2),
+        ("delta = 0\n", 1),
+        ("kernel.type = gaussian\n\nkernel.gamma = -1\n", 3),
+        ("kernel.gamma = -1\nkernel.type = gaussian\n", 2),
+    ])
+    def test_value_the_component_rejects_names_its_line(self, text, line):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert exc.value.line == line
+
     def test_missing_equals(self):
         with pytest.raises(ConfigError):
             parse_config("lambda 0.5\n")
@@ -195,30 +230,37 @@ class TestConfigParsing:
         p = tmp_path / "run.cfg"
         p.write_text("kernel.type = gaussian\nkernel.gamma = 0.3\n")
         cfg = load_config(p)
-        spec = cfg.kernel_spec()
-        assert spec.kind == "gaussian"
-        assert spec.gamma == 0.3
+        assert cfg.kernel == KernelSpec("gaussian", gamma=0.3)
+
+    def test_readme_config_block_names_every_key_once(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme[readme.index("### Config file"):]
+        block = section.split("```")[1]
+        parse_config(block)
+        keys = [l.split("=")[0].strip() for l in block.split("\n")
+                if "=" in l.split("#")[0]]
+        assert sorted(keys) == sorted(CONFIG_KEYS)
 
 
 class TestConfigBuilders:
     def test_penalty_builders(self):
-        cfg = parse_config("penalty.type = trace_one\n")
-        assert cfg.penalty_spec().kind == "trace_one"
+        _, spec, _ = parse_config("penalty.type = trace_one\n").build(3)
+        assert spec.kind == "trace_one"
         cfg = parse_config(
             "penalty.type = cluster\npenalty.r = 2\n"
             "penalty.eps_m = 1.0\npenalty.eps_b = 1.5\npenalty.eps_w = 1.0\n"
+            "penalty.p = 0.5\n"  # not read by the cluster builder
         )
-        spec = cfg.penalty_spec()
-        assert spec.kind == "cluster" and spec.r == 2
+        _, spec, _ = cfg.build(3)
+        assert vars(spec) == vars(PenaltySpec.cluster(2, 1.0, 1.5, 1.0))
 
     def test_fixed_penalty_needs_task_count(self):
+        # fixed is the identity structure at the dataset's task count
         cfg = parse_config("penalty.type = fixed\n")
-        with pytest.raises(BadPenaltyParam):
-            cfg.penalty_spec()
-        spec = cfg.penalty_spec(n_tasks=4)
+        _, spec, _ = cfg.build(4)
         assert_allclose(spec.a0.data, np.eye(4))
 
     def test_unknown_penalty_type(self):
         cfg = parse_config("penalty.type = lasso\n")
-        with pytest.raises(BadPenaltyParam):
-            cfg.penalty_spec()
+        with pytest.raises(ConfigError, match="lasso"):
+            cfg.build(3)

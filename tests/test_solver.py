@@ -418,6 +418,23 @@ class TestFit:
         traj = np.asarray(rep.objective_trajectory)
         assert np.all(np.diff(traj) <= 1e-10 * (1 + np.abs(traj[:-1])))
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bcd_indicator_fit_starts_feasible(self, seed):
+        """trace_one is +inf at the identity. bcd starts from I/T, so every
+        accepted step lowers a finite objective; from A = I, the guard
+        accepted a singular projected step and the next C-gradient raised
+        SingularA on these seeds."""
+        ds, _ = synth_generate(SyntheticSpec(d=3, n_tasks=6, n_per_task=8),
+                               seed=(seed, 6))
+        cfg = SolverConfig(mode="bcd", max_iter=60)
+        model, rep = fit(ds, KernelSpec("linear"), PenaltySpec.trace_one(),
+                         1e4, config=cfg)
+        traj = np.asarray(rep.objective_trajectory)
+        assert np.all(np.isfinite(traj))
+        assert np.all(np.diff(traj) <= 1e-10 * (1 + np.abs(traj[:-1])))
+        assert model.A.eigenvalues[-1] > 0.0
+        assert np.trace(model.A.data) == pytest.approx(1.0, abs=1e-8)
+
     def test_substep_values_interleave_monotonically(self):
         ds = make_dataset(seed=10)
         cfg = SolverConfig(epsilon=1e-10, max_iter=40, track_substeps=True)
@@ -520,6 +537,23 @@ class TestFit:
             grads = [g(model.inst, model.C, model.A)
                      for g in (grad_S_C, grad_S_A)]
             assert all(np.all(np.isfinite(g)) for g in grads)
+
+    @pytest.mark.parametrize("floor, bound",
+                             [(1e-8, 1e-3), (1e-10, 1e-3), (1e-12, 0.1)])
+    def test_structure_gradient_vanishes_at_tiny_floor(self, floor, bound):
+        """The A-step is exact, so grad_S_A vanishes at the converged
+        iterate, relative to the penalty's part mu p I. Formed from the
+        dense C'KC, whose roundoff is divided by two eigenvalues of order
+        delta, it read from 10 to 1e9 here."""
+        cfg = SolverConfig(delta=0.1, delta_schedule="geometric",
+                           delta_floor=floor, max_iter=500)
+        for ds in tiny_floor_datasets():
+            model, rep = fit(ds, KernelSpec("linear"),
+                             PenaltySpec.schatten(1.0, 1.0), 0.1, config=cfg)
+            assert rep.termination == "converged"
+            g = grad_S_A(model.inst, model.C, model.A)
+            scale = np.linalg.norm(np.eye(ds.n_tasks))  # ||mu p I||_F
+            assert np.linalg.norm(g) <= bound * scale
 
     def test_empty_task_rejected(self):
         # dataset_from_rows refuses empty tasks up front, so build the
