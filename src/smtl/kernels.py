@@ -101,8 +101,14 @@ class GramMatrix:
       one eigendecomposition of ``.raw``. Eigenvalues down to
       ``-1e-8 * max(1, w_max)`` are clipped to zero in the spectrum only;
       more negative ones raise :class:`~smtl.errors.NotPsd`. Its ``data``
-      is ``.raw`` itself. Only the uniform-weight spectral solve and the
-      oracles need it.
+      is ``.raw`` itself. The oracles, and K's eigenbasis on a kernel that
+      is not ``factored``, need it.
+    * ``.eigenbasis`` is ``(U, s)`` with ``K = U diag(s) U'``, U an n x r
+      matrix with orthonormal columns and ``s >= 0``: the thin SVD
+      ``X = U diag(sqrt(s)) V'`` if ``factored`` (r = d, and neither
+      ``.raw`` nor ``.K`` is built), else ``.K``'s eigenpairs (r = n). The
+      uniform-weight solver route runs in this basis (see
+      :class:`DiagonalGram`).
 
     Products with K go through :meth:`dot` (``K @ m``), :meth:`quad`
     (``C'KC``) and :meth:`diag_quads` (the diagonal of ``V'C'KCV``); their
@@ -112,16 +118,17 @@ class GramMatrix:
     applied through the n x d inputs as ``X (X' m)`` (2ndT flops against
     n^2 T, and no n x n array read), and ``C'KC`` is ``(X'C)'(X'C)``, so
     C's components in K's null space, which can be of order ``1/lam``,
-    add no roundoff to it. Every other kernel multiplies by ``.raw``. The
-    one-hot route's explicit system matrix reads ``.raw`` on every kernel.
+    add no roundoff to it. Every other kernel multiplies by ``.raw``. So
+    ``.raw`` is built only for a kernel that is not ``factored``, or for
+    the one-hot route's explicit system matrix, which reads K's entries.
 
     A model that only predicts (e.g. one read by ``load_model``) builds
-    neither: prediction needs just the spec and ``X_train``. Both forms
-    depend only on the spec and inputs, so two threads that race on a first
-    use at worst compute the same value twice.
+    none of them: prediction needs just the spec and ``X_train``. Every
+    form depends only on the spec and inputs, so two threads that race on
+    a first use at worst compute the same value twice.
     """
 
-    __slots__ = ("spec", "X_train", "_raw", "_K")
+    __slots__ = ("spec", "X_train", "_raw", "_K", "_basis")
 
     def __init__(self, spec, x):
         x = np.atleast_2d(np.array(x, dtype=float))
@@ -130,6 +137,7 @@ class GramMatrix:
         self.X_train = x
         self._raw = None
         self._K = None
+        self._basis = None
 
     @property
     def raw(self):
@@ -144,6 +152,16 @@ class GramMatrix:
         if self._K is None:
             self._K = psd_clip(self.raw, tol=1e-8, keep_data=True)
         return self._K
+
+    @property
+    def eigenbasis(self):
+        if self._basis is None:
+            if self.factored:
+                u, sigma, _ = np.linalg.svd(self.X_train, full_matrices=False)
+                self._basis = (u, sigma * sigma)
+            else:
+                self._basis = (self.K.eigenvectors, self.K.eigenvalues)
+        return self._basis
 
     @property
     def factored(self):
@@ -200,3 +218,39 @@ class GramMatrix:
     @property
     def d(self):
         return self.X_train.shape[1]
+
+
+class DiagonalGram:
+    """A Gram matrix that is diagonal, ``K = diag(s)``: a
+    :class:`GramMatrix` seen in its own eigenbasis.
+
+    It has the product interface of :class:`GramMatrix` that the
+    uniform-weight route reads (``dot``, ``quad``, ``diag_quads``, ``n``),
+    each product O(r T^2) or less. ``C'KC`` and its quadratic forms are
+    taken as ``(S C)'(S C)`` and the squared column norms of ``S C V``,
+    with ``S = diag(sqrt(s))``, so rows where ``s`` is zero add nothing.
+    """
+
+    __slots__ = ("s", "_root")
+
+    def __init__(self, s):
+        self.s = np.asarray(s, dtype=float)
+        self._root = np.sqrt(self.s)[:, None]
+
+    def dot(self, m):
+        """``K @ m``, row ``i`` of ``m`` scaled by ``s_i``."""
+        return self.s[:, None] * m
+
+    def quad(self, c, kc=None):
+        """``C'KC`` as ``(S C)'(S C)``; ``kc`` is not needed."""
+        sc = self._root * c
+        return sc.T @ sc
+
+    def diag_quads(self, c, kc, v):
+        """Diagonal of ``V'C'KCV``: the squared column norms of ``S C V``."""
+        scv = (self._root * c) @ v
+        return np.sum(scv * scv, axis=0)
+
+    @property
+    def n(self):
+        return self.s.shape[0]

@@ -323,11 +323,13 @@ def sylvester_ls_solve(k, a, lam, y, ridge=0.0):
     the coupled quadratic penalty. With ``K = U diag(s) U.T`` and
     ``A = V diag(d) V.T`` the solution is ``C = U Ct V.T`` where
     ``Ct[i, j] = Yt[i, j] / (s[i] + lam / d[j] + ridge)`` and ``Yt = U.T Y V``.
+    A K that is already diagonal, given by its spectrum ``s``, has ``U = I``:
+    the solve is then ``Ct V.T`` with ``Yt = Y V``, and costs O(n T^2).
 
     Parameters
     ----------
-    k : PsdMatrix or (n, n) array_like
-        Kernel Gram matrix.
+    k : PsdMatrix, (n, n) array_like, or (n,) array_like
+        Kernel Gram matrix, or the nonnegative diagonal of a diagonal one.
     a : PsdMatrix or (t, t) array_like
         Strictly positive definite structure matrix.
     lam : float
@@ -342,22 +344,25 @@ def sylvester_ls_solve(k, a, lam, y, ridge=0.0):
     SingularA
         If ``a`` is not strictly positive definite.
     """
-    k = _as_psd(k)
+    if np.ndim(k) == 1:
+        s = np.asarray(k, dtype=float)
+    else:
+        k = _as_psd(k)
+        s = np.maximum(k.eigenvalues, 0.0)
     a = _as_psd(a)
     y = np.asarray(y, dtype=float)
     if lam <= 0:
         raise ValueError("lam must be positive")
-    if y.shape != (k.dim, a.dim):
+    if y.shape != (s.size, a.dim):
         raise DimensionMismatch(
-            "Y has shape %r, expected (%d, %d)" % (y.shape, k.dim, a.dim)
+            "Y has shape %r, expected (%d, %d)" % (y.shape, s.size, a.dim)
         )
+    if np.ndim(k) != 1:  # solve in K's eigenbasis, where K is diag(s)
+        u = k.eigenvectors
+        return u @ sylvester_ls_solve(s, a, lam, u.T @ y, ridge)
     d = pd_eigenvalues(a)
-    s = np.maximum(k.eigenvalues, 0.0)
-    u, v = k.eigenvectors, a.eigenvectors
-    yt = u.T @ y @ v
-    denom = s[:, None] + lam / d[None, :] + ridge
-    ct = yt / denom
-    return u @ ct @ v.T
+    v = a.eigenvectors
+    return (y @ v / (s[:, None] + lam / d[None, :] + ridge)) @ v.T
 
 
 def kron_ls_solve(k, a, lam, y, ridge=0.0):

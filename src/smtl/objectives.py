@@ -44,7 +44,8 @@ RANGE_TOL = 1e-8
 class ProblemInstance:
     """Everything that defines one training problem.
 
-    gram : GramMatrix of the training inputs
+    gram : GramMatrix of the training inputs, or a DiagonalGram (the
+        same problem in K's eigenbasis)
     Y, W : (n, T) targets and nonnegative loss weights
     lam : weight of the coupled quadratic term, > 0
     penalty : PenaltySpec

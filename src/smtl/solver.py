@@ -11,8 +11,16 @@ Two modes share one outer loop:
 
 The supervised (C) step picks the cheapest exact route available:
 
-* uniform weights: the spectral two-sided solve of
-  :func:`smtl.linalg.sylvester_ls_solve`;
+* uniform weights (``"spectral"``): the squared loss does not change when
+  the rows are rotated, so an altmin fit runs in K's eigenbasis
+  (``GramMatrix.eigenbasis``, ``K = U diag(s) U'``, U n x r; r = d for a
+  linear kernel with d < n, else n). There the Gram is a ``DiagonalGram``
+  and the targets ``U'Y``, computed once; the C-step is the elementwise
+  division of :func:`smtl.linalg.sylvester_ls_solve` given K's spectrum,
+  ``((Yt V) / (s_i + lam/(w d_j) + ridge/w)) V'``, and every product with
+  K costs O(r T^2) or less. The objective adds back ``w ||Y - U U'Y||^2``,
+  the part of Y that K cannot fit, and C is rotated back once at the end,
+  with its part in K's null space (see ``_Eigenbasis``);
 * any other weights: ``C = P(alpha) Atilde``, ``Atilde = (lam A^{-1} +
   ridge I)^{-1}``, where ``P`` scatters ``alpha`` into the m observed
   entries and ``alpha`` solves the SPD system ``(S (Atilde kron K) S' +
@@ -24,8 +32,10 @@ The supervised (C) step picks the cheapest exact route available:
 
 Every product with K comes from the ``GramMatrix`` (``dot``, ``quad``,
 ``diag_quads``), so a linear kernel with d < n is applied as ``X (X' M)``
-and the ``"cg"`` route never reads the n x n matrix. The one-hot route's
-explicit matrix needs K's entries, and the spectral solve its eigenpairs.
+and the ``"cg"`` route never reads the n x n matrix. Only the one-hot
+route's explicit matrix needs K's entries on such a kernel; the spectral
+route takes its eigenbasis from the thin SVD of X. bcd fits stay in the
+original basis.
 
 A per-fit ``_SupervisedState``, created by ``fit_gram``, carries the warm
 start and the one-hot preconditioner from call to call.
@@ -49,7 +59,7 @@ from .errors import (
 # sym_eig is called as linalg.sym_eig so that a wrapper installed on
 # smtl.linalg.sym_eig (tracing, call-counting tests) sees the A-step too.
 from . import linalg
-from .kernels import GramMatrix
+from .kernels import DiagonalGram, GramMatrix
 from .linalg import PsdMatrix, _as_psd, pd_eigenvalues, sylvester_ls_solve
 from .objectives import (
     ProblemInstance, eval_S, grad_S_A, grad_S_C,
@@ -331,20 +341,70 @@ def _observed_step(inst, a, state, solve):
     return c @ a_tilde
 
 
+@dataclass
+class _Eigenbasis:
+    """A uniform-weight instance moved into K's eigenbasis.
+
+    With ``K = U diag(s) U'`` (``GramMatrix.eigenbasis``, U n x r) and
+    uniform weight ``w``, the squared loss is unchanged by rotating the
+    rows, so the instance with Gram ``diag(s)`` (a ``DiagonalGram``),
+    targets ``U'Y`` and weight ``w`` has objective ``S - offset``, where
+    ``offset = w ||Y_perp||^2`` and ``Y_perp = Y - U U'Y`` is the part of
+    Y that K cannot fit (zero when r = n). A coefficient matrix ``Ct`` of
+    that instance maps back to ``C = U Ct + Y_perp Atilde``. The last term
+    is the C-step's null-space part, with ``Atilde = (lam/w A^{-1} +
+    ridge/w I)^{-1}`` at the A that C-step used.
+    """
+
+    inst: ProblemInstance
+    u: np.ndarray
+    y_perp: np.ndarray
+    offset: float
+
+    @classmethod
+    def of(cls, inst):
+        """Rotate ``inst``, whose weights must be uniform."""
+        w = inst.W.flat[0]
+        u, s = inst.gram.eigenbasis
+        yt = u.T @ inst.Y
+        y_perp, offset = None, 0.0
+        if u.shape[1] < inst.n:
+            y_perp = inst.Y - u @ yt
+            offset = w * float(np.sum(y_perp * y_perp))
+        rotated = replace(inst, gram=DiagonalGram(s), Y=yt,
+                          W=np.full(yt.shape, w))
+        return cls(rotated, u, y_perp, offset)
+
+    def coefficients(self, ct, a):
+        """``C = U Ct + Y_perp Atilde``, with ``Atilde`` at ``a``."""
+        c = self.u @ ct
+        if self.y_perp is not None:
+            w = self.inst.W.flat[0]
+            c += sylvester_ls_solve(np.zeros(len(c)), a,
+                                    self.inst.lam / w, self.y_perp,
+                                    ridge=self.inst.ridge / w)
+        return c
+
+
 def _supervised_exact(inst, a, state=None):
     """Exact minimizer of the C-block, routed by the weight pattern.
 
-    ``state`` carries the observed entries, the observed-entry routes'
-    warm start and the one-hot preconditioner from call to call; without
-    one, the call starts cold.
+    Uniform weights solve in K's eigenbasis, where K is diagonal: an
+    instance already there (a ``DiagonalGram``) directly, any other one
+    by rotating in and back. ``state`` carries the observed entries, the
+    observed-entry routes' warm start and the one-hot preconditioner from
+    call to call; without one, the call starts cold.
     """
     if state is None:
         state = _SupervisedState()
     w_uniform = _weights_uniform(inst.W)
     if w_uniform is not None:
         state.route = "spectral"
+        if not isinstance(inst.gram, DiagonalGram):
+            basis = _Eigenbasis.of(inst)
+            return basis.coefficients(_supervised_exact(basis.inst, a), a)
         return sylvester_ls_solve(
-            inst.gram.K, a, inst.lam / w_uniform, inst.Y,
+            inst.gram.s, a, inst.lam / w_uniform, inst.Y,
             ridge=inst.ridge / w_uniform,
         )
     if state.rows is None:
@@ -434,7 +494,9 @@ def unsupervised_step(inst, c, a_prev, mode="altmin", step=None, kc=None):
 
 
 def _initial_structure(config, n_tasks):
-    a0 = _as_psd(np.eye(n_tasks) if config.a0 is None else config.a0)
+    if config.a0 is None:  # I, from its known eigenpairs
+        return PsdMatrix.from_eig(np.ones(n_tasks), np.eye(n_tasks))
+    a0 = _as_psd(config.a0)
     if a0.dim != n_tasks:
         raise DimensionMismatch(
             "a0 is %d x %d but the dataset has %d tasks"
@@ -449,16 +511,28 @@ def fit_gram(gram, y, w, penalty, lam, ridge=0.0, config=None, callback=None):
     """Run the solver against a prebuilt Gram matrix.
 
     Returns ``(ModelState, FitReport)``. ``callback``, if given, is invoked
-    as ``callback(iteration, C, A, value)`` after each outer iteration.
+    as ``callback(iteration, C, A, value)`` after each outer iteration,
+    with C in the original basis (n x T).
+
+    An altmin fit with uniform weights runs in K's eigenbasis (see
+    ``_Eigenbasis``): every step and objective value there costs O(r T^2)
+    or less, the trajectory adds the constant the rotation leaves out,
+    and C is rotated back once, at the end (and for each ``callback``
+    call). The returned model keeps ``gram`` and an instance in the
+    original basis.
     """
     config = config or SolverConfig()
     deltas = config.delta_values()
     n_tasks = np.asarray(y).shape[1]
-    c = np.zeros((gram.n, n_tasks))
     a = _initial_structure(config, n_tasks)
     if config.mode == "bcd" and not penalty.smooth:
         # bcd only lowers S, which is +inf off an indicator's feasible set
         a = project_structure(penalty, a)
+        if not a.eigenvalues[-1] > 0.0:
+            raise NotStrictlyPd(
+                "bcd starts from a0 (I if unset) projected onto the %s "
+                "feasible set, and that projection is singular (smallest "
+                "eigenvalue %.3e)" % (penalty.kind, a.eigenvalues[-1]))
 
     trajectory = []
     phase_starts = []
@@ -466,44 +540,54 @@ def fit_gram(gram, y, w, penalty, lam, ridge=0.0, config=None, callback=None):
     times = {"gram": 0.0, "supervised": 0.0, "unsupervised": 0.0, "fit": 0.0}
     total_iters = 0
     converged = False
-    inst = None
     state = _SupervisedState()  # carried across delta phases
     t_fit = time.perf_counter()
+    inst = ProblemInstance(
+        gram=gram, Y=y, W=w, lam=lam, penalty=penalty,
+        ridge=ridge, delta=deltas[0],
+    )
+    basis, work, offset = None, inst, 0.0
+    if config.mode == "altmin" and _weights_uniform(inst.W) is not None:
+        basis = _Eigenbasis.of(inst)
+        work, offset = basis.inst, basis.offset
+    c = np.zeros((work.n, n_tasks))
     for delta in deltas:
-        inst = ProblemInstance(
-            gram=gram, Y=y, W=w, lam=lam, penalty=penalty,
-            ridge=ridge, delta=delta,
-        )
+        work = work.with_delta(delta)
         phase_starts.append(len(trajectory))
-        s_prev = _safe_S(inst, c, a)
+        s_prev = _safe_S(work, c, a) + offset
         trajectory.append(s_prev)
         converged = False
         for _ in range(config.max_iter):
             t0 = time.perf_counter()
-            c = supervised_step(inst, a, c, mode=config.mode,
+            a_used = a  # the A of the last C-step
+            c = supervised_step(work, a, c, mode=config.mode,
                                 step=config.step_c, state=state)
             t1 = time.perf_counter()
-            kc = inst.gram.dot(c)  # shared by the A-step and eval_S
+            kc = work.gram.dot(c)  # shared by the A-step and eval_S
             if config.track_substeps:
-                substeps.append(_safe_S(inst, c, a, kc))
-            a = unsupervised_step(inst, c, a, mode=config.mode,
+                substeps.append(_safe_S(work, c, a, kc) + offset)
+            a = unsupervised_step(work, c, a, mode=config.mode,
                                   step=config.step_a, kc=kc)
             t2 = time.perf_counter()
             times["supervised"] += t1 - t0
             times["unsupervised"] += t2 - t1
-            s_new = _safe_S(inst, c, a, kc)
+            s_new = _safe_S(work, c, a, kc) + offset
             if np.isnan(s_new):
                 raise NonFiniteObjective("objective became NaN")
             trajectory.append(s_new)
             total_iters += 1
             if callback is not None:
-                callback(total_iters, c, a, s_new)
+                callback(total_iters,
+                         c if basis is None else basis.coefficients(c, a_used),
+                         a, s_new)
             gap = abs(s_new - s_prev)
             if np.isfinite(gap) and gap < config.epsilon:
                 converged = True
                 s_prev = s_new
                 break
             s_prev = s_new
+    if basis is not None:
+        c = basis.coefficients(c, a_used)
     times["fit"] = time.perf_counter() - t_fit
     report = FitReport(
         objective_trajectory=trajectory,
@@ -519,26 +603,41 @@ def fit_gram(gram, y, w, penalty, lam, ridge=0.0, config=None, callback=None):
         inverse_rebuilds=state.rebuilds,
         lu_solves=state.lu_solves,
     )
-    return ModelState(C=c, A=a, gram=gram, inst=inst), report
+    model = ModelState(C=c, A=a, gram=gram, inst=inst.with_delta(deltas[-1]))
+    return model, report
+
+
+def _reads_kernel_entries(gram, w, mode):
+    """Whether a fit reads K's entries (``gram.raw``): every kernel that is
+    not ``factored`` does, and a factored one only on the one-hot route,
+    whose explicit system matrix is built from them."""
+    if not gram.factored:
+        return True
+    return (mode == "altmin" and _weights_uniform(w) is None
+            and bool(np.all(np.count_nonzero(w > 0, axis=1) == 1)))
 
 
 def fit(dataset, kernel_spec, penalty, lam, ridge=0.0, config=None,
         callback=None):
     """Fit predictors and structure to a dataset.
 
-    Evaluates the kernel matrix (timed separately in the report, as
-    ``wall_times["gram"]``), then runs :func:`fit_gram`. The spectral form
-    of the Gram matrix, if the uniform-weight route needs it, is built in
-    the first supervised step and counts towards ``wall_times["fit"]``.
+    Evaluates the kernel matrix, if the fit reads its entries (timed
+    separately in the report, as ``wall_times["gram"]``), then runs
+    :func:`fit_gram`. A linear kernel with d < n is never evaluated on the
+    uniform-weight and ``"cg"`` routes. K's eigenbasis, if the
+    uniform-weight route needs it, is built in :func:`fit_gram` and counts
+    towards ``wall_times["fit"]``.
     """
     if dataset.n < 1:
         raise EmptyTask(0)
     for t in range(dataset.n_tasks):
         if dataset.task_sizes[t] == 0:
             raise EmptyTask(t)
+    config = config or SolverConfig()
     t0 = time.perf_counter()
     gram = GramMatrix(kernel_spec, dataset.X)
-    gram.raw  # evaluate the kernel inside the gram timer
+    if _reads_kernel_entries(gram, dataset.W, config.mode):
+        gram.raw  # evaluate the kernel inside the gram timer
     t_gram = time.perf_counter() - t0
     state, report = fit_gram(
         gram, dataset.Y, dataset.W, penalty, lam,

@@ -2,10 +2,11 @@
 
 Construction evaluates no kernel; the raw kernel matrix is built on first
 use, and its spectral form (one n x n eigendecomposition) only for the
-uniform-weight spectral solve. The one-hot and CG routes, and a model read
-back from disk for prediction, never decompose an n x n matrix. Products
-with a linear kernel whose d < n go through the n x d inputs, so the CG
-route never evaluates that kernel at all.
+uniform-weight route's eigenbasis. The one-hot and CG routes, and a model
+read back from disk for prediction, never decompose an n x n matrix.
+Products with a linear kernel whose d < n go through the n x d inputs, and
+its eigenbasis comes from the thin SVD of those inputs, so the uniform and
+CG routes never evaluate that kernel at all.
 """
 
 import time
@@ -53,13 +54,14 @@ def fit_small(ds):
 
 @pytest.fixture
 def n_by_n_eigs(monkeypatch):
-    """Records the size of every n x n ``smtl.linalg.sym_eig`` call."""
+    """Records the size of every ``smtl.linalg.sym_eig`` call on a matrix
+    of at least N rows: the n x n ones, on data with fewer than N tasks."""
     seen = []
     original = smtl.linalg.sym_eig
 
     def counting(a):
-        if np.shape(a)[0] == N:
-            seen.append(N)
+        if np.shape(a)[0] >= N:
+            seen.append(np.shape(a)[0])
         return original(a)
 
     monkeypatch.setattr(smtl.linalg, "sym_eig", counting)
@@ -192,4 +194,28 @@ def test_factored_masked_fit_evaluates_no_kernel(kernel_calls, n_by_n_eigs):
     _, rep = fit_gram(gm, ds.Y, ds.W, PenaltySpec.schatten(1.0, 1.0), 0.2,
                       config=SolverConfig(max_iter=5))
     assert rep.supervised_route == "cg" and rep.iters >= 1
+    assert kernel_calls == [] and n_by_n_eigs == []
+
+
+@pytest.mark.parametrize("missing_share", [0.0, 0.3],
+                         ids=["uniform", "masked"])
+def test_large_factored_fit_forms_no_n_by_n_array(kernel_calls, n_by_n_eigs,
+                                                  missing_share):
+    """At n = 20 000 the linear kernel would be a 3.2 GB array. With
+    d = 20 the uniform-weight route works in the thin SVD's basis and the
+    "cg" route multiplies through X, so fit() neither evaluates the
+    kernel nor decomposes an n x n matrix."""
+    n, d, t = 20_000, 20, 3
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((n, d))
+    observed = rng.random((n, t)) >= missing_share
+    y = x @ rng.standard_normal((d, t)) + rng.standard_normal((n, t))
+    y *= observed
+    ds = TaskDataset(X=x, Y=y, W=observed / n, task_ids=np.zeros(n, dtype=int),
+                     task_sizes=observed.sum(axis=0))
+    model, rep = fit(ds, KernelSpec("linear"), PenaltySpec.schatten(1.0, 1.0),
+                     0.1, config=SolverConfig(max_iter=3))
+    assert rep.supervised_route == ("cg" if missing_share else "spectral")
+    assert rep.iters >= 1 and np.all(np.isfinite(rep.objective_trajectory))
+    assert model.C.shape == (n, t)
     assert kernel_calls == [] and n_by_n_eigs == []

@@ -167,8 +167,11 @@ class TestSylvesterSolve:
         k = PsdMatrix(np.diag([2.0, 1.0]))
         a = PsdMatrix(np.diag([1.0, 0.5]))
         y = np.ones((2, 2))
-        c = sylvester_ls_solve(k, a, 1.0, y)
-        assert_allclose(c, [[1 / 3, 1 / 4], [1 / 2, 1 / 3]], atol=1e-14)
+        expected = [[1 / 3, 1 / 4], [1 / 2, 1 / 3]]
+        assert_allclose(sylvester_ls_solve(k, a, 1.0, y), expected, atol=1e-14)
+        # the same K given by its spectrum: the diagonal form, U = I
+        assert_allclose(sylvester_ls_solve(np.array([2.0, 1.0]), a, 1.0, y),
+                        expected, atol=1e-14)
 
     def test_gradient_is_zero_at_solution(self):
         rng = np.random.default_rng(5)

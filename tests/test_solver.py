@@ -18,6 +18,7 @@ from smtl.objectives import ProblemInstance, eval_S, grad_S_A, grad_S_C
 from smtl.penalties import PenaltySpec
 from smtl.solver import (
     SolverConfig,
+    _Eigenbasis,
     _SupervisedState,
     _observed_step,
     _solve_operator,
@@ -435,6 +436,17 @@ class TestFit:
         assert model.A.eigenvalues[-1] > 0.0
         assert np.trace(model.A.data) == pytest.approx(1.0, abs=1e-8)
 
+    def test_bcd_singular_projected_start_names_a0(self):
+        """trace_one projects a0 = diag(10, 0.1) to diag(1, 0): bcd would
+        start where S is +inf, so the fit refuses it before any step."""
+        ds = make_dataset(seed=21, n_tasks=2)
+        cfg = SolverConfig(mode="bcd", max_iter=20, a0=np.diag([10.0, 0.1]))
+        with pytest.raises(NotStrictlyPd) as err:
+            fit(ds, KernelSpec("linear"), PenaltySpec.trace_one(), 1.0,
+                config=cfg)
+        msg = str(err.value)
+        assert "a0" in msg and "trace_one" in msg and "0.000e+00" in msg
+
     def test_substep_values_interleave_monotonically(self):
         ds = make_dataset(seed=10)
         cfg = SolverConfig(epsilon=1e-10, max_iter=40, track_substeps=True)
@@ -589,21 +601,33 @@ class TestFit:
 @pytest.mark.parametrize("dense", [False, True], ids=["one_hot", "spectral"])
 def test_trajectory_matches_step_by_step_loop(dense):
     """fit_gram hands one K @ C to the A-step and eval_S; the objective
-    trajectory must be bit-identical to steps that each form their own."""
+    trajectory must be bit-identical to steps that each form their own,
+    on the instance the fit runs. With uniform weights that is the
+    instance in K's eigenbasis, whose objective is S less a constant
+    offset; steps on the original instance agree to roundoff."""
     ds = tiny_floor_datasets()[int(dense)]
     cfg = SolverConfig(max_iter=12, epsilon=1e-14)
     model, rep = fit(ds, KernelSpec("linear"),
                      PenaltySpec.schatten(1.0, 1.0), 0.1, config=cfg)
-    inst = model.inst
-    c = np.zeros_like(model.C)
-    a = PsdMatrix(np.eye(ds.n_tasks))
-    state = _SupervisedState()
-    traj = [eval_S(inst, c, a)]
-    for _ in range(rep.iters):
-        c = supervised_step(inst, a, c, state=state)
-        a = unsupervised_step(inst, c, a)
-        traj.append(eval_S(inst, c, a))
-    assert traj == rep.objective_trajectory
+
+    def steps(inst, offset=0.0):
+        c = np.zeros((inst.n, ds.n_tasks))
+        a = PsdMatrix(np.eye(ds.n_tasks))
+        state = _SupervisedState()
+        traj = [eval_S(inst, c, a) + offset]
+        for _ in range(rep.iters):
+            c = supervised_step(inst, a, c, state=state)
+            a = unsupervised_step(inst, c, a)
+            traj.append(eval_S(inst, c, a) + offset)
+        return traj
+
+    if not dense:
+        assert steps(model.inst) == rep.objective_trajectory
+        return
+    basis = _Eigenbasis.of(model.inst)
+    assert basis.offset > 0.0  # d = 5 < n = 60: K cannot fit all of Y
+    assert steps(basis.inst, basis.offset) == rep.objective_trajectory
+    assert_allclose(steps(model.inst), rep.objective_trajectory, rtol=1e-12)
 
 
 def test_refit_supervised_matches_fresh_solve():
@@ -619,6 +643,62 @@ def test_refit_supervised_matches_fresh_solve():
         model.A)
     assert_allclose(new_model.C, expected, atol=1e-12)
     assert new_model.A is model.A
+    # Uniform weights: the fit ran in K's eigenbasis, its model keeps the
+    # original instance, and the refit is the two-sided solve on K.
+    for spec, d in ((KernelSpec("linear"), 3),
+                    (KernelSpec("gaussian", gamma=0.4), 3)):
+        rng = np.random.default_rng(19)
+        x, y = rng.standard_normal((25, d)), rng.standard_normal((25, 3))
+        dense = TaskDataset(X=x, Y=y, W=np.full(y.shape, 0.5),
+                            task_ids=np.zeros(25, dtype=int),
+                            task_sizes=np.full(3, 25))
+        model, rep = fit(dense, spec, PenaltySpec.schatten(1.0, 1.0), 0.3,
+                         ridge=0.1, config=SolverConfig(max_iter=20))
+        assert rep.supervised_route == "spectral"
+        assert model.inst.gram is model.gram and model.inst.n == 25
+        new_model = refit_supervised(model, 0.05)
+        ref = sylvester_ls_solve(model.gram.K, model.A, 0.05 / 0.5, y,
+                                 ridge=0.1 / 0.5)
+        assert rel_err(new_model.C, ref) <= 1e-10
+
+
+@pytest.mark.parametrize("geometric", [False, True],
+                         ids=["fixed", "geometric"])
+@pytest.mark.parametrize("weight", [1.0, 1.0 / 30], ids=["w1", "w1_n"])
+@pytest.mark.parametrize("ridge", [0.0, 0.05])
+@pytest.mark.parametrize("spec, d", [
+    (KernelSpec("gaussian", gamma=0.3), 4),
+    (KernelSpec("linear"), 4),
+    (KernelSpec("linear"), 40),
+], ids=["gaussian", "linear_factored", "linear_d_ge_n"])
+def test_rotated_fit_matches_reference_solve(spec, d, ridge, weight,
+                                             geometric):
+    """A uniform-weight fit runs in K's eigenbasis (for d < n, the thin
+    SVD's, with the null-space part of C added back). Every C the callback
+    sees is n x T and equals the two-sided solve on the original K at the
+    previous iteration's A."""
+    n, t, lam = 30, 4, 0.05
+    rng = np.random.default_rng(20)
+    x = rng.standard_normal((n, d))
+    y = x[:, :2] @ rng.standard_normal((2, t)) + rng.standard_normal((n, t))
+    ds = TaskDataset(X=x, Y=y, W=np.full(y.shape, weight),
+                     task_ids=np.zeros(n, dtype=int), task_sizes=np.full(t, n))
+    cfg = SolverConfig(max_iter=8, delta=0.1, delta_floor=1e-3,
+                       delta_schedule="geometric" if geometric else "fixed")
+    seen = []
+    model, rep = fit(ds, spec, PenaltySpec.schatten(1.0, 1.0), lam,
+                     ridge=ridge, config=cfg,
+                     callback=lambda i, c, a, v: seen.append((c, a)))
+    assert rep.supervised_route == "spectral" and len(seen) == rep.iters
+    assert model.gram.factored == (spec.kind == "linear" and d < n)
+    a_prev = PsdMatrix(np.eye(t))
+    for c, a in seen:
+        assert c.shape == (n, t)
+        ref = sylvester_ls_solve(model.gram.K, a_prev, lam / weight, y,
+                                 ridge=ridge / weight)
+        assert rel_err(c, ref) <= 1e-10
+        a_prev = a
+    assert np.array_equal(model.C, seen[-1][0])
 
 
 def test_solver_config_validation():
