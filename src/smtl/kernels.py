@@ -106,9 +106,9 @@ class GramMatrix:
     * ``.eigenbasis`` is ``(U, s)`` with ``K = U diag(s) U'``, U an n x r
       matrix with orthonormal columns and ``s >= 0``: the thin SVD
       ``X = U diag(sqrt(s)) V'`` if ``factored`` (r = d, and neither
-      ``.raw`` nor ``.K`` is built), else ``.K``'s eigenpairs (r = n). The
-      uniform-weight solver route runs in this basis (see
-      :class:`DiagonalGram`).
+      ``.raw`` nor ``.K`` is built), else ``.K``'s eigenpairs (r = n). A
+      fit with uniform weights runs in this basis, in either solver mode
+      (see :class:`DiagonalGram`).
 
     Products with K go through :meth:`dot` (``K @ m``), :meth:`quad`
     (``C'KC``) and :meth:`diag_quads` (the diagonal of ``V'C'KCV``); their
@@ -224,8 +224,8 @@ class DiagonalGram:
     """A Gram matrix that is diagonal, ``K = diag(s)``: a
     :class:`GramMatrix` seen in its own eigenbasis.
 
-    It has the product interface of :class:`GramMatrix` that the
-    uniform-weight route reads (``dot``, ``quad``, ``diag_quads``, ``n``),
+    It has the product interface of :class:`GramMatrix` that a
+    uniform-weight fit reads (``dot``, ``quad``, ``diag_quads``, ``n``),
     each product O(r T^2) or less. ``C'KC`` and its quadratic forms are
     taken as ``(S C)'(S C)`` and the squared column norms of ``S C V``,
     with ``S = diag(sqrt(s))``, so rows where ``s`` is zero add nothing.

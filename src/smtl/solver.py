@@ -9,36 +9,42 @@ Two modes share one outer loop:
   user-supplied constants guarded by backtracking halving, so a step that
   would increase the objective is shrunk and, failing that, rejected.
 
-The supervised (C) step picks the cheapest exact route available:
+The supervised (C) step takes one of four routes, decided once per fit from
+the mode and the weight pattern by ``_route``:
 
-* uniform weights (``"spectral"``): the squared loss does not change when
-  the rows are rotated, so an altmin fit runs in K's eigenbasis
-  (``GramMatrix.eigenbasis``, ``K = U diag(s) U'``, U n x r; r = d for a
-  linear kernel with d < n, else n). There the Gram is a ``DiagonalGram``
-  and the targets ``U'Y``, computed once; the C-step is the elementwise
-  division of :func:`smtl.linalg.sylvester_ls_solve` given K's spectrum,
-  ``((Yt V) / (s_i + lam/(w d_j) + ridge/w)) V'``, and every product with
-  K costs O(r T^2) or less. The objective adds back ``w ||Y - U U'Y||^2``,
-  the part of Y that K cannot fit, and C is rotated back once at the end,
-  with its part in K's null space (see ``_Eigenbasis``);
-* any other weights: ``C = P(alpha) Atilde``, ``Atilde = (lam A^{-1} +
-  ridge I)^{-1}``, where ``P`` scatters ``alpha`` into the m observed
-  entries and ``alpha`` solves the SPD system ``(S (Atilde kron K) S' +
-  diag(1/w)) alpha = y`` (Bonilla, Chai & Williams 2008) by preconditioned
-  CG, warm-started at the previous ``alpha``. With one observed entry per
-  row (``"one_hot"``, m = n) the matrix is explicit, the preconditioner an
-  explicit inverse of an earlier one and LU the fallback; with any other
-  mask (``"cg"``) the matrix is an operator, preconditioned by ``diag(w)``.
+* ``"gradient"``: bcd's guarded gradient step, whatever the weights;
+* ``"spectral"`` (altmin, uniform weights): in K's eigenbasis (below) the
+  C-step is the elementwise division of :func:`smtl.linalg.sylvester_ls_solve`
+  given K's spectrum, ``((Yt V) / (s_i + lam/(w d_j) + ridge/w)) V'``;
+* any other weights in altmin: ``C = P(alpha) Atilde``, ``Atilde = (lam
+  A^{-1} + ridge I)^{-1}``, where ``P`` scatters ``alpha`` into the m
+  observed entries and ``alpha`` solves the SPD system ``(S (Atilde kron
+  K) S' + diag(1/w)) alpha = y`` (Bonilla, Chai & Williams 2008) by
+  preconditioned CG, warm-started at the previous ``alpha``. With one
+  observed entry per row (``"one_hot"``, m = n) the matrix is explicit,
+  the preconditioner an explicit inverse of an earlier one and LU the
+  fallback; with any other mask (``"cg"``) the matrix is an operator,
+  preconditioned by ``diag(w)``.
+
+With uniform weights the squared loss does not change when the rows are
+rotated, so a uniform-weight fit, in either mode, runs in K's eigenbasis
+(``GramMatrix.eigenbasis``, ``K = U diag(s) U'``, U n x r; r = d for a
+linear kernel with d < n, else n). There the Gram is a ``DiagonalGram``
+and the targets ``U'Y``, computed once, and every product with K costs
+O(r T^2) or less. The objective adds back ``w ||Y - U U'Y||^2``, the part
+of Y that K cannot fit, and C is rotated back once at the end, with its
+part in K's null space (see ``_SupervisedState``).
 
 Every product with K comes from the ``GramMatrix`` (``dot``, ``quad``,
 ``diag_quads``), so a linear kernel with d < n is applied as ``X (X' M)``
 and the ``"cg"`` route never reads the n x n matrix. Only the one-hot
-route's explicit matrix needs K's entries on such a kernel; the spectral
-route takes its eigenbasis from the thin SVD of X. bcd fits stay in the
-original basis.
+route's explicit matrix needs K's entries on such a kernel; uniform-weight
+fits take their eigenbasis from the thin SVD of X.
 
-A per-fit ``_SupervisedState``, created by ``fit_gram``, carries the warm
-start and the one-hot preconditioner from call to call.
+A per-fit ``_SupervisedState``, built once by ``_SupervisedState.of``,
+holds the route, the instance the loop runs on and the map of its C back
+to the original basis, and carries the warm start and the one-hot
+preconditioner from call to call.
 
 With a geometric delta schedule the loop converges at each barrier size,
 shrinks delta by a constant factor, and warm-starts the next phase.
@@ -132,8 +138,9 @@ class SolverConfig:
 class FitReport:
     """What happened during a fit.
 
-    ``supervised_route`` is the route of the C-step: ``"spectral"``,
-    ``"one_hot"`` or ``"cg"`` in altmin mode, ``"gradient"`` in bcd mode.
+    ``supervised_route`` is the route of the C-step (see ``_route``):
+    ``"spectral"``, ``"one_hot"`` or ``"cg"`` in altmin mode,
+    ``"gradient"`` in bcd mode.
     ``pcg_steps`` counts the preconditioned CG steps over the whole fit, on
     the one-hot and ``"cg"`` routes. Only the one-hot route fills
     ``inverse_rebuilds``, the preconditioners built, and ``lu_solves``, the
@@ -146,7 +153,6 @@ class FitReport:
     termination: str
     wall_times: dict
     final_delta: float
-    epsilon: float
     phase_starts: list = field(default_factory=list)
     substep_values: list = field(default_factory=list)
     supervised_route: str = None
@@ -165,20 +171,47 @@ class ModelState:
     inst: ProblemInstance = None
 
 
+def _route(w, mode):
+    """The C-step's route for loss weights ``w`` in ``mode``: ``"gradient"``
+    in bcd mode; in altmin mode ``"spectral"`` for uniform positive
+    weights, ``"one_hot"`` for one observed entry per row, else ``"cg"``."""
+    if mode != "altmin":
+        return "gradient"
+    w0 = w.flat[0] if w.size else 0.0
+    if w0 > 0 and np.all(w == w0):
+        return "spectral"
+    if np.all(np.count_nonzero(w > 0, axis=1) == 1):
+        return "one_hot"
+    return "cg"
+
+
 @dataclass
 class _SupervisedState:
-    """What one fit's supervised steps carry from one call to the next.
+    """What one fit's supervised steps share, built once by ``of``.
 
-    ``route`` is the route of the C-step. The observed-entry routes keep
-    the observed entries, taken from ``W > 0`` once per fit: their
-    ``rows``, task ``tids``, loss weights ``wvec`` and targets ``yvec``;
-    the last solution ``alpha`` (the next warm start) and the counters.
-    The one-hot route also keeps ``precond``, an explicit inverse of an
-    earlier system matrix; once ``lu_solves`` is nonzero, every solve of
-    the fit is an LU solve.
+    ``route`` is the route of the C-step and ``work`` the instance the fit
+    runs on. With uniform weights ``w``, in either mode, ``work`` is the
+    instance in K's eigenbasis: with ``K = U diag(s) U'``
+    (``GramMatrix.eigenbasis``, U n x r) it has Gram ``diag(s)`` (a
+    ``DiagonalGram``), targets ``U'Y`` and weight ``w``, and objective
+    ``S - offset``, where ``offset = w ||Y_perp||^2`` and ``Y_perp = Y -
+    U U'Y`` is the part of Y that K cannot fit (zero when r = n). Else
+    ``work`` is the instance itself. ``coefficients`` maps a C of ``work``
+    back to the original basis.
+
+    The observed-entry routes keep the observed entries, taken from
+    ``W > 0``: their ``rows``, task ``tids``, loss weights ``wvec`` and
+    targets ``yvec``; the last solution ``alpha`` (the next warm start) and
+    the counters. The one-hot route also keeps ``precond``, an explicit
+    inverse of an earlier system matrix; once ``lu_solves`` is nonzero,
+    every solve of the fit is an LU solve.
     """
 
-    route: str = None
+    route: str
+    work: ProblemInstance
+    u: np.ndarray = None
+    y_perp: np.ndarray = None
+    offset: float = 0.0
     rows: np.ndarray = None
     tids: np.ndarray = None
     wvec: np.ndarray = None
@@ -189,19 +222,42 @@ class _SupervisedState:
     rebuilds: int = 0
     lu_solves: int = 0
 
-    def observe(self, inst):
-        """Take the observed entries from ``inst.W > 0``; returns self."""
-        self.rows, self.tids = np.nonzero(inst.W > 0)
-        self.wvec = inst.W[self.rows, self.tids]
-        self.yvec = inst.Y[self.rows, self.tids]
-        return self
+    @classmethod
+    def of(cls, inst, mode, route=None):
+        """The state of a fit of ``inst`` in ``mode``. ``route``, if given,
+        replaces ``_route``'s choice: ``"cg"`` solves any weight pattern,
+        so it can check another route."""
+        state = cls(route or _route(inst.W, mode), inst)
+        if state.route in ("one_hot", "cg"):
+            state.rows, state.tids = np.nonzero(inst.W > 0)
+            state.wvec = inst.W[state.rows, state.tids]
+            state.yvec = inst.Y[state.rows, state.tids]
+        elif _route(inst.W, "altmin") == "spectral":  # uniform weights
+            w = inst.W.flat[0]
+            state.u, s = inst.gram.eigenbasis
+            yt = state.u.T @ inst.Y
+            if state.u.shape[1] < inst.n:
+                state.y_perp = inst.Y - state.u @ yt
+                state.offset = w * float(np.sum(state.y_perp * state.y_perp))
+            state.work = replace(inst, gram=DiagonalGram(s), Y=yt,
+                                 W=np.full(yt.shape, w))
+        return state
 
-
-def _weights_uniform(w):
-    w0 = w.flat[0] if w.size else 0.0
-    if w0 > 0 and np.all(w == w0):
-        return float(w0)
-    return None
+    def coefficients(self, c, a):
+        """A C of ``work`` in the original basis: ``c`` itself, or, if
+        ``work`` is rotated, ``U c + Y_perp Atilde`` with ``Atilde =
+        (lam/w A^{-1} + ridge/w I)^{-1}`` at ``a``. The last term is the
+        exact C-step's part in K's null space, ``((Y_perp V) / (lam/(w d)
+        + ridge/w)) V'`` in A's eigenbasis."""
+        if self.u is None:
+            return c
+        out = self.u @ c
+        if self.y_perp is not None:
+            w = self.work.W.flat[0]
+            lam, ridge = self.work.lam / w, self.work.ridge / w
+            d, v = pd_eigenvalues(a), a.eigenvectors
+            out += ((self.y_perp @ v) / (lam / d + ridge)) @ v.T
+        return out
 
 
 def _pcg(matvec, b, x, precond, tol, max_steps, state):
@@ -317,9 +373,10 @@ def _solve_operator(gram, a_tilde, y, x, tol, state):
                   "(roundoff bound %.3e)" % (res / y_norm, bound / y_norm))
 
 
-def _observed_step(inst, a, state, solve):
+def _observed_step(inst, a, state):
     """C-step in observed-entry form, ``C = P(alpha) Atilde``, with
-    ``alpha`` from ``solve``: ``_solve_one_hot`` or ``_solve_operator``.
+    ``alpha`` from ``_solve_one_hot`` or ``_solve_operator``, by
+    ``state.route``.
 
     ``state`` holds the observed entries. The solve brings ``alpha`` to a
     true residual of at most ``PCG_RTOL * ||y||``, from the warm start:
@@ -328,91 +385,36 @@ def _observed_step(inst, a, state, solve):
     v = a.eigenvectors  # Atilde = (lam A^{-1} + ridge I)^{-1}
     a_tilde = (v * (1.0 / (inst.lam / pd_eigenvalues(a) + inst.ridge))) @ v.T
     y = state.yvec
+    one_hot = state.route == "one_hot"
     tol = PCG_RTOL * float(np.linalg.norm(y))
     if tol == 0.0:
         state.alpha = np.zeros_like(y)
     else:
         x = np.zeros_like(y) if state.alpha is None else state.alpha
+        solve = _solve_one_hot if one_hot else _solve_operator
         state.alpha = solve(inst.gram, a_tilde, y, x, tol, state)
-    if solve is _solve_one_hot:  # P(alpha) @ Atilde, one entry per row
+    if one_hot:  # P(alpha) @ Atilde, one entry per row
         return state.alpha[:, None] * a_tilde[state.tids, :]
     c = np.zeros_like(inst.Y)
     c[state.rows, state.tids] = state.alpha
     return c @ a_tilde
 
 
-@dataclass
-class _Eigenbasis:
-    """A uniform-weight instance moved into K's eigenbasis.
-
-    With ``K = U diag(s) U'`` (``GramMatrix.eigenbasis``, U n x r) and
-    uniform weight ``w``, the squared loss is unchanged by rotating the
-    rows, so the instance with Gram ``diag(s)`` (a ``DiagonalGram``),
-    targets ``U'Y`` and weight ``w`` has objective ``S - offset``, where
-    ``offset = w ||Y_perp||^2`` and ``Y_perp = Y - U U'Y`` is the part of
-    Y that K cannot fit (zero when r = n). A coefficient matrix ``Ct`` of
-    that instance maps back to ``C = U Ct + Y_perp Atilde``. The last term
-    is the C-step's null-space part, with ``Atilde = (lam/w A^{-1} +
-    ridge/w I)^{-1}`` at the A that C-step used.
-    """
-
-    inst: ProblemInstance
-    u: np.ndarray
-    y_perp: np.ndarray
-    offset: float
-
-    @classmethod
-    def of(cls, inst):
-        """Rotate ``inst``, whose weights must be uniform."""
-        w = inst.W.flat[0]
-        u, s = inst.gram.eigenbasis
-        yt = u.T @ inst.Y
-        y_perp, offset = None, 0.0
-        if u.shape[1] < inst.n:
-            y_perp = inst.Y - u @ yt
-            offset = w * float(np.sum(y_perp * y_perp))
-        rotated = replace(inst, gram=DiagonalGram(s), Y=yt,
-                          W=np.full(yt.shape, w))
-        return cls(rotated, u, y_perp, offset)
-
-    def coefficients(self, ct, a):
-        """``C = U Ct + Y_perp Atilde``, with ``Atilde`` at ``a``."""
-        c = self.u @ ct
-        if self.y_perp is not None:
-            w = self.inst.W.flat[0]
-            c += sylvester_ls_solve(np.zeros(len(c)), a,
-                                    self.inst.lam / w, self.y_perp,
-                                    ridge=self.inst.ridge / w)
-        return c
-
-
 def _supervised_exact(inst, a, state=None):
-    """Exact minimizer of the C-block, routed by the weight pattern.
+    """Exact minimizer of the C-block on the route ``state.route``.
 
-    Uniform weights solve in K's eigenbasis, where K is diagonal: an
-    instance already there (a ``DiagonalGram``) directly, any other one
-    by rotating in and back. ``state`` carries the observed entries, the
-    observed-entry routes' warm start and the one-hot preconditioner from
-    call to call; without one, the call starts cold.
+    ``state`` is the fit's ``_SupervisedState`` and ``inst`` its ``work``
+    (at any delta). Without a state the call starts cold: it builds one,
+    solves on its ``work`` and returns C in the original basis.
     """
     if state is None:
-        state = _SupervisedState()
-    w_uniform = _weights_uniform(inst.W)
-    if w_uniform is not None:
-        state.route = "spectral"
-        if not isinstance(inst.gram, DiagonalGram):
-            basis = _Eigenbasis.of(inst)
-            return basis.coefficients(_supervised_exact(basis.inst, a), a)
-        return sylvester_ls_solve(
-            inst.gram.s, a, inst.lam / w_uniform, inst.Y,
-            ridge=inst.ridge / w_uniform,
-        )
-    if state.rows is None:
-        state.observe(inst)
-    one_hot = np.array_equal(state.rows, np.arange(inst.n))  # one per row
-    state.route = "one_hot" if one_hot else "cg"
-    return _observed_step(inst, a, state,
-                          _solve_one_hot if one_hot else _solve_operator)
+        state = _SupervisedState.of(inst, "altmin")
+        return state.coefficients(_supervised_exact(state.work, a, state), a)
+    if state.route == "spectral":
+        w = inst.W.flat[0]
+        return sylvester_ls_solve(inst.gram.s, a, inst.lam / w, inst.Y,
+                                  ridge=inst.ridge / w)
+    return _observed_step(inst, a, state)
 
 
 def _safe_S(inst, c, a, kc=None):
@@ -438,14 +440,14 @@ def _backtrack(inst, value_prev, candidate, fallback, step_fn):
 def supervised_step(inst, a, c_prev, mode="altmin", step=None, state=None):
     """One update of the coefficient block.
 
-    altmin returns the exact minimizer; bcd takes a single gradient step of
-    size ``step`` with a halving guard against objective increase.
-    ``state`` is the fit's ``_SupervisedState``, if the caller keeps one.
+    altmin returns the exact minimizer, on the route of ``state``, the
+    fit's ``_SupervisedState`` (``inst`` is then its ``work``); without
+    one, from a cold start in the original basis. bcd takes a single
+    gradient step of size ``step`` with a halving guard against objective
+    increase, and reads no state.
     """
     if mode == "altmin":
         return _supervised_exact(inst, a, state)
-    if state is not None:
-        state.route = "gradient"
     g = grad_S_C(inst, c_prev, a)
     s_prev = _safe_S(inst, c_prev, a)
 
@@ -514,10 +516,10 @@ def fit_gram(gram, y, w, penalty, lam, ridge=0.0, config=None, callback=None):
     as ``callback(iteration, C, A, value)`` after each outer iteration,
     with C in the original basis (n x T).
 
-    An altmin fit with uniform weights runs in K's eigenbasis (see
-    ``_Eigenbasis``): every step and objective value there costs O(r T^2)
-    or less, the trajectory adds the constant the rotation leaves out,
-    and C is rotated back once, at the end (and for each ``callback``
+    A fit with uniform weights, in either mode, runs in K's eigenbasis
+    (see ``_SupervisedState``): every step and objective value there costs
+    O(r T^2) or less, the trajectory adds the constant the rotation leaves
+    out, and C is rotated back once, at the end (and for each ``callback``
     call). The returned model keeps ``gram`` and an instance in the
     original basis.
     """
@@ -540,16 +542,13 @@ def fit_gram(gram, y, w, penalty, lam, ridge=0.0, config=None, callback=None):
     times = {"gram": 0.0, "supervised": 0.0, "unsupervised": 0.0, "fit": 0.0}
     total_iters = 0
     converged = False
-    state = _SupervisedState()  # carried across delta phases
     t_fit = time.perf_counter()
     inst = ProblemInstance(
         gram=gram, Y=y, W=w, lam=lam, penalty=penalty,
         ridge=ridge, delta=deltas[0],
     )
-    basis, work, offset = None, inst, 0.0
-    if config.mode == "altmin" and _weights_uniform(inst.W) is not None:
-        basis = _Eigenbasis.of(inst)
-        work, offset = basis.inst, basis.offset
+    state = _SupervisedState.of(inst, config.mode)  # for all delta phases
+    work, offset = state.work, state.offset
     c = np.zeros((work.n, n_tasks))
     for delta in deltas:
         work = work.with_delta(delta)
@@ -577,17 +576,14 @@ def fit_gram(gram, y, w, penalty, lam, ridge=0.0, config=None, callback=None):
             trajectory.append(s_new)
             total_iters += 1
             if callback is not None:
-                callback(total_iters,
-                         c if basis is None else basis.coefficients(c, a_used),
-                         a, s_new)
+                callback(total_iters, state.coefficients(c, a_used), a, s_new)
             gap = abs(s_new - s_prev)
             if np.isfinite(gap) and gap < config.epsilon:
                 converged = True
                 s_prev = s_new
                 break
             s_prev = s_new
-    if basis is not None:
-        c = basis.coefficients(c, a_used)
+    c = state.coefficients(c, a_used)
     times["fit"] = time.perf_counter() - t_fit
     report = FitReport(
         objective_trajectory=trajectory,
@@ -595,7 +591,6 @@ def fit_gram(gram, y, w, penalty, lam, ridge=0.0, config=None, callback=None):
         termination="converged" if converged else "max_iter",
         wall_times=times,
         final_delta=deltas[-1],
-        epsilon=config.epsilon,
         phase_starts=phase_starts,
         substep_values=substeps,
         supervised_route=state.route,
@@ -607,25 +602,16 @@ def fit_gram(gram, y, w, penalty, lam, ridge=0.0, config=None, callback=None):
     return model, report
 
 
-def _reads_kernel_entries(gram, w, mode):
-    """Whether a fit reads K's entries (``gram.raw``): every kernel that is
-    not ``factored`` does, and a factored one only on the one-hot route,
-    whose explicit system matrix is built from them."""
-    if not gram.factored:
-        return True
-    return (mode == "altmin" and _weights_uniform(w) is None
-            and bool(np.all(np.count_nonzero(w > 0, axis=1) == 1)))
-
-
 def fit(dataset, kernel_spec, penalty, lam, ridge=0.0, config=None,
         callback=None):
     """Fit predictors and structure to a dataset.
 
-    Evaluates the kernel matrix, if the fit reads its entries (timed
+    Evaluates the kernel matrix if the fit reads its entries (timed
     separately in the report, as ``wall_times["gram"]``), then runs
-    :func:`fit_gram`. A linear kernel with d < n is never evaluated on the
-    uniform-weight and ``"cg"`` routes. K's eigenbasis, if the
-    uniform-weight route needs it, is built in :func:`fit_gram` and counts
+    :func:`fit_gram`. Every kernel that is not ``factored`` is evaluated;
+    a linear kernel with d < n only on the one-hot route, whose explicit
+    system matrix is built from K's entries. K's eigenbasis, if a
+    uniform-weight fit needs it, is built in :func:`fit_gram` and counts
     towards ``wall_times["fit"]``.
     """
     if dataset.n < 1:
@@ -636,7 +622,7 @@ def fit(dataset, kernel_spec, penalty, lam, ridge=0.0, config=None,
     config = config or SolverConfig()
     t0 = time.perf_counter()
     gram = GramMatrix(kernel_spec, dataset.X)
-    if _reads_kernel_entries(gram, dataset.W, config.mode):
+    if not gram.factored or _route(dataset.W, config.mode) == "one_hot":
         gram.raw  # evaluate the kernel inside the gram timer
     t_gram = time.perf_counter() - t0
     state, report = fit_gram(

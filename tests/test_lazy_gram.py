@@ -17,6 +17,7 @@ from numpy.testing import assert_allclose
 
 import smtl.kernels
 import smtl.linalg
+import smtl.solver
 from smtl.data import TaskDataset
 from smtl.errors import NotPsd
 from smtl.kernels import GramMatrix, KernelSpec
@@ -46,9 +47,8 @@ def dataset(pattern, seed=0):
     return TaskDataset(X=x, Y=y * (w > 0), W=w, task_ids=tids)
 
 
-def fit_small(ds):
-    return fit(ds, KernelSpec("gaussian", gamma=0.4),
-               PenaltySpec.schatten(1.0, 1.0), 0.2,
+def fit_small(ds, spec=KernelSpec("gaussian", gamma=0.4)):
+    return fit(ds, spec, PenaltySpec.schatten(1.0, 1.0), 0.2,
                config=SolverConfig(max_iter=5))
 
 
@@ -86,11 +86,28 @@ def test_uniform_fit_decomposes_gram_once(n_by_n_eigs):
     assert len(n_by_n_eigs) == 1
 
 
-@pytest.mark.parametrize("pattern", ["one_hot", "masked"])
-def test_one_hot_and_cg_fits_decompose_nothing(n_by_n_eigs, pattern):
-    _, rep = fit_small(dataset(pattern))
+@pytest.mark.parametrize("pattern, spec", [
+    ("one_hot", KernelSpec("gaussian", gamma=0.4)),
+    ("masked", KernelSpec("gaussian", gamma=0.4)),
+    ("one_hot", KernelSpec("linear")),
+], ids=["one_hot", "masked", "one_hot_linear_factored"])
+def test_one_hot_and_cg_fits_decompose_nothing(monkeypatch, n_by_n_eigs,
+                                              kernel_calls, pattern, spec):
+    """They evaluate the kernel once, in fit() before fit_gram, on a
+    factored linear kernel too: the one-hot route's system matrix reads
+    K's entries (``gram.raw``)."""
+    calls_at_fit_gram = []
+    original = smtl.solver.fit_gram
+
+    def spy(*args, **kwargs):
+        calls_at_fit_gram.append(len(kernel_calls))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(smtl.solver, "fit_gram", spy)
+    _, rep = fit_small(dataset(pattern), spec)
     assert rep.iters >= 1
     assert n_by_n_eigs == []
+    assert calls_at_fit_gram == [1] and len(kernel_calls) == 1
 
 
 def test_load_and_predict_decompose_nothing(tmp_path, n_by_n_eigs):
@@ -197,14 +214,17 @@ def test_factored_masked_fit_evaluates_no_kernel(kernel_calls, n_by_n_eigs):
     assert kernel_calls == [] and n_by_n_eigs == []
 
 
-@pytest.mark.parametrize("missing_share", [0.0, 0.3],
-                         ids=["uniform", "masked"])
+@pytest.mark.parametrize("missing_share, mode, route", [
+    (0.0, "altmin", "spectral"),
+    (0.3, "altmin", "cg"),
+    (0.0, "bcd", "gradient"),
+], ids=["uniform", "masked", "uniform_bcd"])
 def test_large_factored_fit_forms_no_n_by_n_array(kernel_calls, n_by_n_eigs,
-                                                  missing_share):
+                                                  missing_share, mode, route):
     """At n = 20 000 the linear kernel would be a 3.2 GB array. With
-    d = 20 the uniform-weight route works in the thin SVD's basis and the
-    "cg" route multiplies through X, so fit() neither evaluates the
-    kernel nor decomposes an n x n matrix."""
+    d = 20 uniform-weight fits, in either mode, work in the thin SVD's
+    basis and the "cg" route multiplies through X, so fit() neither
+    evaluates the kernel nor decomposes an n x n matrix."""
     n, d, t = 20_000, 20, 3
     rng = np.random.default_rng(3)
     x = rng.standard_normal((n, d))
@@ -214,8 +234,8 @@ def test_large_factored_fit_forms_no_n_by_n_array(kernel_calls, n_by_n_eigs,
     ds = TaskDataset(X=x, Y=y, W=observed / n, task_ids=np.zeros(n, dtype=int),
                      task_sizes=observed.sum(axis=0))
     model, rep = fit(ds, KernelSpec("linear"), PenaltySpec.schatten(1.0, 1.0),
-                     0.1, config=SolverConfig(max_iter=3))
-    assert rep.supervised_route == ("cg" if missing_share else "spectral")
+                     0.1, config=SolverConfig(mode=mode, max_iter=3))
+    assert rep.supervised_route == route
     assert rep.iters >= 1 and np.all(np.isfinite(rep.objective_trajectory))
     assert model.C.shape == (n, t)
     assert kernel_calls == [] and n_by_n_eigs == []

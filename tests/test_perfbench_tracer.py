@@ -3,12 +3,14 @@
 ``perfbench/tracer.py`` patches names in the modules where smtl's callers
 look them up. A rename in smtl would leave a patch pointing at nothing, so
 every (module, attribute) pair must resolve, and a traced masked fit must
-record its supervised steps on the "cg" route.
+record its supervised steps on the "cg" route. The tracer keeps its own
+copy of the solver's route rule, which must agree with ``smtl.solver``'s.
 """
 
 import importlib
 import importlib.util
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -58,3 +60,35 @@ def test_traced_masked_fit_records_cg_route(tracer):
     assert [s["route"] for s in steps] == ["cg"]
     names = {s["name"] for s in t.spans}
     assert {"solver.fit", "solver.fit_gram", "objectives.eval_S"} <= names
+
+
+def route_table():
+    """(weight pattern, its altmin route) for n = 6 rows and T = 3 tasks."""
+    n, t = 6, 3
+    uniform = np.full((n, t), 0.5)
+    one_per_row = np.zeros((n, t))
+    one_per_row[np.arange(n), np.arange(n) % t] = [1.0, 2.0, 0.5] * 2
+    masked = uniform * (np.arange(n * t).reshape(n, t) % 4 != 1)
+    zero_row = uniform.copy()
+    zero_row[2] = 0.0
+    one_per_row_zero_row = one_per_row.copy()
+    one_per_row_zero_row[3] = 0.0
+    per_task = np.tile([1.0, 0.5, 0.25], (n, 1))
+    return [("uniform", uniform, "spectral"),
+            ("one_per_row", one_per_row, "one_hot"),
+            ("masked", masked, "cg"),
+            ("all_zero_row", zero_row, "cg"),
+            ("one_per_row_and_a_zero_row", one_per_row_zero_row, "cg"),
+            ("per_task_weights", per_task, "cg"),
+            ("all_zero", np.zeros((n, t)), "cg")]
+
+
+@pytest.mark.parametrize("mode", ["altmin", "bcd"])
+def test_tracer_route_rule_matches_solver(tracer, mode):
+    for name, w, altmin_route in route_table():
+        route = smtl.solver._route(w, mode)
+        assert route == (altmin_route if mode == "altmin" else "gradient")
+        inst = SimpleNamespace(W=w)  # supervised_step's first argument
+        for args, kwargs in (((inst,), {"mode": mode}),
+                             ((inst, None, None, mode), {})):
+            assert tracer._route(args, kwargs) == {"route": route}, name

@@ -18,10 +18,8 @@ from smtl.objectives import ProblemInstance, eval_S, grad_S_A, grad_S_C
 from smtl.penalties import PenaltySpec
 from smtl.solver import (
     SolverConfig,
-    _Eigenbasis,
     _SupervisedState,
     _observed_step,
-    _solve_operator,
     _supervised_exact,
     fit,
     fit_gram,
@@ -83,8 +81,8 @@ class TestSupervisedRoutes:
             inst = full_weight_instance(seed=10 + trial)
             a = PsdMatrix(np.diag(0.5 + rng.random(3)))
             exact = sylvester_ls_solve(inst.gram.K, a, inst.lam, inst.Y)
-            cg = _observed_step(inst, a, _SupervisedState().observe(inst),
-                                _solve_operator)
+            state = _SupervisedState.of(inst, "altmin", route="cg")
+            cg = _observed_step(inst, a, state)
             assert np.max(np.abs(cg - exact)) <= 1e-7
 
     def test_one_hot_route_matches_cg(self):
@@ -98,8 +96,8 @@ class TestSupervisedRoutes:
                                penalty=PenaltySpec.schatten(1.0, 1.0),
                                delta=1e-3)
         fast = _supervised_exact(inst, a)
-        slow = _observed_step(inst, a, _SupervisedState().observe(inst),
-                              _solve_operator)
+        state = _SupervisedState.of(inst, "altmin", route="cg")
+        slow = _observed_step(inst, a, state)
         assert np.max(np.abs(fast - slow)) <= 1e-7
 
     def test_supervised_step_never_increases_objective(self):
@@ -150,7 +148,7 @@ class TestOneHotPcg:
     def test_cold_call_matches_direct_solve(self, kernel):
         inst = one_hot_instance(kernel)  # linear: rank 4 < n = 60
         a = random_structure(np.random.default_rng(3), inst.n_tasks)
-        state = _SupervisedState()
+        state = _SupervisedState.of(inst, "altmin")
         _supervised_exact(inst, PsdMatrix(a), state)
         alpha, _ = direct_one_hot_alpha(inst, a)
         assert rel_err(state.alpha, alpha) <= 1e-10
@@ -168,7 +166,7 @@ class TestOneHotPcg:
         rng = np.random.default_rng(4)
         a0 = random_structure(rng, inst.n_tasks)
         drift = random_structure(rng, inst.n_tasks)
-        state = _SupervisedState()
+        state = _SupervisedState.of(inst, "altmin")
         for i in range(25):
             a = a0 + 0.15 * i * drift
             _supervised_exact(inst, PsdMatrix(a), state)
@@ -183,7 +181,7 @@ class TestOneHotPcg:
         what PCG can certify to 1e-12; LU takes over for the fit."""
         inst = one_hot_instance(KernelSpec("linear"), lam=1e-6)
         a = random_structure(np.random.default_rng(5), inst.n_tasks)
-        state = _SupervisedState()
+        state = _SupervisedState.of(inst, "altmin")
         for _ in range(2):
             _supervised_exact(inst, PsdMatrix(a), state)
             alpha, cond = direct_one_hot_alpha(inst, a)
@@ -196,7 +194,7 @@ class TestOneHotPcg:
         inst.Y[:] = 0.0
         a = PsdMatrix(random_structure(np.random.default_rng(6),
                                        inst.n_tasks))
-        state = _SupervisedState()
+        state = _SupervisedState.of(inst, "altmin")
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for _ in range(2):
                 c = _supervised_exact(inst, a, state)
@@ -252,7 +250,7 @@ def test_masked_gaussian_fit_solves_observed_entry_system():
     assert np.all(np.diff(traj) <= 1e-10 * (1 + np.abs(traj[:-1])))
 
     inst, a = model.inst, model.A.data
-    state = _SupervisedState()
+    state = _SupervisedState.of(inst, "altmin")
     _supervised_exact(inst, model.A, state)
     rows, tids = np.nonzero(observed)
     a_tilde = np.linalg.inv(inst.lam * np.linalg.inv(a))
@@ -324,7 +322,7 @@ def test_masked_route_accepts_roundoff_bound_on_rank_deficient_kernel():
     matches a dense solve of the m x m system as closely as that solve's
     own accuracy allows."""
     inst, a = masked_linear_instance(1e-8)
-    state = _SupervisedState()
+    state = _SupervisedState.of(inst, "altmin")
     c = _supervised_exact(inst, PsdMatrix(a), state)
     assert state.route == "cg"
     rows, tids = np.nonzero(inst.W)
@@ -348,7 +346,7 @@ def test_masked_route_raises_cg_stall_on_non_finite_target(bad_target):
     inst, a = masked_linear_instance(0.1)
     i, t = np.argwhere(inst.W)[0]
     inst.Y[i, t] *= bad_target
-    state = _SupervisedState()
+    state = _SupervisedState.of(inst, "altmin")
     with np.errstate(invalid="ignore"), \
             pytest.raises(CgStall, match="relative residual"):
         _supervised_exact(inst, PsdMatrix(a), state)
@@ -610,10 +608,9 @@ def test_trajectory_matches_step_by_step_loop(dense):
     model, rep = fit(ds, KernelSpec("linear"),
                      PenaltySpec.schatten(1.0, 1.0), 0.1, config=cfg)
 
-    def steps(inst, offset=0.0):
+    def steps(inst, state=None, offset=0.0):
         c = np.zeros((inst.n, ds.n_tasks))
         a = PsdMatrix(np.eye(ds.n_tasks))
-        state = _SupervisedState()
         traj = [eval_S(inst, c, a) + offset]
         for _ in range(rep.iters):
             c = supervised_step(inst, a, c, state=state)
@@ -621,12 +618,13 @@ def test_trajectory_matches_step_by_step_loop(dense):
             traj.append(eval_S(inst, c, a) + offset)
         return traj
 
+    state = _SupervisedState.of(model.inst, "altmin")
     if not dense:
-        assert steps(model.inst) == rep.objective_trajectory
+        assert steps(model.inst, state) == rep.objective_trajectory
         return
-    basis = _Eigenbasis.of(model.inst)
-    assert basis.offset > 0.0  # d = 5 < n = 60: K cannot fit all of Y
-    assert steps(basis.inst, basis.offset) == rep.objective_trajectory
+    assert state.offset > 0.0  # d = 5 < n = 60: K cannot fit all of Y
+    assert (steps(state.work, state, state.offset)
+            == rep.objective_trajectory)
     assert_allclose(steps(model.inst), rep.objective_trajectory, rtol=1e-12)
 
 
@@ -699,6 +697,46 @@ def test_rotated_fit_matches_reference_solve(spec, d, ridge, weight,
         assert rel_err(c, ref) <= 1e-10
         a_prev = a
     assert np.array_equal(model.C, seen[-1][0])
+
+
+@pytest.mark.parametrize("penalty", [PenaltySpec.schatten(1.0, 1.0),
+                                     PenaltySpec.trace_one()],
+                         ids=["schatten", "trace_one"])
+@pytest.mark.parametrize("spec", [KernelSpec("gaussian", gamma=0.3),
+                                  KernelSpec("linear")],
+                         ids=["gaussian", "linear_factored"])
+def test_bcd_step_in_eigenbasis_matches_original_basis(spec, penalty):
+    """A uniform-weight bcd fit runs on the instance in K's eigenbasis. One
+    guarded C-step and one A-step there, from C = U Ct, give the C (U
+    times it: a gradient step keeps C in K's range), A and S (plus the
+    offset) of the same steps on the original instance."""
+    n, t = 30, 4
+    rng = np.random.default_rng(22)
+    inst = ProblemInstance(gram=GramMatrix(spec, rng.standard_normal((n, 4))),
+                           Y=rng.standard_normal((n, t)),
+                           W=np.full((n, t), 1.0 / n), lam=0.1,
+                           penalty=penalty, ridge=0.05, delta=1e-2)
+    state = _SupervisedState.of(inst, "bcd")
+    assert state.route == "gradient" and state.work.n == state.u.shape[1]
+    assert (state.offset > 0.0) == (spec.kind == "linear")  # r = 4 < n
+    a0 = random_structure(rng, t)
+    if not penalty.smooth:
+        a0 /= np.trace(a0)  # feasible for trace_one
+    a0 = PsdMatrix(a0)
+    ct0 = rng.standard_normal((state.work.n, t))
+
+    def steps(inst, c):
+        c = supervised_step(inst, a0, c, mode="bcd", step=1e-2)
+        a = unsupervised_step(inst, c, a0, mode="bcd", step=1e-2)
+        return c, a, eval_S(inst, c, a)
+
+    c_ref, a_ref, s_ref = steps(inst, state.u @ ct0)
+    ct, a, s = steps(state.work, ct0)
+    assert rel_err(c_ref, state.u @ ct0) > 1e-6  # both steps were taken
+    assert rel_err(a_ref.data, a0.data) > 1e-6
+    assert rel_err(state.u @ ct, c_ref) <= 1e-12
+    assert rel_err(a.data, a_ref.data) <= 1e-12
+    assert abs(s + state.offset - s_ref) <= 1e-12 * abs(s_ref)
 
 
 def test_solver_config_validation():
