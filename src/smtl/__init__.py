@@ -35,7 +35,6 @@ from .objectives import (
 )
 from .oracles import OracleReport, brute_force_min_S, random_instance, run_all
 from .penalties import (
-    FixedStructure,
     PenaltySpec,
     penalty_value,
     project_structure,
@@ -70,9 +69,9 @@ __all__ = [
     "ProblemInstance", "eval_Q", "eval_R", "eval_S",
     "map_Q_to_R", "map_R_to_Q",
     "OracleReport", "brute_force_min_S", "random_instance", "run_all",
-    "FixedStructure", "PenaltySpec", "penalty_value", "project_structure",
-    "structure_coding", "structure_graph", "structure_mean_variance",
-    "structure_metric", "unsupervised_min",
+    "PenaltySpec", "penalty_value", "project_structure", "structure_coding",
+    "structure_graph", "structure_mean_variance", "structure_metric",
+    "unsupervised_min",
     "FitReport", "ModelState", "SolverConfig", "fit", "fit_gram",
     "refit_supervised", "supervised_step", "unsupervised_step",
     "SyntheticSpec", "synth_from_weights", "synth_generate",

@@ -8,21 +8,27 @@ structure learning. Four kinds are supported:
   learning (p=1);
 * ``trace_one`` : indicator of ``{A PSD, tr(A) = 1}``;
 * ``cluster(r, eps)`` : indicator of the set of matrices whose inverse is the
-  affine image ``eps_m * U + eps_b * (M - U) + eps_w * (I - M)`` of a relaxed
-  cluster assignment ``M`` in ``S_c = {0 <= M <= I, tr(M) = r}`` with
-  ``U = 11'/T``;
+  affine image ``(eps_b - eps_w) * M + (eps_m - eps_b) * U + eps_w * I`` of a
+  relaxed cluster assignment ``M`` in ``S_c = {0 <= M <= I, tr(M) = r}``
+  with ``U = 11'/T``; for r < T, ``eps_b < eps_m + eps_w``
+  (:func:`check_tasks`);
 * ``fixed(A0)`` : indicator of a single prescribed matrix.
 
 For each penalty, :func:`unsupervised_min` returns the exact minimizer of
 ``lam * tr(A^-1 B) + F(A)`` over strictly PD matrices, which is the
-structure update of the alternating algorithm. Because the trace term and
-every penalty here are spectral, the minimizer shares eigenvectors with
-``B``; only eigenvalues get remapped.
+structure update of the alternating algorithm. For schatten and trace_one
+the minimizer shares eigenvectors with ``B`` and only eigenvalues get
+remapped; for cluster, ``A^-1 - (eps_m - eps_b) * U`` does, because the
+minimizing M is spanned by eigenvectors of ``B``.
 
 The cluster map ``M -> A`` is written once (:func:`_cluster_structure`).
-Its inverse is read in A's eigenbasis (:func:`_cluster_assignment`), where
-``V'MV`` is a diagonal minus a rank-one term: membership needs only A's
-eigenpairs. When ``eps_b == eps_w``, M drops out and structures use M = 0.
+When ``eps_b == eps_w`` its M term is exactly ``0 * M``, so every M gives
+the same A. Its inverse is read in A's eigenbasis
+(:func:`_cluster_assignment`), where ``V'MV`` is a diagonal minus a
+rank-one term: membership needs only A's eigenpairs.
+
+The ``structure_*`` builders return a ``PsdMatrix`` for
+:meth:`PenaltySpec.fixed`.
 """
 
 from dataclasses import dataclass
@@ -94,18 +100,35 @@ def _ones_projector(n_tasks):
 
 
 def check_tasks(spec, n_tasks):
-    """Raise when the penalty's parameters do not fit ``n_tasks`` tasks."""
+    """Raise when the penalty's parameters do not fit ``n_tasks`` tasks.
+
+    For r < T, cluster weights with ``eps_b >= eps_m + eps_w`` are rejected:
+    a rank-r projector M orthogonal to the ones vector makes ``A^-1(M)``
+    singular or indefinite. Else ``lambda_min(A^-1(M)) >= min(eps_m, eps_b,
+    eps_w, eps_m + eps_w - eps_b)`` on ``S_c``; at r = T, M = I is PD.
+    """
     if spec.kind == "cluster" and spec.r > n_tasks:
         raise BadRank("cluster count r=%d exceeds T=%d" % (spec.r, n_tasks))
+    if (spec.kind == "cluster" and spec.r < n_tasks
+            and spec.eps_b >= spec.eps_m + spec.eps_w):
+        raise BadPenaltyParam(
+            "cluster weights eps_m=%g, eps_b=%g, eps_w=%g need "
+            "eps_b < eps_m + eps_w when r < T"
+            % (spec.eps_m, spec.eps_b, spec.eps_w))
     if spec.kind == "fixed" and spec.a0.dim != n_tasks:
         raise BadPenaltyParam("fixed structure is not %d x %d" % (n_tasks, n_tasks))
 
 
 def _cluster_structure(spec, m):
-    """The cluster map ``M -> A``: invert ``A^{-1}(M)``, which must be PD."""
+    """The cluster map ``M -> A``: invert ``A^{-1}(M)``, which must be PD.
+
+    With ``eps_b == eps_w`` the M term is an exact zero, so every M gives
+    the same A, bit for bit.
+    """
     n_tasks = m.shape[0]
-    u = _ones_projector(n_tasks)
-    a_inv = spec.eps_m * u + spec.eps_b * (m - u) + spec.eps_w * (np.eye(n_tasks) - m)
+    a_inv = ((spec.eps_b - spec.eps_w) * m
+             + (spec.eps_m - spec.eps_b) * _ones_projector(n_tasks)
+             + spec.eps_w * np.eye(n_tasks))
     e = sym_eig(a_inv)
     if e.eigenvalues[-1] <= 1e-12 * max(1.0, abs(e.eigenvalues[0])):
         raise BadPenaltyParam(
@@ -119,7 +142,8 @@ def _cluster_assignment(spec, inv_w, v):
     """``V'MV`` for the M that the cluster map takes to ``V diag(inv_w) V'``.
 
     In the basis V, ``U = gg'/T`` with ``g = V'1``. When ``eps_b == eps_w``
-    the numerator ``V'(A^{-1} - A^{-1}(0))V`` is returned undivided.
+    M cannot be read back from A, and the numerator ``V'(A^{-1} -
+    A^{-1}(0))V`` is returned undivided.
     """
     g = v.sum(axis=0)
     u_part = (spec.eps_m - spec.eps_b) / len(g) * np.outer(g, g)
@@ -168,7 +192,9 @@ def unsupervised_min(spec, b, lam):
     Returns
     -------
     PsdMatrix
-        The minimizing structure matrix; it commutes with ``b``.
+        The minimizing structure matrix. For schatten and trace_one it
+        commutes with ``b``; for cluster, ``A^-1 - (eps_m - eps_b) * U``
+        does.
 
     Raises
     ------
@@ -207,8 +233,6 @@ def unsupervised_min(spec, b, lam):
     if spec.kind == "fixed":
         return spec.a0
 
-    if spec.eps_b == spec.eps_w:
-        return _cluster_structure(spec, np.zeros((n_tasks, n_tasks)))
     # B's r smallest eigenvalues when eps_b > eps_w, else its r largest
     vs = v[:, n_tasks - spec.r:] if spec.eps_b > spec.eps_w else v[:, :spec.r]
     return _cluster_structure(spec, vs @ vs.T)
@@ -217,8 +241,9 @@ def unsupervised_min(spec, b, lam):
 def project_capped_simplex(v, r):
     """Euclidean projection onto ``{x in [0,1]^T : sum(x) = r}``.
 
-    Bisects on the shift ``tau`` in ``x_i = clip(v_i - tau, 0, 1)`` until the
-    sum constraint holds to ``1e-12``.
+    The projection is ``x_i = clip(v_i - tau, 0, 1)``. The sum is piecewise
+    linear and nonincreasing in ``tau``, with breakpoints at ``v_i - 1``
+    and ``v_i``; ``tau`` is interpolated on the piece where it crosses r.
     """
     v = np.asarray(v, dtype=float)
     n = v.size
@@ -226,20 +251,12 @@ def project_capped_simplex(v, r):
         raise BadRank("need 0 < r <= %d, got %r" % (n, r))
     if r == n:
         return np.ones(n)
-    lo = float(np.min(v)) - 1.0
-    hi = float(np.max(v))
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        s = float(np.sum(np.clip(v - mid, 0.0, 1.0)))
-        if abs(s - r) <= 1e-12:
-            break
-        if s > r:
-            lo = mid
-        else:
-            hi = mid
-    else:
-        mid = 0.5 * (lo + hi)
-    return np.clip(v - mid, 0.0, 1.0)
+    taus = np.sort(np.concatenate((v - 1.0, v)))
+    sums = np.clip(v - taus[:, None], 0.0, 1.0).sum(axis=1)  # n down to 0
+    k = np.flatnonzero(sums >= r)[-1]  # sums[k] >= r > sums[k + 1]
+    slope = (taus[k + 1] - taus[k]) / (sums[k] - sums[k + 1])
+    tau = taus[k] + (sums[k] - r) * slope
+    return np.clip(v - tau, 0.0, 1.0)
 
 
 def project_structure(spec, a):
@@ -264,8 +281,6 @@ def project_structure(spec, a):
         w = project_capped_simplex(e.eigenvalues, 1.0)
         return PsdMatrix.from_eig(w, e.eigenvectors)
 
-    if spec.eps_b == spec.eps_w:
-        return _cluster_structure(spec, np.zeros((n_tasks, n_tasks)))
     e = sym_eig(a_arr)
     cut = 1e-12 * max(abs(e.eigenvalues[0]), 1.0)
     inv_w = np.where(np.abs(e.eigenvalues) > cut, 1.0 / e.eigenvalues, 0.0)
@@ -277,14 +292,6 @@ def project_structure(spec, a):
 
 # --- fixed structures from side information ---------------------------------
 
-@dataclass(frozen=True)
-class FixedStructure:
-    """A prescribed coupling matrix plus a note on where it came from."""
-
-    a: PsdMatrix
-    provenance: str
-
-
 def structure_mean_variance(n_tasks, gamma):
     """Coupling whose inverse is ``I + gamma * 11'/T``.
 
@@ -294,10 +301,7 @@ def structure_mean_variance(n_tasks, gamma):
     if gamma < 0:
         raise BadPenaltyParam("mean-variance gamma must be >= 0")
     a_inv = np.eye(n_tasks) + gamma * _ones_projector(n_tasks)
-    return FixedStructure(
-        a=pinv_psd(PsdMatrix(a_inv)),
-        provenance="mean_variance(gamma=%g)" % gamma,
-    )
+    return pinv_psd(PsdMatrix(a_inv))
 
 
 def structure_graph(adjacency, gamma):
@@ -312,10 +316,7 @@ def structure_graph(adjacency, gamma):
     if not gamma > 0:
         raise BadPenaltyParam("graph gamma must be > 0 (the Laplacian is singular)")
     lap = np.diag(np.sum(w, axis=1)) - w
-    return FixedStructure(
-        a=pinv_psd(PsdMatrix(lap + gamma * np.eye(w.shape[0]))),
-        provenance="graph(gamma=%g)" % gamma,
-    )
+    return pinv_psd(PsdMatrix(lap + gamma * np.eye(w.shape[0])))
 
 
 def structure_metric(theta):
@@ -323,13 +324,10 @@ def structure_metric(theta):
     a = PsdMatrix(theta)
     if not a.is_pd():
         raise NotPd("metric must be strictly positive definite")
-    return FixedStructure(a=a, provenance="metric")
+    return a
 
 
 def structure_coding(l_embed):
     """Coupling induced by a linear output code: ``A = L' L``."""
     l_embed = np.atleast_2d(np.asarray(l_embed, dtype=float))
-    return FixedStructure(
-        a=psd_clip(l_embed.T @ l_embed, tol=1e-8),
-        provenance="coding(l=%d)" % l_embed.shape[0],
-    )
+    return psd_clip(l_embed.T @ l_embed, tol=1e-8)

@@ -70,7 +70,7 @@ from .linalg import PsdMatrix, _as_psd, pd_eigenvalues, sylvester_ls_solve
 from .objectives import (
     ProblemInstance, eval_S, grad_S_A, grad_S_C,
 )
-from .penalties import project_structure, unsupervised_min
+from .penalties import check_tasks, project_structure, unsupervised_min
 
 MODES = ("altmin", "bcd")
 SCHEDULES = ("fixed", "geometric")
@@ -152,7 +152,6 @@ class FitReport:
     iters: int
     termination: str
     wall_times: dict
-    final_delta: float
     phase_starts: list = field(default_factory=list)
     substep_values: list = field(default_factory=list)
     supervised_route: str = None
@@ -523,9 +522,10 @@ def fit_gram(gram, y, w, penalty, lam, ridge=0.0, config=None, callback=None):
     call). The returned model keeps ``gram`` and an instance in the
     original basis.
     """
+    n_tasks = np.asarray(y).shape[1]
+    check_tasks(penalty, n_tasks)
     config = config or SolverConfig()
     deltas = config.delta_values()
-    n_tasks = np.asarray(y).shape[1]
     a = _initial_structure(config, n_tasks)
     if config.mode == "bcd" and not penalty.smooth:
         # bcd only lowers S, which is +inf off an indicator's feasible set
@@ -590,7 +590,6 @@ def fit_gram(gram, y, w, penalty, lam, ridge=0.0, config=None, callback=None):
         iters=total_iters,
         termination="converged" if converged else "max_iter",
         wall_times=times,
-        final_delta=deltas[-1],
         phase_starts=phase_starts,
         substep_values=substeps,
         supervised_route=state.route,
@@ -619,6 +618,7 @@ def fit(dataset, kernel_spec, penalty, lam, ridge=0.0, config=None,
     for t in range(dataset.n_tasks):
         if dataset.task_sizes[t] == 0:
             raise EmptyTask(t)
+    check_tasks(penalty, dataset.n_tasks)  # before the kernel is evaluated
     config = config or SolverConfig()
     t0 = time.perf_counter()
     gram = GramMatrix(kernel_spec, dataset.X)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from smtl.cli import main
+from smtl.oracles import OracleReport
 
 
 def write_csv(path, seed=0, n_tasks=3, n_per_task=8, d=2):
@@ -89,6 +90,8 @@ def test_rejected_config_value_is_config_error(tmp_path):
                  "penalty.mu = inf", "penalty.type = cluster\npenalty.r = 0",
                  "penalty.type = cluster\npenalty.r = 5",
                  "penalty.type = cluster\npenalty.eps_w = -1",
+                 "penalty.type = cluster\npenalty.eps_m = 1\n"
+                 "penalty.eps_b = 2\npenalty.eps_w = 0.5",
                  "penalty.p = 0.5", "mode = foo"):
         cfg.write_text(text + "\n")
         assert main(["fit", "--data", str(data),
@@ -141,6 +144,15 @@ def test_verify_filter(capsys):
     assert main(["verify", "--filter", "nuclear"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "nuclear" in out
+
+
+def test_verify_failing_check_exits_four(monkeypatch, capsys):
+    failing = OracleReport("always_fails", False, 1.0, 0.0, 1e-3)
+    monkeypatch.setattr("smtl.cli.run_all", lambda **kw: [failing])
+    assert main(["verify"]) == 4
+    captured = capsys.readouterr()
+    assert "FAIL  always_fails" in captured.out
+    assert "1 of 1 checks failed" in captured.err
 
 
 def test_verify_no_match_fails(capsys):

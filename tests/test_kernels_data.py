@@ -164,6 +164,25 @@ class TestLoader:
             load_dataset(p)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("text, line", [
+        ("", 1),  # empty file
+        ("\n\n", 1),  # only blank lines
+        ("task,y,x1,x3\n0,1.0,2.0,3.0\n", 1),  # misnamed feature column
+        ("task,y,x1\n0,1.0,2.0\nzero,1.0,2.0\n", 3),  # task id not an int
+        ("task,y,x1\n0,1.0,2.0\n1.5,1.0,2.0\n", 3),
+        ("task,y,x1\n0,1.0,2.0\n1,1.0,2.0\n-1,1.0,2.0\n", 4),  # negative
+        ("task,y,x1\n0,inf,2.0\n", 2),  # non-finite values
+        ("task,y,x1\n0,1.0,2.0\n0,1.0,nan\n", 3),
+    ], ids=["empty", "blank", "feature_name", "task_word", "task_float",
+            "task_negative", "y_inf", "x_nan"])
+    def test_malformed_csv_is_parse_error_at_its_line(self, tmp_path, text,
+                                                      line):
+        p = tmp_path / "bad.csv"
+        p.write_text(text)
+        with pytest.raises(ParseError) as err:
+            load_dataset(p)
+        assert err.value.line == line
+
     def test_field_count_mismatch(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("task,y,x1,x2\n0,1.0,2.0,3.0\n1,1.0,2.0\n")

@@ -12,7 +12,7 @@ from smtl.kernels import KernelSpec
 from smtl.metrics import predict
 from smtl.model_io import load_model, save_model
 from smtl.penalties import PenaltySpec
-from smtl.solver import SolverConfig, fit
+from smtl.solver import SolverConfig, fit, refit_supervised
 from smtl.synth import SyntheticSpec, synth_generate
 
 
@@ -52,6 +52,8 @@ class TestModelRoundTrip:
         save_model(model, path)
         back = load_model(path)
         assert back.inst is None
+        with pytest.raises(ValueError, match="no problem instance"):
+            refit_supervised(back, 0.5)
 
     def test_truncated_file_names_missing_block(self, fitted):
         model, tmp = fitted
@@ -102,6 +104,10 @@ class TestModelRoundTrip:
     @pytest.mark.parametrize("line, text", [
         (3, "kind cubic"),
         (4, "gamma -1"),
+        (3, "kind"),
+        (3, "kind linear gaussian"),
+        (4, "gamma"),
+        (4, "gamma half"),
     ])
     def test_bad_kernel_is_parse_error_at_its_line(self, fitted, line, text):
         model, tmp = fitted
@@ -115,6 +121,60 @@ class TestModelRoundTrip:
         with pytest.raises(ParseError) as err:
             load_model(bad)
         assert err.value.line == line
+
+    @pytest.mark.parametrize("target, text", [
+        ("[kernel]", "[kern]"),
+        ("[X]", "[X] 24"),
+        ("[X]", "(X) 24 3"),
+        ("[X]", "[X] 24 three"),
+        ("[C]", "[C] 24.0 3"),
+        ("[X]", "[X] -24 3"),
+        ("[A]", "[A] 3 -3"),
+    ], ids=["no_kernel_block", "header_fields", "header_name",
+            "dims_word", "dims_float", "dims_negative_rows",
+            "dims_negative_cols"])
+    def test_bad_block_header_is_parse_error_at_its_line(self, fitted,
+                                                         target, text):
+        model, tmp = fitted
+        path = tmp / "m.txt"
+        save_model(model, path)
+        lines = path.read_text().split("\n")
+        line = next(i for i, l in enumerate(lines) if l.startswith(target))
+        lines[line] = text
+        bad = tmp / "block.txt"
+        bad.write_text("\n".join(lines))
+        with pytest.raises(ParseError) as err:
+            load_model(bad)
+        assert err.value.line == line + 1
+
+    def test_non_numeric_entry_is_parse_error_at_its_line(self, fitted):
+        model, tmp = fitted
+        path = tmp / "m.txt"
+        save_model(model, path)
+        lines = path.read_text().split("\n")
+        line = next(i for i, l in enumerate(lines) if l.startswith("[C]")) + 3
+        lines[line] = " ".join(["0.5", "one"] + lines[line].split()[2:])
+        bad = tmp / "word.txt"
+        bad.write_text("\n".join(lines))
+        with pytest.raises(ParseError, match=r"\[C\] row 3") as err:
+            load_model(bad)
+        assert err.value.line == line + 1
+
+    def test_coefficient_rows_must_match_inputs(self, fitted):
+        # a [C] block with one row fewer than [X] is consistent on its own;
+        # the mismatch is found once [A], the last block, is read
+        model, tmp = fitted
+        path = tmp / "m.txt"
+        save_model(model, path)
+        lines = path.read_text().rstrip("\n").split("\n")
+        c_header = next(i for i, l in enumerate(lines) if l.startswith("[C]"))
+        lines[c_header] = "[C] 23 3"
+        del lines[c_header + 1]
+        bad = tmp / "rows.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=r"\[C\] row count") as err:
+            load_model(bad)
+        assert err.value.line == len(lines)
 
     @pytest.mark.parametrize("block, row, value", [
         ("kernel", 2, "inf"),  # the gamma line
@@ -221,6 +281,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as exc:
             parse_config(text)
         assert exc.value.line == line
+
+    def test_empty_value_reports_line(self):
+        with pytest.raises(ConfigError, match="missing value") as exc:
+            parse_config("lambda = 0.5\nmax_iter =  # none\n")
+        assert exc.value.line == 2
 
     def test_missing_equals(self):
         with pytest.raises(ConfigError):

@@ -21,6 +21,8 @@ from smtl.kernels import KernelSpec
 from smtl.linalg import PsdMatrix
 from smtl.penalties import (
     PenaltySpec,
+    _cluster_structure,
+    check_tasks,
     penalty_value,
     project_capped_simplex,
     project_structure,
@@ -63,13 +65,22 @@ class TestClosedForms:
         assert_allclose(a.data, a0.data)
 
     def test_minimizer_commutes_with_b(self):
+        """Spectral penalties: A commutes with B. Cluster: A^-1 does once
+        its fixed ones-vector part (eps_m - eps_b) U is taken out."""
         rng = np.random.default_rng(1)
         for spec in (PenaltySpec.schatten(1.0, 0.7),
                      PenaltySpec.schatten(2.0, 1.3),
-                     PenaltySpec.trace_one()):
-            b = PsdMatrix(random_pd(rng, 4))
+                     PenaltySpec.trace_one(),
+                     PenaltySpec.cluster(2, 0.5, 1.0, 2.0),
+                     PenaltySpec.cluster(2, 1.0, 1.5, 1.0),
+                     PenaltySpec.cluster(3, 1.3, 1.0, 1.0)):
+            b = PsdMatrix(random_pd(rng, 5))
             a = unsupervised_min(spec, b, lam=0.9)
-            comm = a.data @ b.data - b.data @ a.data
+            x = a.data
+            if spec.kind == "cluster":
+                x = (np.linalg.inv(a.data)
+                     - (spec.eps_m - spec.eps_b) * np.full((5, 5), 0.2))
+            comm = x @ b.data - b.data @ x
             assert np.max(np.abs(comm)) <= 1e-8
 
     def test_requires_strictly_pd_b(self):
@@ -161,6 +172,51 @@ class TestCluster:
             unsupervised_min(PenaltySpec.cluster(r=5, eps_m=1, eps_b=1.2, eps_w=1),
                              PsdMatrix(np.eye(2)), lam=1.0)
 
+    @pytest.mark.parametrize("eps", [(1.0, 2.0, 0.5), (1.0, 1.5, 0.5),
+                                     (0.5, 3.0, 0.5)])
+    def test_weights_that_can_be_singular_are_rejected(self, eps):
+        """eps_b >= eps_m + eps_w (the boundary included) is rejected for
+        r < T, naming the three weights: some rank-r projector M then has a
+        singular or indefinite A^-1(M)."""
+        eps_m, eps_b, eps_w = eps
+        t, r = 4, 2
+        spec = PenaltySpec.cluster(r, *eps)
+        with pytest.raises(BadPenaltyParam) as err:
+            check_tasks(spec, t)
+        for name, value in zip(("eps_m", "eps_b", "eps_w"), eps):
+            assert "%s=%g" % (name, value) in str(err.value)
+        q = np.linalg.qr(np.hstack([np.ones((t, 1)),
+                                    np.eye(t)[:, :r]]))[0][:, 1:]
+        m = q @ q.T  # a projector orthogonal to the ones vector
+        a_inv = ((eps_b - eps_w) * m + (eps_m - eps_b) * np.full((t, t), 1 / t)
+                 + eps_w * np.eye(t))
+        assert np.linalg.eigvalsh(a_inv)[0] <= 1e-12
+        check_tasks(spec, r)  # r = T: M = I, which is always PD
+
+    @pytest.mark.parametrize("eps", [(1.0, 1.5, 1.0), (1.0, 0.5, 2.0),
+                                     (1.0, 1.2, 1.0), (1.0, 1.5, 0.8),
+                                     (1.0, 0.6, 2.0), (1.3, 1.0, 1.0),
+                                     (0.25, 0.25, 0.25), (0.5, 1.0, 2.0)])
+    def test_weights_in_use_stay_accepted(self, eps):
+        # the triples of the tests and of the benchmark's cluster fit
+        for t in (2, 3, 40, 300):
+            check_tasks(PenaltySpec.cluster(1, *eps), t)
+
+    def test_random_accepted_weights_map_every_assignment_to_pd(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            t = int(rng.integers(2, 7))
+            r = int(rng.integers(1, t + 1))
+            spec = PenaltySpec.cluster(r, *rng.uniform(0.1, 3.0, size=3))
+            try:
+                check_tasks(spec, t)
+            except BadPenaltyParam:
+                continue
+            w = project_capped_simplex(rng.uniform(-1.0, 2.0, size=t), r)
+            q = np.linalg.qr(rng.standard_normal((t, t)))[0]
+            a = _cluster_structure(spec, (q * w) @ q.T)
+            assert a.eigenvalues[-1] > 0.0
+
 
 def dense_cluster_verdict(spec, a):
     """The dense route to cluster membership: form A^-1, recover M from the
@@ -215,7 +271,35 @@ class TestClusterMembership:
                 self.check(spec, np.eye(n_tasks), np.inf)
 
 
+def bisect_capped_simplex(v, r, steps=300):
+    """Reference projection: bisection on tau in x = clip(v - tau, 0, 1)."""
+    lo, hi = np.min(v) - 1.0, np.max(v)
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if np.sum(np.clip(v - mid, 0.0, 1.0)) > r:
+            lo = mid
+        else:
+            hi = mid
+    return np.clip(v - 0.5 * (lo + hi), 0.0, 1.0)
+
+
 class TestCappedSimplex:
+    def test_matches_reference_bisection(self):
+        """Every r from 1 to T, on spread, tied and rounded inputs."""
+        rng = np.random.default_rng(8)
+        for trial in range(400):
+            n = int(rng.integers(1, 12))
+            v = rng.standard_normal(n) * rng.choice([0.1, 1.0, 30.0])
+            if trial % 3 == 1:  # ties, also at distance 1
+                v = rng.choice([-1.0, 0.0, 0.5, 1.0, 2.0], size=n)
+            elif trial % 3 == 2:
+                v = np.round(v, 1)
+            for r in range(1, n + 1):
+                x = project_capped_simplex(v, r)
+                ref = bisect_capped_simplex(v, r)
+                assert np.max(np.abs(x - ref)) <= 1e-10 * (1 + np.max(np.abs(v)))
+                assert abs(np.sum(x) - r) <= 1e-12 * r
+
     def test_frozen_example(self):
         out = project_capped_simplex(np.array([0.9, 0.5, 0.2]), 1.0)
         assert_allclose(out, [0.7, 0.3, 0.0], atol=1e-10)
@@ -273,6 +357,15 @@ class TestProjectStructure:
         p = project_structure(PenaltySpec.fixed(a0), PsdMatrix(np.eye(2)))
         assert_allclose(p.data, a0)
 
+    def test_cluster_with_equal_weights_projects_to_its_one_point(self):
+        # eps_b == eps_w: every assignment maps to the same A
+        rng = np.random.default_rng(6)
+        spec = PenaltySpec.cluster(2, 1.3, 1.0, 1.0)
+        a = unsupervised_min(spec, PsdMatrix(random_pd(rng, 5)), lam=0.7)
+        p = project_structure(spec, PsdMatrix(random_pd(rng, 5)))
+        assert np.array_equal(p.data, a.data)
+        assert penalty_value(spec, p) == 0.0
+
     def test_schatten_has_no_projection(self):
         with pytest.raises(UnsupportedPenalty):
             project_structure(PenaltySpec.schatten(1.0, 1.0), PsdMatrix(np.eye(2)))
@@ -281,19 +374,19 @@ class TestProjectStructure:
 class TestBuilders:
     def test_mean_variance_gamma_zero_is_identity(self):
         s = structure_mean_variance(4, 0.0)
-        assert_allclose(s.a.data, np.eye(4))
+        assert_allclose(s.data, np.eye(4))
 
     def test_mean_variance_penalizes_mean(self):
         s = structure_mean_variance(3, 5.0)
-        w = np.linalg.eigvalsh(s.a.data)
+        w = np.linalg.eigvalsh(s.data)
         assert w.min() > 0
         # the all-ones direction is shrunk
         ones = np.ones(3) / np.sqrt(3)
-        assert ones @ s.a.data @ ones < 1.0
+        assert ones @ s.data @ ones < 1.0
 
     def test_graph_empty_adjacency(self):
         s = structure_graph(np.zeros((3, 3)), gamma=2.0)
-        assert_allclose(s.a.data, np.eye(3) / 2.0, atol=1e-12)
+        assert_allclose(s.data, np.eye(3) / 2.0, atol=1e-12)
 
     def test_graph_requires_symmetry(self):
         adj = np.zeros((2, 2))
@@ -305,10 +398,24 @@ class TestBuilders:
         with pytest.raises(NotPd):
             structure_metric(np.diag([1.0, 0.0]))
 
+    def test_metric_is_used_as_is(self):
+        theta = np.array([[2.0, 0.5], [0.5, 1.0]])
+        assert np.array_equal(structure_metric(theta).data, theta)
+
+    def test_builders_feed_fixed_penalty(self):
+        adj = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 2.0, 0.0]])
+        s = structure_graph(adj, gamma=0.5)
+        spec = PenaltySpec.fixed(s)
+        assert spec.a0 is s
+        a = unsupervised_min(spec, PsdMatrix(np.eye(3)), lam=1.0)
+        assert_allclose(np.linalg.inv(a.data),
+                        np.diag(adj.sum(axis=1)) - adj + 0.5 * np.eye(3),
+                        atol=1e-12)
+
     def test_coding(self):
         l_embed = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
         s = structure_coding(l_embed)
-        assert_allclose(s.a.data, l_embed.T @ l_embed, atol=1e-12)
+        assert_allclose(s.data, l_embed.T @ l_embed, atol=1e-12)
 
 
 def test_penalty_value_schatten():

@@ -62,6 +62,32 @@ def test_traced_masked_fit_records_cg_route(tracer):
     assert {"solver.fit", "solver.fit_gram", "objectives.eval_S"} <= names
 
 
+def test_traced_cluster_fit_records_one_eig_per_a_step(tracer):
+    """penalties.unsupervised_min_s.cluster times the cluster map: one span
+    per A-step, each around one T x T eigendecomposition."""
+    rng = np.random.default_rng(1)
+    n, n_tasks = 30, 6
+    ds = TaskDataset(X=rng.standard_normal((n, 3)),
+                     Y=rng.standard_normal((n, n_tasks)),
+                     W=np.ones((n, n_tasks)), task_ids=np.zeros(n, dtype=int),
+                     task_sizes=np.full(n_tasks, n))
+    with tracer.Tracer() as t:
+        _, rep = smtl.solver.fit(ds, KernelSpec("gaussian", gamma=0.5),
+                                 PenaltySpec.cluster(2, 0.5, 1.0, 2.0), 0.1,
+                                 config=SolverConfig(max_iter=3,
+                                                     epsilon=1e-300))
+    assert rep.iters == 3
+    a_steps = [s for s in t.spans if s["name"] == "solver.unsupervised_step"]
+    mins = [s for s in t.spans if s["name"] == "penalties.unsupervised_min"]
+    assert len(a_steps) == 3
+    assert [s["parent"] for s in mins] == [s["id"] for s in a_steps]
+    for span in mins:
+        assert span["kind"] == "cluster"
+        eigs = [s for s in t.spans if s["parent"] == span["id"]]
+        assert [(s["name"], s["dim"]) for s in eigs] == [("linalg.sym_eig",
+                                                          n_tasks)]
+
+
 def route_table():
     """(weight pattern, its altmin route) for n = 6 rows and T = 3 tasks."""
     n, t = 6, 3

@@ -11,7 +11,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from smtl.data import TaskDataset, dataset_from_rows
-from smtl.errors import CgStall, EmptyTask, NotStrictlyPd
+from smtl.errors import (
+    BadPenaltyParam, CgStall, DimensionMismatch, EmptyTask, NotStrictlyPd,
+)
 from smtl.kernels import GramMatrix, KernelSpec
 from smtl.linalg import PsdMatrix, sylvester_ls_solve
 from smtl.objectives import ProblemInstance, eval_S, grad_S_A, grad_S_C
@@ -485,7 +487,7 @@ class TestFit:
                          config=SolverConfig(epsilon=1e-12, max_iter=300,
                                              delta=1e-3))
         k = model.gram.K.data
-        b = model.C.T @ k @ model.C + rep.final_delta ** 2 * np.eye(3)
+        b = model.C.T @ k @ model.C + model.inst.delta ** 2 * np.eye(3)
         comm = model.A.data @ b - b @ model.A.data
         assert np.max(np.abs(comm)) <= 1e-8
 
@@ -509,7 +511,7 @@ class TestFit:
         model, rep = fit(ds, KernelSpec("linear"),
                          PenaltySpec.schatten(1.0, 1.0), 0.1, config=cfg)
         assert len(rep.phase_starts) == 4  # 1e-1 .. 1e-4
-        assert rep.final_delta == pytest.approx(1e-4)
+        assert model.inst.delta == pytest.approx(1e-4)
         traj = np.asarray(rep.objective_trajectory)
         assert np.all(np.diff(traj) <= 1e-10 * (1 + np.abs(traj[:-1])))
 
@@ -525,7 +527,7 @@ class TestFit:
             model, rep = fit(ds, KernelSpec("linear"),
                              PenaltySpec.schatten(1.0, 1.0), 0.1, config=cfg)
             assert len(rep.phase_starts) == len(cfg.delta_values())
-            assert rep.final_delta == pytest.approx(floor)
+            assert model.inst.delta == pytest.approx(floor)
             assert np.all(np.isfinite(rep.objective_trajectory))
             assert model.A.eigenvalues[-1] > 0.0
 
@@ -585,6 +587,33 @@ class TestFit:
         with pytest.raises(NotStrictlyPd):
             fit(ds, KernelSpec("linear"), PenaltySpec.schatten(1.0, 1.0),
                 0.1, config=cfg)
+
+    def test_initial_structure_must_match_task_count(self):
+        ds = make_dataset(seed=16)
+        cfg = SolverConfig(a0=np.eye(2))
+        with pytest.raises(DimensionMismatch, match="2 x 2.*3 tasks"):
+            fit(ds, KernelSpec("linear"), PenaltySpec.schatten(1.0, 1.0),
+                0.1, config=cfg)
+
+    def test_cluster_weights_that_can_be_singular_are_rejected(self,
+                                                                monkeypatch):
+        """eps_b >= eps_m + eps_w fails before any kernel work when r < T;
+        at r = T the assignment is M = I and the same weights fit."""
+        ds = make_dataset(seed=16)  # T = 3
+        kernel = KernelSpec("gaussian", gamma=0.5)
+        evaluated = []
+        monkeypatch.setattr("smtl.kernels.gram",
+                            lambda *a, **k: evaluated.append(1))
+        for r in (1, 2):
+            with pytest.raises(BadPenaltyParam, match="eps_m=1, eps_b=2, eps_w=0.5"):
+                fit(ds, kernel, PenaltySpec.cluster(r, 1.0, 2.0, 0.5), 0.1)
+            with pytest.raises(BadPenaltyParam):  # the boundary
+                fit(ds, kernel, PenaltySpec.cluster(r, 1.0, 1.5, 0.5), 0.1)
+        assert not evaluated
+        monkeypatch.undo()
+        _, rep = fit(ds, kernel, PenaltySpec.cluster(3, 1.0, 2.0, 0.5),
+                     0.1, config=SolverConfig(max_iter=5))
+        assert np.isfinite(rep.objective_trajectory[-1])  # [0] is at A = I
 
     def test_wall_times_partition(self):
         ds = make_dataset(seed=17)
