@@ -33,8 +33,9 @@ class SingularMatrix(SmtlError):
 
 
 class SingularA(SingularMatrix, NotStrictlyPd):
-    """A barrier iterate that must be inverted is not strictly positive
-    definite (raised by :func:`smtl.linalg.pd_eigenvalues`)."""
+    """A matrix that must be inverted (a barrier iterate, or the cluster
+    map's ``A^{-1}(M)``) is not strictly positive definite (raised by
+    :func:`smtl.linalg.pd_eigenvalues`)."""
 
 
 class BadExponent(SmtlError):

@@ -14,12 +14,14 @@ Conventions used throughout the package:
   absorb roundoff;
 * rank decisions (pseudoinverses, range projectors, fractional powers)
   count eigenvalues at or below ``RANK_TOL * max(eigenvalue)`` as zero;
-* inverting a barrier iterate (a structure matrix A, or B = C'KC + delta^2 I
-  in the A-step) needs only strict positivity, ``w > 0``, tested in one
-  place, :func:`pd_eigenvalues`. The relative rank test would be wrong
-  there: with barrier size delta, A's smallest eigenvalues are of order
-  delta and B's of order delta^2, far below ``RANK_TOL * ||A||`` yet
-  legitimately positive.
+* whether a matrix may be inverted (a structure matrix A, B = C'KC +
+  delta^2 I in the A-step, the cluster map's ``A^{-1}(M)``, an ``a0`` or
+  a prescribed metric) has one answer, strict positivity ``w_min > 0``,
+  written only here: :func:`pd_eigenvalues` raises, and
+  :meth:`PsdMatrix.is_pd` returns false, exactly when it fails. The
+  relative rank test would be wrong there: with barrier size delta, A's
+  smallest eigenvalues are of order delta and B's of order delta^2, far
+  below ``RANK_TOL * ||A||`` yet legitimately positive.
 """
 
 import numpy as np
@@ -190,8 +192,9 @@ class PsdMatrix:
         return int(np.sum(self.eigenvalues > self.rank_cut()))
 
     def is_pd(self):
-        """True when every eigenvalue clears the rank threshold."""
-        return bool(self.eigenvalues[-1] > self.rank_cut())
+        """True when every eigenvalue is strictly positive, so the matrix
+        may be inverted (see the module notes)."""
+        return bool(self.eigenvalues[-1] > 0.0)
 
 
 def _as_psd(a):
@@ -299,8 +302,10 @@ def range_contained(b, a, tol=1e-8):
 def pd_eigenvalues(a):
     """Eigenvalues of a strictly positive definite matrix, for inverting it.
 
-    The test is ``w > 0``, not the relative rank test (see the module
-    notes), so barrier iterates with eigenvalues of order delta pass.
+    ``a`` is a :class:`PsdMatrix` or a :class:`SymEig`. The test is
+    :meth:`PsdMatrix.is_pd`'s ``w > 0``, not the relative rank test (see
+    the module notes), so barrier iterates with eigenvalues of order delta
+    pass.
 
     Raises
     ------

@@ -75,8 +75,14 @@ class _Reader:
             raise ParseError(self.pos, "negative dimensions in %r" % line)
         return rows, cols
 
-    def read_matrix(self, name):
+    def read_matrix(self, name, shape=(None, None), mismatch=None):
+        """Read a ``[name] rows cols`` block. ``shape`` is the (rows, cols)
+        that the blocks before it require, None where free; a header that
+        declares another shape raises ``mismatch`` at the header's line."""
         rows, cols = self.read_block_header(name)
+        if shape[0] not in (None, rows) or shape[1] not in (None, cols):
+            raise ParseError(self.pos, "%s, declared %d x %d"
+                             % (mismatch, rows, cols))
         out = np.empty((rows, cols))
         for i in range(rows):
             line = self.next_line("row %d of [%s]" % (i + 1, name))
@@ -137,12 +143,11 @@ def load_model(path):
     except BadKernelParam as exc:
         raise ParseError(rd.pos, str(exc)) from exc
     x = rd.read_matrix("X")
-    c = rd.read_matrix("C")
-    a = rd.read_matrix("A")
-    if c.shape[0] != x.shape[0]:
-        raise ParseError(rd.pos, "[C] row count does not match [X]")
-    if a.shape[0] != a.shape[1] or a.shape[0] != c.shape[1]:
-        raise ParseError(rd.pos, "[A] must be T x T matching [C] columns")
+    c = rd.read_matrix("C", (x.shape[0], None),
+                       "[C] row count does not match [X]'s %d" % x.shape[0])
+    t = c.shape[1]
+    a = rd.read_matrix("A", (t, t),
+                       "[A] must be T x T matching [C]'s %d columns" % t)
     try:
         a = PsdMatrix(a)
     except NotPsd as exc:

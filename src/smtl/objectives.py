@@ -3,7 +3,7 @@
 Three functionals of a coefficient matrix ``C`` (n x T) and a coupling
 matrix ``A`` (T x T) are exposed:
 
-* ``eval_Q`` : ``V(Y, K C A) + lam tr(A C'KC) + F(A) [+ ridge tr(C'KC)]``,
+* ``eval_Q`` : ``V(Y, K C A) + lam tr(A C'KC) + F(A) [+ ridge tr(A C'KC A)]``,
   the original nonconvex form in which predictions are ``K C A``;
 * ``eval_R`` : ``V(Y, K C) + lam tr(A^+ C'KC) + F(A) [+ ridge tr(C'KC)]``
   restricted to pairs with ``Ran(C'KC)`` inside ``Ran(A)`` (``+inf``
@@ -23,7 +23,8 @@ with K (``K @ C``, ``C'KC`` and these forms) comes from the
 ``GramMatrix``, which picks its form.
 
 The value-preserving maps between Q- and R-minimizers are ``map_Q_to_R``
-(``C -> C A``) and ``map_R_to_Q`` (``C -> C A^+``).
+(``C -> C A``) and ``map_R_to_Q`` (``C -> C A^+``). Q's ridge term is R's
+at ``C A``, so the maps preserve it too.
 """
 
 from dataclasses import dataclass, replace
@@ -108,8 +109,8 @@ def eval_Q(inst, c, a):
     m = inst.gram.quad(c, kc)
     v, _ = loss_value_grad(inst.Y, kc @ a.data, inst.W)
     value = v + inst.lam * float(np.sum(a.data * m))
-    if inst.ridge:
-        value += inst.ridge * float(np.trace(m))
+    if inst.ridge:  # tr(A C'KC A), R's ridge term at C A
+        value += inst.ridge * float(np.sum((a.data @ m) * a.data))
     return value + penalty_value(inst.penalty, a)
 
 

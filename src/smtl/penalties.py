@@ -19,7 +19,10 @@ For each penalty, :func:`unsupervised_min` returns the exact minimizer of
 structure update of the alternating algorithm. For schatten and trace_one
 the minimizer shares eigenvectors with ``B`` and only eigenvalues get
 remapped; for cluster, ``A^-1 - (eps_m - eps_b) * U`` does, because the
-minimizing M is spanned by eigenvectors of ``B``.
+minimizing M is spanned by eigenvectors of ``B``. For each penalty,
+:func:`project_structure` maps a symmetric matrix onto the set its
+structure may take, which is the A-step of the gradient (bcd) algorithm:
+for schatten that set is ``{A >= 1e-12 I}``.
 
 The cluster map ``M -> A`` is written once (:func:`_cluster_structure`).
 When ``eps_b == eps_w`` its M term is exactly ``0 * M``, so every M gives
@@ -35,13 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AsymmetricAdjacency,
-    BadPenaltyParam,
-    BadRank,
-    NotPd,
-    UnsupportedPenalty,
-)
+from .errors import AsymmetricAdjacency, BadPenaltyParam, BadRank, NotPd
 from .linalg import (
     PsdMatrix, _as_psd, pd_eigenvalues, pinv_psd, psd_clip, sym_eig,
 )
@@ -120,22 +117,18 @@ def check_tasks(spec, n_tasks):
 
 
 def _cluster_structure(spec, m):
-    """The cluster map ``M -> A``: invert ``A^{-1}(M)``, which must be PD.
+    """The cluster map ``M -> A``: invert ``A^{-1}(M)``.
 
-    With ``eps_b == eps_w`` the M term is an exact zero, so every M gives
-    the same A, bit for bit.
+    :func:`check_tasks` keeps ``A^{-1}(M)`` PD on ``S_c``; the inverse is
+    taken through :func:`pd_eigenvalues`. With ``eps_b == eps_w`` the M
+    term is an exact zero, so every M gives the same A, bit for bit.
     """
     n_tasks = m.shape[0]
     a_inv = ((spec.eps_b - spec.eps_w) * m
              + (spec.eps_m - spec.eps_b) * _ones_projector(n_tasks)
              + spec.eps_w * np.eye(n_tasks))
     e = sym_eig(a_inv)
-    if e.eigenvalues[-1] <= 1e-12 * max(1.0, abs(e.eigenvalues[0])):
-        raise BadPenaltyParam(
-            "structure inverse is not positive definite "
-            "(eigenvalue %.3e); check the epsilon weights" % e.eigenvalues[-1]
-        )
-    return PsdMatrix.from_eig(1.0 / e.eigenvalues, e.eigenvectors)
+    return PsdMatrix.from_eig(1.0 / pd_eigenvalues(e), e.eigenvectors)
 
 
 def _cluster_assignment(spec, inv_w, v):
@@ -260,28 +253,27 @@ def project_capped_simplex(v, r):
 
 
 def project_structure(spec, a):
-    """Project a symmetric matrix onto the feasible set of an indicator penalty.
+    """Project a symmetric matrix onto the set a structure step may take.
 
-    trace_one projects the spectrum onto the unit simplex; cluster projects in
-    assignment space (recover ``M``, project its eigenvalues onto the capped
-    simplex, map back through the affine inverse); fixed returns ``A0``.
-    Schatten penalties have no feasible set to project onto.
+    This is bcd's A-step for every penalty. schatten floors the spectrum
+    at 1e-12, onto ``{A >= 1e-12 I}``; trace_one projects the spectrum
+    onto the unit simplex; cluster projects in assignment space (recover
+    ``M``, project its eigenvalues onto the capped simplex, map back
+    through the affine inverse); fixed returns ``A0``.
     """
-    if spec.kind == "schatten":
-        raise UnsupportedPenalty("schatten penalties are smooth; nothing to project")
     a_arr = a.data if isinstance(a, PsdMatrix) else np.asarray(a, dtype=float)
-    n_tasks = a_arr.shape[0]
-    check_tasks(spec, n_tasks)
-
+    check_tasks(spec, a_arr.shape[0])
     if spec.kind == "fixed":
         return spec.a0
 
+    e = sym_eig(a_arr)
+    if spec.kind == "schatten":
+        w = np.maximum(e.eigenvalues, 1e-12)
+        return PsdMatrix.from_eig(w, e.eigenvectors)
     if spec.kind == "trace_one":
-        e = sym_eig(a_arr)
         w = project_capped_simplex(e.eigenvalues, 1.0)
         return PsdMatrix.from_eig(w, e.eigenvectors)
 
-    e = sym_eig(a_arr)
     cut = 1e-12 * max(abs(e.eigenvalues[0]), 1.0)
     inv_w = np.where(np.abs(e.eigenvalues) > cut, 1.0 / e.eigenvalues, 0.0)
     em = sym_eig(_cluster_assignment(spec, inv_w, e.eigenvectors))

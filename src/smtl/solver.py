@@ -4,8 +4,9 @@ Two modes share one outer loop:
 
 * ``altmin`` alternates exact minimization in ``C`` (a linear solve) with the
   closed-form structure update from :func:`smtl.penalties.unsupervised_min`;
-* ``bcd`` takes single gradient steps in each block, projecting the structure
-  back onto the feasible set for indicator penalties. Step sizes are
+* ``bcd`` takes single gradient steps in each block and projects the
+  structure with :func:`smtl.penalties.project_structure`, whatever the
+  penalty (a schatten one onto ``{A >= 1e-12 I}``). Step sizes are
   user-supplied constants guarded by backtracking halving, so a step that
   would increase the objective is shrunk and, failing that, rejected.
 
@@ -88,8 +89,7 @@ class SolverConfig:
     With the geometric schedule, delta is multiplied by ``delta_factor``
     after each converged phase until it would drop below ``delta_floor``.
     ``a0`` overrides the identity initialization of the structure matrix;
-    bcd with an indicator penalty starts from its projection onto the
-    feasible set.
+    bcd starts from its projection by ``project_structure``.
     """
 
     mode: str = "altmin"
@@ -461,9 +461,8 @@ def unsupervised_step(inst, c, a_prev, mode="altmin", step=None, kc=None):
     """One update of the structure block.
 
     altmin applies the closed-form minimizer of the penalized trace problem;
-    bcd takes a projected (for indicator penalties) or eigenvalue-floored
-    (for smooth penalties) gradient step, guarded by halving. ``kc`` is
-    ``K @ c``, if the caller has it.
+    bcd takes a gradient step projected by ``project_structure``, guarded
+    by halving. ``kc`` is ``K @ c``, if the caller has it.
     """
     if mode == "altmin":
         # B = C'KC + delta^2 I in the eigenbasis V of M = C'KC. M's
@@ -480,15 +479,10 @@ def unsupervised_step(inst, c, a_prev, mode="altmin", step=None, kc=None):
         return unsupervised_min(inst.penalty, b, inst.lam)
     g = grad_S_A(inst, c, a_prev)
     s_prev = _safe_S(inst, c, a_prev)
-    smooth = inst.penalty.smooth
 
     def make(scale):
-        raw = a_prev.data - scale * step * g
-        if smooth:
-            e = linalg.sym_eig(raw)
-            return (c, PsdMatrix.from_eig(np.maximum(e.eigenvalues, 1e-12),
-                                          e.eigenvectors))
-        return (c, project_structure(inst.penalty, raw))
+        return (c, project_structure(inst.penalty,
+                                     a_prev.data - scale * step * g))
 
     _, a_new = _backtrack(inst, s_prev, make(1.0), (c, a_prev), make)
     return a_new
@@ -527,10 +521,11 @@ def fit_gram(gram, y, w, penalty, lam, ridge=0.0, config=None, callback=None):
     config = config or SolverConfig()
     deltas = config.delta_values()
     a = _initial_structure(config, n_tasks)
-    if config.mode == "bcd" and not penalty.smooth:
-        # bcd only lowers S, which is +inf off an indicator's feasible set
+    if config.mode == "bcd":
+        # start where the projected A-steps stay: S is +inf off an
+        # indicator's set, and a guarded step only lowers S
         a = project_structure(penalty, a)
-        if not a.eigenvalues[-1] > 0.0:
+        if not a.is_pd():
             raise NotStrictlyPd(
                 "bcd starts from a0 (I if unset) projected onto the %s "
                 "feasible set, and that projection is singular (smallest "

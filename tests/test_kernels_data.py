@@ -135,6 +135,11 @@ class TestDatasetFromRows:
         with pytest.raises(EmptyTask):
             dataset_from_rows(np.array([0, 2]), np.zeros(2), np.ones((2, 1)))
 
+    def test_unknown_weighting_rejected(self):
+        with pytest.raises(ValueError):
+            dataset_from_rows(np.array([0, 1]), np.zeros(2), np.ones((2, 1)),
+                              weighting="balanced")
+
 
 class TestLoader:
     def test_round_trip_is_bitwise(self, tmp_path):
@@ -218,6 +223,9 @@ def test_loss_value_and_gradient():
         vp, _ = loss_value_grad(y, zp, w)
         vm, _ = loss_value_grad(y, zm, w)
         assert abs((vp - vm) / (2 * h) - g[idx]) < 1e-6
+    for shapes in [((4, 2), (4, 3), (4, 2)), ((4, 2), (4, 2), (3, 2))]:
+        with pytest.raises(DimensionMismatch):
+            loss_value_grad(*(np.ones(s) for s in shapes))
 
 
 def test_loss_is_permutation_invariant():

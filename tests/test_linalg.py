@@ -15,6 +15,7 @@ from smtl.errors import (
 from smtl.linalg import (
     PsdMatrix,
     kron_ls_solve,
+    pd_eigenvalues,
     pinv_psd,
     psd_clip,
     psd_power,
@@ -81,6 +82,17 @@ class TestPsdMatrix:
         rng = np.random.default_rng(1)
         a = PsdMatrix(random_psd(rng, 5, rank=3))
         assert a.rank() == 3
+
+    def test_is_pd_is_strict_positivity(self):
+        """is_pd and pd_eigenvalues share one rule, w_min > 0: an eigenvalue
+        far below the rank cut but positive may be inverted."""
+        tiny = PsdMatrix(np.diag([1.0, 1e-14]))
+        assert tiny.rank() == 1 and tiny.is_pd()
+        assert pd_eigenvalues(tiny)[-1] == 1e-14
+        zero = PsdMatrix(np.diag([1.0, 0.0]))
+        assert not zero.is_pd()
+        with pytest.raises(SingularA):
+            pd_eigenvalues(zero)
 
     def test_data_is_frozen(self):
         a = PsdMatrix(np.eye(2))
@@ -159,6 +171,8 @@ def test_range_contained():
     outside = np.array([[1.0, 0.0], [0.0, 0.0], [0.5, 0.0]])
     assert range_contained(inside, a)
     assert not range_contained(outside, a)
+    with pytest.raises(DimensionMismatch):
+        range_contained(np.ones((2, 2)), a)
 
 
 class TestSylvesterSolve:
@@ -201,3 +215,13 @@ class TestSylvesterSolve:
         a = PsdMatrix(np.diag([1.0, 0.0]))
         with pytest.raises(SingularA):
             sylvester_ls_solve(k, a, 1.0, np.ones((3, 2)))
+
+    def test_bad_inputs_rejected(self):
+        k = PsdMatrix(np.eye(3))
+        a = PsdMatrix(np.eye(2))
+        for lam in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                sylvester_ls_solve(k, a, lam, np.ones((3, 2)))
+        for solve in (sylvester_ls_solve, kron_ls_solve):
+            with pytest.raises(DimensionMismatch):
+                solve(k, a, 1.0, np.ones((2, 3)))

@@ -162,7 +162,7 @@ class TestModelRoundTrip:
 
     def test_coefficient_rows_must_match_inputs(self, fitted):
         # a [C] block with one row fewer than [X] is consistent on its own;
-        # the mismatch is found once [A], the last block, is read
+        # the mismatch is reported at the [C] header, which declares it
         model, tmp = fitted
         path = tmp / "m.txt"
         save_model(model, path)
@@ -174,7 +174,22 @@ class TestModelRoundTrip:
         bad.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match=r"\[C\] row count") as err:
             load_model(bad)
-        assert err.value.line == len(lines)
+        assert err.value.line == c_header + 1
+
+    @pytest.mark.parametrize("text", ["[A] 3 2", "[A] 2 2", "[A] 4 4"],
+                             ids=["not_square", "too_small", "too_large"])
+    def test_structure_shape_is_reported_at_its_header(self, fitted, text):
+        model, tmp = fitted
+        path = tmp / "m.txt"
+        save_model(model, path)
+        lines = path.read_text().split("\n")
+        a_header = next(i for i, l in enumerate(lines) if l.startswith("[A]"))
+        lines[a_header] = text
+        bad = tmp / "a_shape.txt"
+        bad.write_text("\n".join(lines))
+        with pytest.raises(ParseError, match=r"\[A\] must be T x T") as err:
+            load_model(bad)
+        assert err.value.line == a_header + 1
 
     @pytest.mark.parametrize("block, row, value", [
         ("kernel", 2, "inf"),  # the gamma line

@@ -49,15 +49,17 @@ def test_eval_s_frozen_example():
 
 
 def test_q_equals_r_at_mapped_points():
-    """eval_R(C A, A) == eval_Q(C, A) is an algebraic identity for PD A."""
-    rng = np.random.default_rng(1)
-    inst = make_instance(seed=1, n_tasks=3)
-    for _ in range(10):
-        c = rng.standard_normal((inst.n, 3))
-        a = PsdMatrix(random_pd(rng, 3))
-        q = eval_Q(inst, c, a)
-        r = eval_R(inst, c @ a.data, a)
-        assert_allclose(r, q, rtol=1e-10)
+    """eval_R(C A, A) == eval_Q(C, A) is an algebraic identity for PD A,
+    ridge term included."""
+    for ridge in (0.0, 0.3):
+        rng = np.random.default_rng(1)
+        inst = make_instance(seed=1, n_tasks=3, ridge=ridge)
+        for _ in range(10):
+            c = rng.standard_normal((inst.n, 3))
+            a = PsdMatrix(random_pd(rng, 3))
+            q = eval_Q(inst, c, a)
+            r = eval_R(inst, c @ a.data, a)
+            assert_allclose(r, q, rtol=1e-10)
 
 
 def test_map_round_trips():
@@ -73,19 +75,24 @@ def test_map_round_trips():
 
 def test_map_with_singular_structure():
     """Rows of C outside Ran(A) are annihilated going Q->R; the reverse
-    map rejects coefficients that use the null space."""
+    map rejects coefficients that use the null space. Q at the mapped
+    point equals R, ridge term included."""
     x = np.eye(1)
     gram = GramMatrix(KernelSpec("linear"), x)
-    inst = ProblemInstance(gram=gram, Y=np.ones((1, 2)), W=np.ones((1, 2)),
-                           lam=1.0, penalty=PenaltySpec.schatten(1.0, 1.0),
-                           delta=0.0)
-    a = PsdMatrix(np.diag([2.0, 0.0]))
-    c_r, _ = map_Q_to_R(inst, np.array([[2.0, 5.0]]), a)
-    assert_allclose(c_r, [[4.0, 0.0]])
-    c_q, _ = map_R_to_Q(inst, np.array([[2.0, 0.0]]), a)
-    assert_allclose(c_q, [[1.0, 0.0]])
-    with pytest.raises(InfeasiblePair):
-        map_R_to_Q(inst, np.array([[0.0, 1.0]]), a)
+    for ridge in (0.0, 0.3):
+        inst = ProblemInstance(gram=gram, Y=np.ones((1, 2)),
+                               W=np.ones((1, 2)), lam=1.0,
+                               penalty=PenaltySpec.schatten(1.0, 1.0),
+                               ridge=ridge, delta=0.0)
+        a = PsdMatrix(np.diag([2.0, 0.0]))
+        c_r, _ = map_Q_to_R(inst, np.array([[2.0, 5.0]]), a)
+        assert_allclose(c_r, [[4.0, 0.0]])
+        c_q, _ = map_R_to_Q(inst, np.array([[2.0, 0.0]]), a)
+        assert_allclose(c_q, [[1.0, 0.0]])
+        assert_allclose(eval_Q(inst, c_q, a),
+                        eval_R(inst, np.array([[2.0, 0.0]]), a), rtol=1e-14)
+        with pytest.raises(InfeasiblePair):
+            map_R_to_Q(inst, np.array([[0.0, 1.0]]), a)
 
 
 def test_eval_r_infinite_off_range():
@@ -257,3 +264,19 @@ def test_instance_validation():
     with pytest.raises(DimensionMismatch):
         ProblemInstance(gram=gram, Y=np.ones((3, 2)), W=np.ones((4, 2)),
                         lam=1.0, penalty=PenaltySpec.trace_one(), delta=0.0)
+    with pytest.raises(DimensionMismatch):  # Y rows != gram.n
+        ProblemInstance(gram=gram, Y=np.ones((3, 2)), W=np.ones((3, 2)),
+                        lam=1.0, penalty=PenaltySpec.trace_one(), delta=0.0)
+    for bad in ({"ridge": -0.1}, {"delta": -1e-3},
+                {"W": -np.ones((4, 2))}):
+        args = dict(gram=gram, Y=np.ones((4, 2)), W=np.ones((4, 2)),
+                    lam=1.0, penalty=PenaltySpec.trace_one(), delta=0.0)
+        args.update(bad)
+        with pytest.raises(ValueError):
+            ProblemInstance(**args)
+    inst = ProblemInstance(gram=gram, Y=np.ones((4, 2)), W=np.ones((4, 2)),
+                           lam=1.0, penalty=PenaltySpec.schatten(),
+                           delta=1e-2)
+    for evaluate in (eval_Q, eval_R, eval_S, grad_S_C, grad_S_A):
+        with pytest.raises(DimensionMismatch):  # C must be n x T
+            evaluate(inst, np.ones((4, 3)), PsdMatrix(np.eye(2)))

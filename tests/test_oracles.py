@@ -156,6 +156,9 @@ def test_run_all_filter_selects_substring():
     assert len(reports) == 1
     assert reports[0].name == "metric_equivalence"
     assert reports[0].passed
+    reports = run_all(name_filter="barrier_convergence_0")
+    assert [r.name for r in reports] == ["barrier_convergence_0"]
+    assert reports[0].passed
 
 
 def test_run_all_unknown_filter_empty():

@@ -15,7 +15,6 @@ from smtl.errors import (
     BadRank,
     NotPd,
     NotStrictlyPd,
-    UnsupportedPenalty,
 )
 from smtl.kernels import KernelSpec
 from smtl.linalg import PsdMatrix
@@ -164,6 +163,9 @@ class TestCluster:
             assert best <= val + 1e-9
 
     def test_param_validation(self):
+        for mu in (0.0, -1.0):
+            with pytest.raises(BadPenaltyParam):
+                PenaltySpec.schatten(1.0, mu)
         with pytest.raises(BadRank):
             PenaltySpec.cluster(r=0, eps_m=1.0, eps_b=1.0, eps_w=1.0)
         with pytest.raises(BadPenaltyParam):
@@ -201,6 +203,20 @@ class TestCluster:
         # the triples of the tests and of the benchmark's cluster fit
         for t in (2, 3, 40, 300):
             check_tasks(PenaltySpec.cluster(1, *eps), t)
+
+    @pytest.mark.parametrize("eps", [(1.0, 1.0, 1e-13), (1e-12, 1.0, 1.0),
+                                     (1.0, 2.0 - 1e-10, 1.0)])
+    def test_ill_conditioned_structure_is_feasible(self, eps):
+        """Accepted weights far apart give cond(A) above 1e10 on a projector
+        M orthogonal to the ones vector. A is still PD, so the map inverts
+        A^-1(M) and penalty_value finds A feasible."""
+        t, r = 4, 2
+        spec = PenaltySpec.cluster(r, *eps)
+        q = np.linalg.qr(np.hstack([np.ones((t, 1)),
+                                    np.eye(t)[:, :r]]))[0][:, 1:]
+        a = _cluster_structure(spec, q @ q.T)
+        assert 0.0 < 1e10 * a.eigenvalues[-1] < a.eigenvalues[0]
+        assert penalty_value(spec, a) == 0.0
 
     def test_random_accepted_weights_map_every_assignment_to_pd(self):
         rng = np.random.default_rng(7)
@@ -366,15 +382,27 @@ class TestProjectStructure:
         assert np.array_equal(p.data, a.data)
         assert penalty_value(spec, p) == 0.0
 
-    def test_schatten_has_no_projection(self):
-        with pytest.raises(UnsupportedPenalty):
-            project_structure(PenaltySpec.schatten(1.0, 1.0), PsdMatrix(np.eye(2)))
+    def test_schatten_projection_floors_spectrum(self):
+        """schatten projects onto {A >= 1e-12 I}: smaller eigenvalues are
+        raised to 1e-12 and the eigenvectors are kept."""
+        q = np.linalg.qr(np.random.default_rng(8).standard_normal((3, 3)))[0]
+        p = project_structure(PenaltySpec.schatten(1.0, 1.0),
+                              (q * [2.0, 1e-14, -3.0]) @ q.T)
+        assert np.array_equal(p.eigenvalues[1:], [1e-12, 1e-12])
+        assert_allclose(p.data, (q * [2.0, 1e-12, 1e-12]) @ q.T, atol=1e-14)
+        a = PsdMatrix(random_pd(np.random.default_rng(9), 3))
+        assert_allclose(project_structure(PenaltySpec.schatten(2.0, 1.0),
+                                          a).data, a.data, atol=1e-14)
 
 
 class TestBuilders:
     def test_mean_variance_gamma_zero_is_identity(self):
         s = structure_mean_variance(4, 0.0)
         assert_allclose(s.data, np.eye(4))
+
+    def test_mean_variance_rejects_negative_gamma(self):
+        with pytest.raises(BadPenaltyParam):
+            structure_mean_variance(3, -0.1)
 
     def test_mean_variance_penalizes_mean(self):
         s = structure_mean_variance(3, 5.0)
@@ -393,14 +421,27 @@ class TestBuilders:
         adj[0, 1] = 1.0
         with pytest.raises(AsymmetricAdjacency):
             structure_graph(adj, gamma=1.0)
+        with pytest.raises(AsymmetricAdjacency):
+            structure_graph(np.zeros((2, 3)), gamma=1.0)
+
+    @pytest.mark.parametrize("adj, gamma", [
+        (np.array([[0.0, -1.0], [-1.0, 0.0]]), 1.0),
+        (np.zeros((2, 2)), 0.0),
+        (np.zeros((2, 2)), -1.0),
+    ], ids=["negative_weight", "zero_gamma", "negative_gamma"])
+    def test_graph_rejects_bad_params(self, adj, gamma):
+        with pytest.raises(BadPenaltyParam):
+            structure_graph(adj, gamma)
 
     def test_metric_requires_pd(self):
         with pytest.raises(NotPd):
             structure_metric(np.diag([1.0, 0.0]))
 
     def test_metric_is_used_as_is(self):
-        theta = np.array([[2.0, 0.5], [0.5, 1.0]])
-        assert np.array_equal(structure_metric(theta).data, theta)
+        # any positive spectrum, however far below the rank cut
+        for theta in (np.array([[2.0, 0.5], [0.5, 1.0]]),
+                      np.diag([1.0, 1e-13])):
+            assert np.array_equal(structure_metric(theta).data, theta)
 
     def test_builders_feed_fixed_penalty(self):
         adj = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 2.0, 0.0]])

@@ -580,6 +580,12 @@ class TestFit:
         )
         with pytest.raises(EmptyTask):
             fit(ds, KernelSpec("linear"), PenaltySpec.schatten(1.0, 1.0), 0.1)
+        no_rows = TaskDataset(X=np.ones((0, 3)), Y=np.zeros((0, 3)),
+                              W=np.zeros((0, 3)),
+                              task_ids=np.zeros(0, dtype=int))
+        with pytest.raises(EmptyTask) as err:
+            fit(no_rows, KernelSpec("linear"), PenaltySpec.schatten(), 0.1)
+        assert err.value.task == 0
 
     def test_initial_structure_must_be_pd(self):
         ds = make_dataset(seed=16)
@@ -587,6 +593,37 @@ class TestFit:
         with pytest.raises(NotStrictlyPd):
             fit(ds, KernelSpec("linear"), PenaltySpec.schatten(1.0, 1.0),
                 0.1, config=cfg)
+
+    def test_fitted_structure_is_accepted_as_a0(self):
+        """A lambda path warm-starts from the last fit's A. At a tiny
+        barrier floor that A has eigenvalues of order 1e-12, far below
+        1e-10 times its largest yet positive, so it is a valid a0."""
+        ds, _ = synth_generate(SyntheticSpec(d=1, n_tasks=4, n_per_task=10,
+                                             relatedness=0.5),
+                               seed=1, weighting="uniform")
+        penalty = PenaltySpec.schatten(1.0, 1.0)
+        cfg = SolverConfig(delta=1e-2, delta_schedule="geometric",
+                           delta_floor=1e-10)
+        model, _ = fit(ds, KernelSpec("linear"), penalty, 1e-4, config=cfg)
+        w = model.A.eigenvalues
+        assert 0.0 < w[-1] < 1e-10 * w[0]
+        _, rep = fit(ds, KernelSpec("linear"), penalty, 2e-4,
+                     config=SolverConfig(a0=model.A, delta=1e-10))
+        assert np.all(np.isfinite(rep.objective_trajectory))
+
+    def test_bcd_schatten_start_is_floored(self):
+        """bcd projects its start for every penalty: for schatten onto
+        {A >= 1e-12 I}, so an a0 with a smaller eigenvalue starts there."""
+        ds = make_dataset(seed=16)
+        cfg = SolverConfig(mode="bcd", max_iter=1,
+                           a0=np.diag([1.0, 1.0, 1e-14]))
+        model, rep = fit(ds, KernelSpec("linear"),
+                         PenaltySpec.schatten(1.0, 1.0), 0.1, config=cfg)
+        inst = model.inst
+        start = eval_S(inst, np.zeros((inst.n, 3)),
+                       PsdMatrix(np.diag([1.0, 1.0, 1e-12])))
+        assert rep.objective_trajectory[0] == pytest.approx(start, rel=1e-12)
+        assert model.A.eigenvalues[-1] >= 1e-12
 
     def test_initial_structure_must_match_task_count(self):
         ds = make_dataset(seed=16)
@@ -768,6 +805,31 @@ def test_bcd_step_in_eigenbasis_matches_original_basis(spec, penalty):
     assert abs(s + state.offset - s_ref) <= 1e-12 * abs(s_ref)
 
 
+def cluster_weight_sweep():
+    """Accepted cluster weights with eps_w, eps_m or the margin eps_m +
+    eps_w - eps_b at 10^-k relative to the other weights."""
+    for k in (0, 4, 8, 10, 11, 12, 13, 15):
+        t = 10.0 ** -k
+        yield pytest.param((1.0, 1.0, t), id="eps_w_1e-%d" % k)
+        yield pytest.param((t, 1.0, 1.0), id="eps_m_1e-%d" % k)
+        yield pytest.param((1.0, 2.0 - t, 1.0), id="margin_1e-%d" % k)
+
+
+@pytest.mark.parametrize("mode", ["altmin", "bcd"])
+@pytest.mark.parametrize("eps", cluster_weight_sweep())
+def test_accepted_cluster_weights_fit_finitely(mode, eps):
+    """Every accepted triple keeps A^-1(M) PD, so the fit neither raises
+    nor leaves S at +inf, however ill-conditioned A is: PD means w_min > 0,
+    not a relative rank test."""
+    ds, _ = synth_generate(SyntheticSpec(d=4, n_tasks=4, n_per_task=10,
+                                         relatedness=0.5),
+                           seed=3, weighting="uniform")
+    _, rep = fit(ds, KernelSpec("gaussian", gamma=0.4),
+                 PenaltySpec.cluster(2, *eps), 0.1,
+                 config=SolverConfig(mode=mode, max_iter=30))
+    assert np.all(np.isfinite(rep.objective_trajectory[1:]))
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(mode="newton")
@@ -775,6 +837,11 @@ def test_solver_config_validation():
         SolverConfig(delta_schedule="linear")
     with pytest.raises(ValueError):
         SolverConfig(epsilon=0.0)
+    for bad in ({"delta_factor": 0.0}, {"delta_factor": 1.0},
+                {"delta_floor": 0.0}, {"max_iter": 0}, {"step_c": 0.0},
+                {"step_a": -1e-3}):
+        with pytest.raises(ValueError):
+            SolverConfig(**bad)
     cfg = SolverConfig(delta=1e-2, delta_schedule="geometric",
                        delta_factor=0.1, delta_floor=1e-4)
     assert_allclose(cfg.delta_values(), [1e-2, 1e-3, 1e-4])
