@@ -21,11 +21,15 @@ the mode and the weight pattern by ``_route``:
   A^{-1} + ridge I)^{-1}``, where ``P`` scatters ``alpha`` into the m
   observed entries and ``alpha`` solves the SPD system ``(S (Atilde kron
   K) S' + diag(1/w)) alpha = y`` (Bonilla, Chai & Williams 2008) by
-  preconditioned CG, warm-started at the previous ``alpha``. With one
-  observed entry per row (``"one_hot"``, m = n) the matrix is explicit,
-  the preconditioner an explicit inverse of an earlier one and LU the
-  fallback; with any other mask (``"cg"``) the matrix is an operator,
-  preconditioned by ``diag(w)``.
+  preconditioned CG. With one observed entry per row (``"one_hot"``, m =
+  n) the matrix is explicit, the preconditioner an explicit inverse of an
+  earlier one and LU the fallback; with any other mask (``"cg"``) the
+  matrix is an operator, preconditioned by ``diag(w)``. Both routes start
+  CG from the last ``alpha``, or from the Galerkin solution on the span
+  of the last ``RECYCLED_SOLUTIONS`` ones unless that raises the energy
+  (``_recycled_start``). A fit's C-steps stop once the C-block objective
+  is within the roundoff of its loss term of its minimum; a standalone
+  solve stops at a relative residual of ``PCG_RTOL`` (``_observed_step``).
 
 With uniform weights the squared loss does not change when the rows are
 rotated, so a uniform-weight fit, in either mode, runs in K's eigenbasis
@@ -44,7 +48,7 @@ fits take their eigenbasis from the thin SVD of X.
 
 A per-fit ``_SupervisedState``, built once by ``_SupervisedState.of``,
 holds the route, the instance the loop runs on and the map of its C back
-to the original basis, and carries the warm start and the one-hot
+to the original basis, and carries the last solutions and the one-hot
 preconditioner from call to call.
 
 With a geometric delta schedule the loop converges at each barrier size,
@@ -76,8 +80,9 @@ from .penalties import check_tasks, project_structure, unsupervised_min
 MODES = ("altmin", "bcd")
 SCHEDULES = ("fixed", "geometric")
 MAX_HALVINGS = 60
-PCG_RTOL = 1e-12  # C-step exit: true residual <= PCG_RTOL * ||y||
+PCG_RTOL = 1e-12  # standalone C-step exit: true residual <= PCG_RTOL * ||y||
 PCG_REBUILD_STEPS = 8  # more one-hot PCG steps rebuild the preconditioner
+RECYCLED_SOLUTIONS = 3  # PCG's Galerkin start spans this many solutions
 
 
 @dataclass
@@ -200,14 +205,19 @@ class _SupervisedState:
 
     The observed-entry routes keep the observed entries, taken from
     ``W > 0``: their ``rows``, task ``tids``, loss weights ``wvec`` and
-    targets ``yvec``; the last solution ``alpha`` (the next warm start) and
-    the counters. The one-hot route also keeps ``precond``, an explicit
-    inverse of an earlier system matrix; once ``lu_solves`` is nonzero,
-    every solve of the fit is an LU solve.
+    targets ``yvec``; the ``RECYCLED_SOLUTIONS`` last solutions ``recent``
+    (the latest, ``alpha``, is the next warm start, and all of them span
+    its Galerkin correction) and the counters. ``in_fit`` marks the state
+    of a ``fit_gram`` loop, whose solves stop at the objective's own
+    precision rather than at ``PCG_RTOL`` (see ``_observed_step``). The
+    one-hot route also keeps ``precond``, an explicit inverse of an
+    earlier system matrix; once ``lu_solves`` is nonzero, every solve of
+    the fit is an LU solve.
     """
 
     route: str
     work: ProblemInstance
+    in_fit: bool = False
     u: np.ndarray = None
     y_perp: np.ndarray = None
     offset: float = 0.0
@@ -215,18 +225,24 @@ class _SupervisedState:
     tids: np.ndarray = None
     wvec: np.ndarray = None
     yvec: np.ndarray = None
-    alpha: np.ndarray = None
+    recent: list = field(default_factory=list)
     precond: np.ndarray = None
     pcg_steps: int = 0
     rebuilds: int = 0
     lu_solves: int = 0
 
+    @property
+    def alpha(self):
+        """The last solution, or None before the first solve."""
+        return self.recent[-1] if self.recent else None
+
     @classmethod
-    def of(cls, inst, mode, route=None):
-        """The state of a fit of ``inst`` in ``mode``. ``route``, if given,
-        replaces ``_route``'s choice: ``"cg"`` solves any weight pattern,
-        so it can check another route."""
-        state = cls(route or _route(inst.W, mode), inst)
+    def of(cls, inst, mode, route=None, in_fit=False):
+        """The state of a fit of ``inst`` in ``mode``; ``in_fit`` for the
+        state of ``fit_gram``'s loop. ``route``, if given, replaces
+        ``_route``'s choice: ``"cg"`` solves any weight pattern, so it can
+        check another route."""
+        state = cls(route or _route(inst.W, mode), inst, in_fit)
         if state.route in ("one_hot", "cg"):
             state.rows, state.tids = np.nonzero(inst.W > 0)
             state.wvec = inst.W[state.rows, state.tids]
@@ -259,26 +275,35 @@ class _SupervisedState:
         return out
 
 
-def _pcg(matvec, b, x, precond, tol, max_steps, state):
+def _pcg(matvec, b, recent, precond, tol, max_steps, state):
     """At most ``max_steps`` steps of preconditioned CG on the SPD system
-    ``matvec(x) = b``, from ``x``; ``precond(r)`` applies the
-    preconditioner. Whenever the recurrence residual is within ``tol`` or
-    the curvature is not positive, CG restarts from the true residual
-    ``||b - matvec(x)||``, and stops once a restart does not lower it.
-    Returns ``(x, res)``: the best ``x`` seen and its true residual, NaN
-    if ``b`` is. Steps taken are added to ``state.pcg_steps``.
+    ``H x = b``, ``H x = matvec(x)``; ``precond(r)`` applies the
+    preconditioner. ``recent`` lists earlier solutions, the latest last.
+    CG starts from the latest (zeros if there is none) or, if that misses
+    ``tol`` and there are others, from ``_recycled_start``. Whenever the
+    recurrence residual is within ``tol`` or the curvature is not positive,
+    CG restarts from the true residual ``||b - H x||``, and stops once a
+    restart does not lower it. Returns ``(x, res)``: the best ``x`` whose
+    true residual was taken, and that residual, NaN if ``b`` is. Steps
+    taken are added to ``state.pcg_steps``.
     """
-    r = b - matvec(x)
+    x = recent[-1] if recent else np.zeros_like(b)
+    hx = matvec(x)
+    r = b - hx
     res = float(np.linalg.norm(r))
+    x_checked = x
+    if len(recent) > 1 and not res <= tol:
+        x, r = _recycled_start(matvec, b, recent, hx) or (x, r)
     steps = 0
     while not res <= tol:  # NaN never converges
         if steps == max_steps:
-            return x, res
-        x_checked = x
-        z = precond(r)
-        rz = float(r @ z)
-        p = z
-        while steps < max_steps:
+            return x_checked, res
+        p = None
+        while steps < max_steps and float(np.linalg.norm(r)) > tol:
+            z = precond(r)
+            rz_new = float(r @ z)
+            p = z if p is None else z + (rz_new / rz) * p
+            rz = rz_new
             hp = matvec(p)
             curv = float(p @ hp)
             if not (rz > 0.0 and curv > 0.0):
@@ -288,30 +313,49 @@ def _pcg(matvec, b, x, precond, tol, max_steps, state):
             r -= step * hp
             steps += 1
             state.pcg_steps += 1
-            if float(np.linalg.norm(r)) <= tol:
-                break
-            z = precond(r)
-            rz_new = float(r @ z)
-            p = z + (rz_new / rz) * p
-            rz = rz_new
         r = b - matvec(x)
         res_new = float(np.linalg.norm(r))
         if not res_new < res:
             return x_checked, res
-        res = res_new
-    return x, res
+        x_checked, res = x, res_new
+    return x_checked, res
 
 
-def _solve_one_hot(gram, a_tilde, y, x, tol, state):
+def _recycled_start(matvec, b, recent, hx):
+    """The Galerkin solution of ``H x = b`` on the span of the ``recent``
+    solutions, and its residual: ``Q c`` with ``(Q'HQ) c = Q'b``, ``Q`` an
+    orthonormal basis of the span from the QR factorization of ``[x,
+    earlier...]``, x the latest solution. ``hx = H x`` gives ``H q_1 = hx /
+    r_11``, so H Q costs one product per earlier solution, and it gives
+    both energies ``x'Hx / 2 - b'x`` and the residual. In that basis Q'HQ
+    is as well conditioned as H, and ``Q c`` has no cancellation, however
+    close the solutions are. Returns None, to keep x, if ``Q c``'s energy
+    is above x's or Q'HQ is not finite.
+    """
+    x = recent[-1]
+    q, r = np.linalg.qr(np.column_stack(recent[::-1]))
+    hq = np.column_stack([hx / r[0, 0]] + [matvec(v) for v in q.T[1:]])
+    g = q.T @ hq
+    g = 0.5 * (g + g.T)
+    qb = q.T @ b
+    if not np.all(np.isfinite(g)):
+        return None
+    c = np.linalg.solve(g, qb)
+    if not 0.5 * (c @ g @ c) - c @ qb <= 0.5 * (x @ hx) - b @ x:
+        return None
+    return q @ c, b - hq @ c
+
+
+def _solve_one_hot(gram, a_tilde, y, tol, state):
     """Solve the one-hot system by PCG on its explicit matrix ``H``.
 
-    PCG runs from ``x`` on ``state.precond``. If that fails to converge
-    within ``PCG_REBUILD_STEPS`` steps (or there is no preconditioner yet),
-    the inverse is rebuilt from ``H`` and PCG goes on from where it
-    stopped. If even a fresh inverse cannot bring the true residual to
-    ``tol``, the system is too ill-conditioned for PCG: LU solves it, and
-    every later call of the fit. So does a ``y`` whose norm is not finite,
-    since no residual test can accept a solve.
+    PCG runs from ``state.recent`` (see ``_pcg``) on ``state.precond``.
+    If that fails to converge within ``PCG_REBUILD_STEPS`` steps (or there
+    is no preconditioner yet), the inverse is rebuilt from ``H`` and PCG
+    goes on from where it stopped. If even a fresh inverse cannot bring
+    the true residual to ``tol``, the system is too ill-conditioned for
+    PCG: LU solves it, and every later call of the fit. So does a ``y``
+    whose norm is not finite, since no residual test can accept a solve.
     """
     tids = state.tids
     h = np.take(a_tilde[tids], tids, axis=1)
@@ -320,16 +364,18 @@ def _solve_one_hot(gram, a_tilde, y, x, tol, state):
     if state.lu_solves or not tol < float("inf"):
         state.lu_solves += 1
         return np.linalg.solve(h, y)
+    recent = state.recent
     if state.precond is not None:
-        x, res = _pcg(h.__matmul__, y, x, state.precond.__matmul__, tol,
-                      PCG_REBUILD_STEPS, state)
+        x, res = _pcg(h.__matmul__, y, recent, state.precond.__matmul__,
+                      tol, PCG_REBUILD_STEPS, state)
         if res <= tol:
             return x
+        recent = [x]
     state.precond = np.linalg.inv(h)
     state.precond += state.precond.T  # symmetric, as PCG assumes
     state.precond *= 0.5
     state.rebuilds += 1
-    x, res = _pcg(h.__matmul__, y, x, state.precond.__matmul__, tol,
+    x, res = _pcg(h.__matmul__, y, recent, state.precond.__matmul__, tol,
                   PCG_REBUILD_STEPS, state)
     if res <= tol:
         return x
@@ -338,7 +384,7 @@ def _solve_one_hot(gram, a_tilde, y, x, tol, state):
     return np.linalg.solve(h, y)
 
 
-def _solve_operator(gram, a_tilde, y, x, tol, state):
+def _solve_operator(gram, a_tilde, y, tol, state):
     """Solve the observed-entry system by PCG on its operator form.
 
     The matvec is ``(K P(x) Atilde)[rows, tids] + x / w``, with the K
@@ -362,7 +408,7 @@ def _solve_operator(gram, a_tilde, y, x, tol, state):
         scattered_flat[flat] = v
         return (gram.dot(scattered) @ a_tilde).take(flat) + v / w
 
-    x, res = _pcg(matvec, y, x, w.__mul__, tol, 2 * y.size, state)
+    x, res = _pcg(matvec, y, state.recent, w.__mul__, tol, 2 * y.size, state)
     y_norm = float(np.linalg.norm(y))
     bound = (0.5 * np.finfo(float).eps * (gram.dot_terms + a_tilde.shape[0])
              * w.max() * gram.fro_norm * np.linalg.norm(a_tilde) * y_norm)
@@ -375,27 +421,38 @@ def _solve_operator(gram, a_tilde, y, x, tol, state):
 def _observed_step(inst, a, state):
     """C-step in observed-entry form, ``C = P(alpha) Atilde``, with
     ``alpha`` from ``_solve_one_hot`` or ``_solve_operator``, by
-    ``state.route``.
+    ``state.route``, warm-started from ``state.recent`` (see ``_pcg``).
 
-    ``state`` holds the observed entries. The solve brings ``alpha`` to a
-    true residual of at most ``PCG_RTOL * ||y||``, from the warm start:
-    the last ``alpha``, or zeros on a cold call.
+    ``alpha`` solves ``H alpha = y``, ``H = G + W^{-1}`` with ``G = S
+    (Atilde kron K) S'``. The C-block objective at ``C(alpha)`` is ``f =
+    ||y - G alpha||_W^2 + alpha'G alpha`` plus terms free of C, and with
+    ``r = y - H alpha``, ``f - f* = r'W r - r'H^{-1} r <= ||r||_W^2``. A
+    fit's state (``in_fit``) stops at ``||r||_W^2 <= u ||y||_W^2``, u the
+    unit roundoff: the step is then exact to the roundoff of S's loss at C
+    = 0. It tests ``||r|| <= sqrt(u ||y||_W^2 / max(w))``, which implies
+    that, and never a tighter rule than ``PCG_RTOL * ||y||``, the stop of
+    every other state.
     """
     v = a.eigenvectors  # Atilde = (lam A^{-1} + ridge I)^{-1}
     a_tilde = (v * (1.0 / (inst.lam / pd_eigenvalues(a) + inst.ridge))) @ v.T
     y = state.yvec
     one_hot = state.route == "one_hot"
     tol = PCG_RTOL * float(np.linalg.norm(y))
+    if state.in_fit:
+        y_w = float(state.wvec @ (y * y))  # ||y||_W^2
+        tol = max(tol, np.sqrt(0.5 * np.finfo(float).eps * y_w
+                               / state.wvec.max()))
     if tol == 0.0:
-        state.alpha = np.zeros_like(y)
+        alpha = np.zeros_like(y)
     else:
-        x = np.zeros_like(y) if state.alpha is None else state.alpha
         solve = _solve_one_hot if one_hot else _solve_operator
-        state.alpha = solve(inst.gram, a_tilde, y, x, tol, state)
+        alpha = solve(inst.gram, a_tilde, y, tol, state)
+    if alpha is not state.alpha:  # a repeat solve adds nothing to recycle
+        state.recent = (state.recent + [alpha])[-RECYCLED_SOLUTIONS:]
     if one_hot:  # P(alpha) @ Atilde, one entry per row
-        return state.alpha[:, None] * a_tilde[state.tids, :]
+        return alpha[:, None] * a_tilde[state.tids, :]
     c = np.zeros_like(inst.Y)
-    c[state.rows, state.tids] = state.alpha
+    c[state.rows, state.tids] = alpha
     return c @ a_tilde
 
 
@@ -542,7 +599,7 @@ def fit_gram(gram, y, w, penalty, lam, ridge=0.0, config=None, callback=None):
         gram=gram, Y=y, W=w, lam=lam, penalty=penalty,
         ridge=ridge, delta=deltas[0],
     )
-    state = _SupervisedState.of(inst, config.mode)  # for all delta phases
+    state = _SupervisedState.of(inst, config.mode, in_fit=True)  # all phases
     work, offset = state.work, state.offset
     c = np.zeros((work.n, n_tasks))
     for delta in deltas:

@@ -6,6 +6,8 @@ wherever their domains overlap, and the fixed-identity penalty must reduce
 to independent kernel ridge.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -19,9 +21,12 @@ from smtl.linalg import PsdMatrix, sylvester_ls_solve
 from smtl.objectives import ProblemInstance, eval_S, grad_S_A, grad_S_C
 from smtl.penalties import PenaltySpec
 from smtl.solver import (
+    RECYCLED_SOLUTIONS,
     SolverConfig,
     _SupervisedState,
     _observed_step,
+    _pcg,
+    _recycled_start,
     _supervised_exact,
     fit,
     fit_gram,
@@ -355,6 +360,232 @@ def test_masked_route_raises_cg_stall_on_non_finite_target(bad_target):
     assert state.route == "cg"
 
 
+UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def dense_observed_system(inst, a):
+    """The observed-entry system ``H alpha = y`` built from dense inverses
+    and K's entries: ``H = K[rows, rows] * Atilde[tids, tids] + diag(1/w)``
+    with ``Atilde = (lam A^{-1} + ridge I)^{-1}``. Returns ``(h, y, w,
+    c_of)``, ``c_of(alpha) = P(alpha) Atilde`` the C of a solution."""
+    a_tilde = np.linalg.inv(inst.lam * np.linalg.inv(a)
+                            + inst.ridge * np.eye(inst.n_tasks))
+    rows, tids = np.nonzero(inst.W > 0)
+    w = inst.W[rows, tids]
+    h = (inst.K[np.ix_(rows, rows)] * a_tilde[np.ix_(tids, tids)]
+         + np.diag(1.0 / w))
+
+    def c_of(alpha):
+        c = np.zeros_like(inst.Y)
+        c[rows, tids] = alpha
+        return c @ a_tilde
+
+    return h, inst.Y[rows, tids], w, c_of
+
+
+def observed_entry_case(case):
+    """An instance (delta 1e-3) and a structure for each observed-entry
+    route: one-hot on a gaussian kernel and on a rank-4 linear kernel, and
+    a masked rank-4 linear kernel, with and without a ridge."""
+    if case.startswith("masked"):
+        inst, a = masked_linear_instance(0.1)
+    else:
+        kernel = (KernelSpec("linear") if case == "one_hot_linear"
+                  else KernelSpec("gaussian", gamma=0.3))
+        inst = one_hot_instance(kernel)
+        a = random_structure(np.random.default_rng(8), inst.n_tasks)
+    ridge = 0.05 if case.endswith("ridge") else 0.0
+    return replace(inst, ridge=ridge, delta=1e-3), a
+
+
+@pytest.mark.parametrize("case", ["one_hot_gaussian", "one_hot_linear",
+                                  "masked", "masked_ridge"])
+def test_objective_gap_is_bounded_by_weighted_residual(case, monkeypatch):
+    """For C = P(alpha) Atilde, the C-block objective exceeds its minimum
+    by r'Wr - r'H^{-1}r <= ||r||_W^2, r = y - H alpha. Checked against
+    LU at solves stopped at loose residuals, and at a fit's state, whose
+    PCG tolerance on ||r|| implies ||r||_W^2 <= u ||y||_W^2 and is looser
+    than PCG_RTOL * ||y||."""
+    inst, a = observed_entry_case(case)
+    h, y, w, c_of = dense_observed_system(inst, a)
+    s_min = eval_S(inst, c_of(np.linalg.solve(h, y)), a)
+    for rtol in (1e-1, 1e-2, 1e-3, 1e-4):
+        state = _SupervisedState.of(inst, "altmin")
+        alpha, _ = _pcg(h.__matmul__, y, [], w.__mul__,
+                        rtol * np.linalg.norm(y), 10 * y.size, state)
+        r = y - h @ alpha
+        gap = eval_S(inst, c_of(alpha), a) - s_min
+        assert 0.0 < gap <= r @ (w * r), rtol
+        assert_allclose(gap, r @ (w * r) - r @ np.linalg.solve(h, r),
+                        rtol=1e-6, atol=1e-14 * s_min)
+    tols = []
+
+    def recorded(matvec, b, recent, precond, tol, *rest):
+        tols.append(tol)
+        return _pcg(matvec, b, recent, precond, tol, *rest)
+
+    monkeypatch.setattr("smtl.solver._pcg", recorded)
+    state = _SupervisedState.of(inst, "altmin", in_fit=True)
+    c = _supervised_exact(inst, PsdMatrix(a), state)
+    r = y - h @ state.alpha
+    assert r @ (w * r) <= UNIT_ROUNDOFF * (y @ (w * y))
+    assert eval_S(inst, c, a) - s_min <= 1e-14 * s_min  # at S's roundoff
+    for tol in tols:
+        assert tol ** 2 * w.max() <= UNIT_ROUNDOFF * (y @ (w * y))
+        assert tol > 1e-12 * np.linalg.norm(y)
+
+
+def masked_dataset(seed=32, n=60, n_tasks=6):
+    """Every task observed on shared gaussian inputs, about 30% of the
+    entries unobserved, observed weight 1/n."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 4))
+    y = x @ rng.standard_normal((4, n_tasks))
+    y += 0.5 * rng.standard_normal(y.shape)
+    observed = rng.random(y.shape) >= 0.3
+    return TaskDataset(X=x, Y=y * observed, W=observed / n,
+                       task_ids=np.zeros(n, dtype=int),
+                       task_sizes=observed.sum(axis=0))
+
+
+@pytest.mark.parametrize("route", ["one_hot", "cg"])
+def test_fit_trajectory_matches_step_by_step_loop_at_pcg_rtol(route):
+    """A fit stops its C-steps at the objective's precision. Steps that
+    solve to PCG_RTOL instead reach the same final objective within 1e-10
+    relative. Each S after an A-step is first order in the C-step's error
+    (min over A of S has a nonzero gradient in C), so single iterates
+    differ more: up to 3.1e-10 relative on seeded masked and one-hot
+    data of this size; every iterate is held to 1e-9."""
+    ds = make_dataset(seed=3, n_tasks=4, n_per_task=15)
+    if route == "cg":
+        ds = masked_dataset()
+    model, rep = fit(ds, KernelSpec("gaussian", gamma=0.3),
+                     PenaltySpec.schatten(1.0, 1.0), 0.1,
+                     config=SolverConfig(max_iter=40, epsilon=1e-14))
+    assert rep.supervised_route == route and rep.pcg_steps > 0
+    inst, state = model.inst, _SupervisedState.of(model.inst, "altmin")
+    c = np.zeros((inst.n, inst.n_tasks))
+    a = PsdMatrix(np.eye(inst.n_tasks))
+    traj = [eval_S(inst, c, a)]
+    for _ in range(rep.iters):
+        c = supervised_step(inst, a, c, state=state)
+        a = unsupervised_step(inst, c, a)
+        traj.append(eval_S(inst, c, a))
+    assert_allclose(traj, rep.objective_trajectory, rtol=1e-9, atol=0.0)
+    assert_allclose(traj[-1], rep.objective_trajectory[-1], rtol=1e-10)
+
+
+def drifting_solutions(inst, count):
+    """Dense systems of ``inst`` at ``count`` structures drifting as in a
+    fit, each with the LU solutions at the structures before it."""
+    rng = np.random.default_rng(9)
+    a0 = random_structure(rng, inst.n_tasks)
+    drift = random_structure(rng, inst.n_tasks)
+    solved = []
+    for i in range(count):
+        h, y, w, _ = dense_observed_system(inst, a0 + 0.15 * i * drift)
+        yield h, y, w, solved[-RECYCLED_SOLUTIONS:]
+        solved.append(np.linalg.solve(h, y))
+
+
+class TestRecycledStart:
+    """PCG's start: the Galerkin solution on the span of the last
+    solutions, kept only if it does not raise the energy x'Hx/2 - y'x."""
+
+    @pytest.mark.parametrize("case", ["one_hot_gaussian", "masked"])
+    def test_never_raises_the_energy(self, case):
+        inst, _ = observed_entry_case(case)
+        kept = 0
+        for h, y, _, recent in drifting_solutions(inst, 12):
+            if len(recent) < 2:
+                continue
+            hx = h @ recent[-1]
+            out = _recycled_start(h.__matmul__, y, recent, hx)
+            if out is None:
+                continue
+            x, r = out
+            kept += 1
+
+            def energy(v):
+                return 0.5 * v @ h @ v - y @ v
+
+            assert energy(x) <= energy(recent[-1])
+            assert rel_err(r, y - h @ x) <= 1e-8
+        assert kept >= 8
+
+    def test_random_spans_never_raise_the_energy(self):
+        """Arbitrary spans, nearly dependent ones among them."""
+        rng = np.random.default_rng(10)
+        for trial in range(40):
+            m = rng.standard_normal((30, 30))
+            h = m @ m.T + 0.1 * np.eye(30)
+            y = rng.standard_normal(30)
+            d = rng.standard_normal((30, 3))
+            d[:, 1] = d[:, 0] + 10.0 ** -(trial % 10) * d[:, 1]
+            recent = list(d.T)
+            out = _recycled_start(h.__matmul__, y, recent, h @ recent[-1])
+            if out is not None:
+                x = out[0]
+                assert (0.5 * x @ h @ x - y @ x
+                        <= 0.5 * d[:, 2] @ h @ d[:, 2] - y @ d[:, 2]), trial
+
+    @pytest.mark.parametrize("case", ["one_hot_gaussian", "masked"])
+    def test_skipped_when_the_warm_start_meets_the_tolerance(self, case,
+                                                            monkeypatch):
+        inst, _ = observed_entry_case(case)
+        rng = np.random.default_rng(11)
+        structures = [PsdMatrix(random_structure(rng, inst.n_tasks))
+                      for _ in range(3)]
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return _recycled_start(*args)
+
+        monkeypatch.setattr("smtl.solver._recycled_start", counted)
+        state = _SupervisedState.of(inst, "altmin")
+        for a in structures:
+            _supervised_exact(inst, a, state)
+        assert len(calls) == 1  # the third solve, from two solutions
+        steps, recent = state.pcg_steps, list(state.recent)
+        _supervised_exact(inst, structures[-1], state)
+        assert len(calls) == 1 and state.pcg_steps == steps
+        # a repeat solve adds nothing to recycle
+        assert [v is u for v, u in zip(state.recent, recent)] == [True] * 3
+
+    def test_repeated_or_non_finite_solutions(self):
+        """A repeated solution leaves a start no worse than the latest
+        solution, with its true residual: in an orthonormal basis of the
+        span, Q'HQ is as well conditioned as H. A non-finite solution
+        keeps the latest solution, and PCG runs from it alone."""
+        inst, _ = observed_entry_case("one_hot_gaussian")
+        h, y, w, (x1, x2) = list(drifting_solutions(inst, 3))[-1]
+        hx = h @ x2
+
+        def energy(v):
+            return 0.5 * v @ h @ v - y @ v
+
+        for recent in ([x1, x2], [x1, x1, x2], [x2, x2], [x1, x2, x2]):
+            x, r = _recycled_start(h.__matmul__, y, recent, hx)
+            assert energy(x) <= energy(x2)
+            assert rel_err(r, y - h @ x) <= 1e-8
+        tol = 1e-12 * np.linalg.norm(y)
+        for bad in (np.nan, np.inf):
+            x0 = x1.copy()
+            x0[0] = bad
+            with np.errstate(invalid="ignore", over="ignore"):
+                assert _recycled_start(h.__matmul__, y, [x0, x2], hx) is None
+                runs = []
+                for recent in ([x0, x2], [x2]):
+                    state = _SupervisedState.of(inst, "altmin")
+                    x, res = _pcg(h.__matmul__, y, recent, w.__mul__, tol,
+                                  200, state)
+                    runs.append((x, res, state.pcg_steps))
+            assert runs[0][2] > 0 and runs[0][1] <= tol
+            assert np.array_equal(runs[0][0], runs[1][0])
+            assert runs[0][1:] == runs[1][1:]
+
+
 def test_per_task_weights_reduce_to_single_task_ridge():
     """fixed(I) with canonical per-task weights: each task is an
     independent sub-Gram ridge with regularization lam * n_t."""
@@ -684,7 +915,7 @@ def test_trajectory_matches_step_by_step_loop(dense):
             traj.append(eval_S(inst, c, a) + offset)
         return traj
 
-    state = _SupervisedState.of(model.inst, "altmin")
+    state = _SupervisedState.of(model.inst, "altmin", in_fit=True)
     if not dense:
         assert steps(model.inst, state) == rep.objective_trajectory
         return
