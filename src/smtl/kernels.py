@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadKernelParam, DimensionMismatch
+from .errors import BadKernelParam, DimensionMismatch, NonFinite
 from .linalg import psd_clip
 
 KERNEL_KINDS = ("linear", "gaussian")
@@ -17,7 +17,8 @@ class KernelSpec:
 
     kind : "linear" or "gaussian"
     gamma : width of the gaussian kernel ``exp(-gamma * ||x - x'||^2)``;
-        ignored by the linear kernel.
+        ignored by the linear kernel, but finite for both, since a model
+        file stores it.
     """
 
     kind: str = "linear"
@@ -26,6 +27,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise BadKernelParam("unknown kernel kind %r" % (self.kind,))
+        if not np.isfinite(self.gamma):
+            raise BadKernelParam("kernel gamma must be finite, got %r" % (self.gamma,))
         if self.kind == "gaussian" and not self.gamma > 0:
             raise BadKernelParam("gaussian kernel needs gamma > 0, got %r" % (self.gamma,))
 
@@ -92,17 +95,20 @@ def _symmetrize(k):
 class GramMatrix:
     """Training Gram matrix bundled with its kernel spec and inputs.
 
-    Construction stores only the spec and the training inputs; nothing is
-    evaluated until it is used, and each form is built at most once:
+    Construction stores only the spec and the training inputs, which must
+    be finite (:class:`~smtl.errors.NonFinite`); nothing is evaluated until
+    it is used, and each form is built at most once:
 
     * ``.raw`` is the symmetrized kernel matrix ``gram(spec, X_train)``, a
       read-only ``(n, n)`` ndarray.
     * ``.K`` is its spectral form, a :class:`~smtl.linalg.PsdMatrix` from
-      one eigendecomposition of ``.raw``. Eigenvalues down to
-      ``-1e-8 * max(1, w_max)`` are clipped to zero in the spectrum only;
-      more negative ones raise :class:`~smtl.errors.NotPsd`. Its ``data``
-      is ``.raw`` itself. The oracles, and K's eigenbasis on a kernel that
-      is not ``factored``, need it.
+      one eigendecomposition of ``.raw`` by ``psd_clip``: the one PSD rule
+      of every ``PsdMatrix``, at ``tol = 1e-8``, so eigenvalues down to
+      ``-1e-8 * max(1, w_max)`` are zero in its (non-negative) spectrum
+      and more negative ones raise :class:`~smtl.errors.NotPsd`. Its
+      ``data`` is ``.raw`` itself, not rebuilt from the clipped spectrum.
+      The oracles, and K's eigenbasis on a kernel that is not
+      ``factored``, need it.
     * ``.eigenbasis`` is ``(U, s)`` with ``K = U diag(s) U'``, U an n x r
       matrix with orthonormal columns and ``s >= 0``: the thin SVD
       ``X = U diag(sqrt(s)) V'`` if ``factored`` (r = d, and neither
@@ -132,6 +138,8 @@ class GramMatrix:
 
     def __init__(self, spec, x):
         x = np.atleast_2d(np.array(x, dtype=float))
+        if not np.all(np.isfinite(x)):
+            raise NonFinite("training inputs contain non-finite entries")
         x.setflags(write=False)
         self.spec = spec
         self.X_train = x

@@ -12,6 +12,10 @@ Conventions used throughout the package:
   an otherwise arbitrary sign and keeps repeated runs bit-identical;
 * matrices are symmetrized as ``(A + A.T) / 2`` before any decomposition to
   absorb roundoff;
+* a :class:`PsdMatrix` spectrum is non-negative by construction: every
+  constructor sets eigenvalues at or above ``-tol * max(1, w_max)`` to
+  zero and raises :class:`NotPsd` below that (``tol`` is ``RANK_TOL``, or
+  :func:`psd_clip`'s own), so no reader clips again;
 * rank decisions (pseudoinverses, range projectors, fractional powers)
   count eigenvalues at or below ``RANK_TOL * max(eigenvalue)`` as zero;
 * whether a matrix may be inverted (a structure matrix A, B = C'KC +
@@ -23,6 +27,8 @@ Conventions used throughout the package:
   smallest eigenvalues are of order delta and B's of order delta^2, far
   below ``RANK_TOL * ||A||`` yet legitimately positive.
 """
+
+from collections import namedtuple
 
 import numpy as np
 
@@ -38,28 +44,10 @@ from .errors import (
 RANK_TOL = 1e-10
 
 
-class SymEig:
-    """Eigendecomposition of a symmetric matrix.
-
-    Attributes
-    ----------
-    eigenvalues : (m,) ndarray
-        Sorted in non-increasing order.
-    eigenvectors : (m, m) ndarray
-        Column ``i`` pairs with ``eigenvalues[i]``; signs are normalized so
-        the entry of largest magnitude in each column is positive.
-    """
-
-    __slots__ = ("eigenvalues", "eigenvectors")
-
-    def __init__(self, eigenvalues, eigenvectors):
-        self.eigenvalues = eigenvalues
-        self.eigenvectors = eigenvectors
-
-    def reconstruct(self):
-        """Return ``V diag(w) V.T`` as a dense array."""
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.T
+SymEig = namedtuple("SymEig", "eigenvalues eigenvectors")
+SymEig.__doc__ = """Eigendecomposition of a symmetric matrix: ``eigenvalues``
+sorted non-increasing, and ``eigenvectors`` whose column ``i`` pairs with
+``eigenvalues[i]``, its entry of largest magnitude positive."""
 
 
 def _fix_signs(v):
@@ -107,12 +95,23 @@ def _frozen(a):
     return out
 
 
+def _clip(w, tol):
+    """The one PSD rule (see the module notes) on a non-increasing spectrum:
+    ``w`` with its negatives set to zero, or :class:`NotPsd` if one is below
+    ``-tol * max(1, w_max)``, too negative to be roundoff."""
+    if w.size and w[-1] < -tol * max(1.0, w[0]):
+        raise NotPsd("smallest eigenvalue %.3e is below the PSD tolerance "
+                     "-%.1e * max(1, w_max)" % (w[-1], tol))
+    return np.maximum(w, 0.0)
+
+
 class PsdMatrix:
     """Symmetric positive semidefinite matrix with a cached spectral form.
 
     The decomposition is computed once in the constructor and never mutated,
-    so instances can be shared freely. Eigenvalues at or below
-    ``RANK_TOL`` times the largest count as zero.
+    so instances can be shared freely. ``eigenvalues`` are non-negative
+    (see the module notes); those at or below ``RANK_TOL`` times the
+    largest count as zero.
 
     ``data`` is the dense read-only matrix. Instances made by
     :meth:`from_eig` build it from the spectral form on first read only,
@@ -126,19 +125,13 @@ class PsdMatrix:
         If the smallest eigenvalue is below ``-RANK_TOL * max(1, w_max)``.
     """
 
-    __slots__ = ("_data", "eig")
+    __slots__ = ("_data", "eigenvalues", "eigenvectors")
 
     def __init__(self, data):
-        eig = sym_eig(data)
-        w = eig.eigenvalues
-        wmax = max(w[0], 0.0) if w.size else 0.0
-        if w.size and w[-1] < -RANK_TOL * max(1.0, wmax):
-            raise NotPsd(
-                "smallest eigenvalue %.3e is below the PSD tolerance" % w[-1]
-            )
+        w, self.eigenvectors = sym_eig(data)
+        self.eigenvalues = _clip(w, RANK_TOL)
         a = np.asarray(data, dtype=float)
         self._data = _frozen(0.5 * (a + a.T))
-        self.eig = eig
 
     @classmethod
     def from_eig(cls, eigenvalues, eigenvectors):
@@ -150,18 +143,17 @@ class PsdMatrix:
         w = np.asarray(eigenvalues, dtype=float)
         v = np.asarray(eigenvectors, dtype=float)
         order = np.argsort(-w, kind="stable")
-        w = w[order]
-        v = _fix_signs(v[:, order])
         obj = cls.__new__(cls)
-        obj._data = None  # built from eig on first read of .data
-        obj.eig = SymEig(w.copy(), v)
+        obj._data = None  # built from the eigenpairs on first read of .data
+        obj.eigenvalues = _clip(w[order], RANK_TOL)
+        obj.eigenvectors = _fix_signs(v[:, order])
         return obj
 
     @property
     def data(self):
         if self._data is None:
-            v = self.eig.eigenvectors
-            r = (v * self.eig.eigenvalues) @ v.T
+            v = self.eigenvectors
+            r = (v * self.eigenvalues) @ v.T
             r += r.T  # numpy buffers the overlapping operand: r_ij + r_ji
             r *= 0.5
             r.setflags(write=False)
@@ -170,23 +162,15 @@ class PsdMatrix:
 
     @property
     def dim(self):
-        return self.eig.eigenvalues.shape[0]
+        return self.eigenvalues.shape[0]
 
     @property
     def shape(self):
         return (self.dim, self.dim)
 
-    @property
-    def eigenvalues(self):
-        return self.eig.eigenvalues
-
-    @property
-    def eigenvectors(self):
-        return self.eig.eigenvectors
-
     def rank_cut(self):
         """Absolute threshold below which eigenvalues count as zero."""
-        return RANK_TOL * max(self.eigenvalues[0], 0.0)
+        return RANK_TOL * self.eigenvalues[0]
 
     def rank(self):
         return int(np.sum(self.eigenvalues > self.rank_cut()))
@@ -205,28 +189,24 @@ def _as_psd(a):
 def psd_clip(a, tol=RANK_TOL, keep_data=False):
     """Project a nearly-PSD symmetric matrix onto the PSD cone.
 
-    Negative eigenvalues no smaller than ``-tol * max(1, w_max)`` are clipped
-    to zero; anything more negative raises :class:`NotPsd` since that points
-    at a bug rather than roundoff.
+    The :class:`PsdMatrix` rule at tolerance ``tol``: negative eigenvalues
+    no smaller than ``-tol * max(1, w_max)`` are clipped to zero, and
+    anything more negative raises :class:`NotPsd`.
 
     With ``keep_data=True`` the clip applies to the spectral form only: the
     result's ``data`` is ``a`` itself, neither copied nor rebuilt from the
     clipped eigenvalues, so ``a`` must already be a symmetric ndarray and
-    should be read-only. This costs one eigendecomposition and no extra
-    ``(m, m)`` array.
+    should be read-only. This costs one eigendecomposition and keeps no
+    ``(m, m)`` array but ``a`` and the eigenvectors.
     """
-    eig = sym_eig(a)
-    w = eig.eigenvalues
-    wmax = max(w[0], 0.0) if w.size else 0.0
-    if w.size and w[-1] < -tol * max(1.0, wmax):
-        raise NotPsd(
-            "eigenvalue %.3e too negative to be roundoff (tol %.1e)" % (w[-1], tol)
-        )
-    if not keep_data:
-        return PsdMatrix.from_eig(np.maximum(w, 0.0), eig.eigenvectors)
-    out = PsdMatrix.__new__(PsdMatrix)
-    out._data = a
-    out.eig = SymEig(np.maximum(w, 0.0), eig.eigenvectors)
+    w, v = sym_eig(a)
+    out = PsdMatrix.from_eig(_clip(w, tol), v)
+    if keep_data:
+        out._data = a
+        # row-major, as sym_eig returns it (from_eig's column permutation
+        # leaves it column-major): BLAS sums the uniform-weight fits'
+        # products with this basis in another order on the other layout
+        out.eigenvectors = np.ascontiguousarray(out.eigenvectors)
     return out
 
 
@@ -270,8 +250,7 @@ def schatten(a, p):
     """
     if p < 1:
         raise BadExponent("Schatten norm requires p >= 1, got %r" % (p,))
-    a = _as_psd(a)
-    w = np.maximum(a.eigenvalues, 0.0)
+    w = _as_psd(a).eigenvalues
     if p == 1:
         return float(np.sum(w))
     if np.isinf(p):
@@ -353,7 +332,7 @@ def sylvester_ls_solve(k, a, lam, y, ridge=0.0):
         s = np.asarray(k, dtype=float)
     else:
         k = _as_psd(k)
-        s = np.maximum(k.eigenvalues, 0.0)
+        s = k.eigenvalues
     a = _as_psd(a)
     y = np.asarray(y, dtype=float)
     if lam <= 0:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import loss_value_grad
-from .errors import DimensionMismatch, InfeasiblePair
+from .errors import DimensionMismatch, InfeasiblePair, NonFinite
 from .linalg import (
     _as_psd, pd_eigenvalues, pinv_psd, range_contained,
 )
@@ -52,6 +52,9 @@ class ProblemInstance:
     penalty : PenaltySpec
     ridge : optional weight of an uncoupled ``tr(C'KC)`` term, >= 0
     delta : barrier size used by ``eval_S``, >= 0
+
+    Every value must be finite: ``lam``, ``ridge`` and ``delta`` raise
+    ``ValueError`` otherwise, and ``Y`` or ``W`` :class:`~smtl.errors.NonFinite`.
     """
 
     gram: object
@@ -69,10 +72,12 @@ class ProblemInstance:
             raise DimensionMismatch("Y and W must share a shape")
         if self.Y.shape[0] != self.gram.n:
             raise DimensionMismatch("Y row count does not match the Gram matrix")
-        if not self.lam > 0:
-            raise ValueError("lam must be positive")
-        if self.ridge < 0 or self.delta < 0:
-            raise ValueError("ridge and delta must be nonnegative")
+        if not 0 < self.lam < np.inf:
+            raise ValueError("lam must be positive and finite")
+        if not (0 <= self.ridge < np.inf and 0 <= self.delta < np.inf):
+            raise ValueError("ridge and delta must be nonnegative and finite")
+        if not (np.all(np.isfinite(self.Y)) and np.all(np.isfinite(self.W))):
+            raise NonFinite("Y and W must be finite")
         if np.any(self.W < 0):
             raise ValueError("loss weights must be nonnegative")
 

@@ -48,7 +48,9 @@ PENALTY_KINDS = ("schatten", "trace_one", "cluster", "fixed")
 
 @dataclass(frozen=True, eq=False)
 class PenaltySpec:
-    """Penalty kind plus its parameters. Build via the classmethods."""
+    """Penalty kind plus its parameters. Build via the classmethods, which
+    reject a parameter that is out of range or not finite, and a cluster
+    count ``r`` that is not an integer (:class:`BadRank`)."""
 
     kind: str
     p: float = 1.0
@@ -61,10 +63,10 @@ class PenaltySpec:
 
     @classmethod
     def schatten(cls, p=1.0, mu=1.0):
-        if p < 1:
-            raise BadPenaltyParam("schatten exponent must satisfy p >= 1")
-        if not mu > 0:
-            raise BadPenaltyParam("schatten weight mu must be positive")
+        if not 1 <= p < np.inf:
+            raise BadPenaltyParam("schatten exponent must be finite, p >= 1")
+        if not 0 < mu < np.inf:
+            raise BadPenaltyParam("schatten weight mu must be positive and finite")
         return cls(kind="schatten", p=float(p), mu=float(mu))
 
     @classmethod
@@ -73,10 +75,10 @@ class PenaltySpec:
 
     @classmethod
     def cluster(cls, r=1, eps_m=1.0, eps_b=1.0, eps_w=1.0):
-        if int(r) != r or r < 1:
+        if not (1 <= r < np.inf and int(r) == r):
             raise BadRank("cluster count r must be a positive integer")
-        if not (eps_m > 0 and eps_b > 0 and eps_w > 0):
-            raise BadPenaltyParam("cluster epsilon weights must be positive")
+        if not all(0 < e < np.inf for e in (eps_m, eps_b, eps_w)):
+            raise BadPenaltyParam("cluster epsilon weights must be positive and finite")
         return cls(
             kind="cluster", r=int(r),
             eps_m=float(eps_m), eps_b=float(eps_b), eps_w=float(eps_w),
@@ -149,7 +151,7 @@ def penalty_value(spec, a):
     """Evaluate ``F(A)``; indicator penalties return 0 or ``inf``."""
     a = _as_psd(a)
     check_tasks(spec, a.dim)
-    w = np.maximum(a.eigenvalues, 0.0)
+    w = a.eigenvalues
     if spec.kind == "schatten":
         return float(spec.mu * np.sum(w ** spec.p))
     if spec.kind == "trace_one":

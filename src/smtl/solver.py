@@ -55,6 +55,7 @@ With a geometric delta schedule the loop converges at each barrier size,
 shrinks delta by a constant factor, and warm-starts the next phase.
 """
 
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -95,6 +96,7 @@ class SolverConfig:
     after each converged phase until it would drop below ``delta_floor``.
     ``a0`` overrides the identity initialization of the structure matrix;
     bcd starts from its projection by ``project_structure``.
+    Every float setting must be finite, and ``max_iter`` an integer >= 1.
     """
 
     mode: str = "altmin"
@@ -110,6 +112,10 @@ class SolverConfig:
     track_substeps: bool = False
 
     def __post_init__(self):
+        for name in ("epsilon", "delta", "delta_factor", "delta_floor",
+                     "step_c", "step_a"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError("%s must be finite" % name)
         if self.mode not in MODES:
             raise ValueError("mode must be one of %r" % (MODES,))
         if self.delta_schedule not in SCHEDULES:
@@ -122,8 +128,8 @@ class SolverConfig:
             raise ValueError("delta_factor must lie in (0, 1)")
         if not self.delta_floor > 0:
             raise ValueError("delta_floor must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise ValueError("max_iter must be an integer >= 1")
         if not (self.step_c > 0 and self.step_a > 0):
             raise ValueError("bcd step sizes must be positive")
 
@@ -545,18 +551,41 @@ def unsupervised_step(inst, c, a_prev, mode="altmin", step=None, kc=None):
     return a_new
 
 
-def _initial_structure(config, n_tasks):
+def _start_structure(config, penalty, n_tasks):
+    """The structure a fit of ``n_tasks`` tasks starts from, checked.
+
+    The penalty must fit ``n_tasks`` (:func:`check_tasks`) and, if fixed,
+    be strictly PD, since every step inverts it. ``a0`` (I if unset) must
+    be ``n_tasks x n_tasks`` and strictly PD. bcd starts from its
+    projection by ``project_structure``, where the projected A-steps stay
+    (S is +inf off an indicator's set, and a guarded step only lowers S),
+    and that projection must be strictly PD too. It builds no kernel, so
+    :func:`fit` calls it first.
+    """
+    check_tasks(penalty, n_tasks)
+    if penalty.kind == "fixed" and not penalty.a0.is_pd():
+        raise NotStrictlyPd(
+            "the fixed penalty's structure is singular (smallest eigenvalue "
+            "%.3e); a fit needs it strictly positive definite"
+            % penalty.a0.eigenvalues[-1])
     if config.a0 is None:  # I, from its known eigenpairs
-        return PsdMatrix.from_eig(np.ones(n_tasks), np.eye(n_tasks))
-    a0 = _as_psd(config.a0)
-    if a0.dim != n_tasks:
-        raise DimensionMismatch(
-            "a0 is %d x %d but the dataset has %d tasks"
-            % (a0.dim, a0.dim, n_tasks)
-        )
-    if not a0.is_pd():
-        raise NotStrictlyPd("a0 must be strictly positive definite")
-    return a0
+        a = PsdMatrix.from_eig(np.ones(n_tasks), np.eye(n_tasks))
+    else:
+        a = _as_psd(config.a0)
+        if a.dim != n_tasks:
+            raise DimensionMismatch(
+                "a0 is %d x %d but the dataset has %d tasks"
+                % (a.dim, a.dim, n_tasks))
+        if not a.is_pd():
+            raise NotStrictlyPd("a0 must be strictly positive definite")
+    if config.mode == "bcd":
+        a = project_structure(penalty, a)
+        if not a.is_pd():
+            raise NotStrictlyPd(
+                "bcd starts from a0 (I if unset) projected onto the %s "
+                "feasible set, and that projection is singular (smallest "
+                "eigenvalue %.3e)" % (penalty.kind, a.eigenvalues[-1]))
+    return a
 
 
 def fit_gram(gram, y, w, penalty, lam, ridge=0.0, config=None, callback=None):
@@ -574,19 +603,9 @@ def fit_gram(gram, y, w, penalty, lam, ridge=0.0, config=None, callback=None):
     original basis.
     """
     n_tasks = np.asarray(y).shape[1]
-    check_tasks(penalty, n_tasks)
     config = config or SolverConfig()
+    a = _start_structure(config, penalty, n_tasks)
     deltas = config.delta_values()
-    a = _initial_structure(config, n_tasks)
-    if config.mode == "bcd":
-        # start where the projected A-steps stay: S is +inf off an
-        # indicator's set, and a guarded step only lowers S
-        a = project_structure(penalty, a)
-        if not a.is_pd():
-            raise NotStrictlyPd(
-                "bcd starts from a0 (I if unset) projected onto the %s "
-                "feasible set, and that projection is singular (smallest "
-                "eigenvalue %.3e)" % (penalty.kind, a.eigenvalues[-1]))
 
     trajectory = []
     phase_starts = []
@@ -670,8 +689,8 @@ def fit(dataset, kernel_spec, penalty, lam, ridge=0.0, config=None,
     for t in range(dataset.n_tasks):
         if dataset.task_sizes[t] == 0:
             raise EmptyTask(t)
-    check_tasks(penalty, dataset.n_tasks)  # before the kernel is evaluated
     config = config or SolverConfig()
+    _start_structure(config, penalty, dataset.n_tasks)  # before the kernel
     t0 = time.perf_counter()
     gram = GramMatrix(kernel_spec, dataset.X)
     if not gram.factored or _route(dataset.W, config.mode) == "one_hot":

@@ -19,6 +19,7 @@ from smtl.errors import (
     DimensionMismatch,
     EmptyTask,
     InconsistentDimension,
+    NonFinite,
     ParseError,
 )
 from smtl.kernels import GramMatrix, KernelSpec, _symmetrize, gram
@@ -97,6 +98,23 @@ def test_kernel_param_validation():
         KernelSpec("gaussian", gamma=0.0)
     with pytest.raises(BadKernelParam):
         KernelSpec("cubic")
+
+
+@pytest.mark.parametrize("kind", ["linear", "gaussian"])
+@pytest.mark.parametrize("gamma", [float("inf"), float("-inf"), float("nan")])
+def test_kernel_spec_rejects_non_finite_gamma(kind, gamma):
+    """A model file stores gamma for both kinds, and its reader refuses a
+    non-finite one, so no kernel spec may hold it."""
+    with pytest.raises(BadKernelParam, match="finite"):
+        KernelSpec(kind, gamma=gamma)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_gram_matrix_rejects_non_finite_inputs(bad):
+    x = np.ones((4, 2))
+    x[2, 1] = bad
+    with pytest.raises(NonFinite):
+        GramMatrix(KernelSpec("gaussian", gamma=0.5), x)
 
 
 def test_cross_gram_feature_mismatch():

@@ -13,6 +13,7 @@ from smtl.errors import (
     SingularMatrix,
 )
 from smtl.linalg import (
+    RANK_TOL,
     PsdMatrix,
     kron_ls_solve,
     pd_eigenvalues,
@@ -38,8 +39,8 @@ class TestSymEig:
         for _ in range(10):
             m = rng.standard_normal((5, 5))
             m = m + m.T
-            e = sym_eig(m)
-            assert_allclose(e.reconstruct(), m, atol=1e-12)
+            w, v = sym_eig(m)
+            assert_allclose((v * w) @ v.T, m, atol=1e-12)
 
     def test_descending_order(self):
         e = sym_eig(np.diag([1.0, 3.0, 2.0]))
@@ -77,6 +78,25 @@ class TestPsdMatrix:
         m = np.diag([1.0, -1e-14])
         a = PsdMatrix(m)
         assert a.rank() == 1
+
+    @pytest.mark.parametrize("build", [
+        PsdMatrix,
+        psd_clip,
+        lambda m: PsdMatrix.from_eig(np.diag(m), np.eye(m.shape[0])),
+    ], ids=["init", "psd_clip", "from_eig"])
+    def test_every_constructor_clips_by_one_rule(self, build):
+        """Each constructor sets eigenvalues down to ``-RANK_TOL * max(1,
+        w_max)`` to zero and rejects anything more negative."""
+        a = build(np.diag([1.0, -1e-14]))
+        assert np.all(a.eigenvalues >= 0.0) and a.eigenvalues[-1] == 0.0
+        cut = RANK_TOL * 4.0
+        assert build(np.diag([4.0, -0.99 * cut])).eigenvalues[-1] == 0.0
+        with pytest.raises(NotPsd):
+            build(np.diag([4.0, -1.01 * cut]))
+
+    def test_from_eig_rejects_negative_spectrum(self):
+        with pytest.raises(NotPsd):
+            PsdMatrix.from_eig([1.0, -1.0], np.eye(2))
 
     def test_rank(self):
         rng = np.random.default_rng(1)

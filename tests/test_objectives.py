@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from smtl.errors import DimensionMismatch, InfeasiblePair, NotStrictlyPd
+from smtl.errors import (
+    DimensionMismatch, InfeasiblePair, NonFinite, NotStrictlyPd,
+)
 from smtl.kernels import GramMatrix, KernelSpec
 from smtl.linalg import PsdMatrix
 from smtl.objectives import (
@@ -280,3 +282,29 @@ def test_instance_validation():
     for evaluate in (eval_Q, eval_R, eval_S, grad_S_C, grad_S_A):
         with pytest.raises(DimensionMismatch):  # C must be n x T
             evaluate(inst, np.ones((4, 3)), PsdMatrix(np.eye(2)))
+
+
+@pytest.mark.parametrize("field, value, error", [
+    ("lam", float("inf"), ValueError),
+    ("lam", float("nan"), ValueError),
+    ("ridge", float("inf"), ValueError),
+    ("ridge", float("nan"), ValueError),
+    ("delta", float("inf"), ValueError),
+    ("delta", float("nan"), ValueError),
+    ("Y", float("nan"), NonFinite),
+    ("Y", float("inf"), NonFinite),
+    ("W", float("inf"), NonFinite),
+    ("W", float("nan"), NonFinite),
+])
+def test_instance_rejects_non_finite(field, value, error):
+    """A non-finite weight, target or setting is refused where the
+    instance is built, not by the objective turning NaN mid-fit."""
+    gram = GramMatrix(KernelSpec("linear"), np.ones((4, 2)))
+    args = dict(gram=gram, Y=np.ones((4, 2)), W=np.ones((4, 2)), lam=1.0,
+                penalty=PenaltySpec.schatten(), ridge=0.0, delta=1e-2)
+    if field in ("Y", "W"):
+        args[field][1, 1] = value
+    else:
+        args[field] = value
+    with pytest.raises(error):
+        ProblemInstance(**args)

@@ -479,3 +479,21 @@ def test_fixed_structure_of_wrong_size_is_bad_penalty_param():
     ds3, _ = synth_generate(SyntheticSpec(d=2, n_tasks=3, n_per_task=4), seed=0)
     with pytest.raises(BadPenaltyParam):
         fit(ds3, KernelSpec("linear"), spec, 0.1)
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: PenaltySpec.schatten(p=float("inf")), BadPenaltyParam),
+    (lambda: PenaltySpec.schatten(p=float("nan")), BadPenaltyParam),
+    (lambda: PenaltySpec.schatten(mu=float("inf")), BadPenaltyParam),
+    (lambda: PenaltySpec.schatten(mu=float("nan")), BadPenaltyParam),
+    (lambda: PenaltySpec.cluster(r=float("inf")), BadRank),
+    (lambda: PenaltySpec.cluster(r=float("nan")), BadRank),
+    (lambda: PenaltySpec.cluster(r=1.5), BadRank),
+    (lambda: PenaltySpec.cluster(eps_m=float("inf")), BadPenaltyParam),
+    (lambda: PenaltySpec.cluster(eps_b=float("inf")), BadPenaltyParam),
+    (lambda: PenaltySpec.cluster(eps_w=float("nan")), BadPenaltyParam),
+], ids=["p_inf", "p_nan", "mu_inf", "mu_nan", "r_inf", "r_nan",
+        "r_fraction", "eps_m_inf", "eps_b_inf", "eps_w_nan"])
+def test_builders_reject_non_finite_params(build, error):
+    with pytest.raises(error):
+        build()

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import smtl.kernels
 from smtl.data import TaskDataset, dataset_from_rows
 from smtl.errors import (
     BadPenaltyParam, CgStall, DimensionMismatch, EmptyTask, NotStrictlyPd,
@@ -19,7 +20,7 @@ from smtl.errors import (
 from smtl.kernels import GramMatrix, KernelSpec
 from smtl.linalg import PsdMatrix, sylvester_ls_solve
 from smtl.objectives import ProblemInstance, eval_S, grad_S_A, grad_S_C
-from smtl.penalties import PenaltySpec
+from smtl.penalties import PenaltySpec, structure_coding
 from smtl.solver import (
     RECYCLED_SOLUTIONS,
     SolverConfig,
@@ -863,6 +864,38 @@ class TestFit:
             fit(ds, KernelSpec("linear"), PenaltySpec.schatten(1.0, 1.0),
                 0.1, config=cfg)
 
+    @pytest.mark.parametrize("mode, penalty, a0, error, match", [
+        pytest.param(mode, penalty, a0, error, match, id=mode + "-" + case)
+        for mode in ("altmin", "bcd")
+        for case, penalty, a0, error, match in [
+            ("coding_rank_1",
+             PenaltySpec.fixed(structure_coding(np.ones((2, 3)))), None,
+             NotStrictlyPd, "fixed penalty's structure is singular"),
+            ("fixed_singular", PenaltySpec.fixed(np.diag([1.0, 0.0, 1.0])),
+             None, NotStrictlyPd, "fixed penalty's structure is singular"),
+            ("fixed_2x2", PenaltySpec.fixed(np.eye(2)), None,
+             BadPenaltyParam, "3 x 3"),
+            ("a0_2x2", PenaltySpec.schatten(), np.eye(2),
+             DimensionMismatch, "a0 is 2 x 2"),
+            ("a0_singular", PenaltySpec.schatten(), np.diag([1.0, 1.0, 0.0]),
+             NotStrictlyPd, "a0 must be strictly"),
+        ]
+    ] + [pytest.param("bcd", PenaltySpec.trace_one(),
+                      np.diag([10.0, 0.1, 0.1]), NotStrictlyPd,
+                      "projected onto the trace_one", id="bcd-projection")])
+    def test_start_structure_is_checked_before_the_kernel(
+            self, monkeypatch, mode, penalty, a0, error, match):
+        """A start structure that no fit can use (a wrong-size or singular
+        a0, a singular bcd projection, a singular fixed penalty) is refused
+        with an error that names it, before the kernel is evaluated."""
+        calls = []
+        monkeypatch.setattr(smtl.kernels, "gram",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(error, match=match):
+            fit(make_dataset(seed=16), KernelSpec("gaussian", gamma=0.5),
+                penalty, 0.1, config=SolverConfig(mode=mode, a0=a0))
+        assert calls == []
+
     def test_cluster_weights_that_can_be_singular_are_rejected(self,
                                                                 monkeypatch):
         """eps_b >= eps_m + eps_w fails before any kernel work when r < T;
@@ -1076,3 +1109,16 @@ def test_solver_config_validation():
     cfg = SolverConfig(delta=1e-2, delta_schedule="geometric",
                        delta_factor=0.1, delta_floor=1e-4)
     assert_allclose(cfg.delta_values(), [1e-2, 1e-3, 1e-4])
+
+
+@pytest.mark.parametrize("bad", [
+    {"epsilon": float("inf")}, {"delta": float("inf")},
+    {"delta_floor": float("inf")}, {"delta_factor": float("nan")},
+    {"step_c": float("inf")}, {"step_a": float("inf")},
+    {"max_iter": 2.5}, {"max_iter": float("inf")}, {"max_iter": "3"},
+], ids=lambda bad: "%s=%s" % next(iter(bad.items())))
+def test_solver_config_rejects_non_finite_or_fractional(bad):
+    """Every float setting is finite and max_iter an integer, checked where
+    the config is built rather than mid-fit."""
+    with pytest.raises(ValueError):
+        SolverConfig(**bad)
