@@ -8,7 +8,8 @@ that ``penalty.type`` names. Every default is the component's own. Unknown
 and duplicate keys, ``inf`` and ``nan`` values, ``lambda <= 0``,
 ``ridge < 0`` and a kernel or solver value that its component rejects are
 errors with 1-based line numbers. Penalty values are checked when the
-penalty is built for a task count (:meth:`RunConfig.build`).
+penalty is built for a task count, and the delta ladder's length against
+``max_iter`` once every key is read (:meth:`RunConfig.build`).
 """
 
 import inspect
@@ -85,7 +86,8 @@ class RunConfig:
 
         The builder that ``penalty.type`` names reads the penalty values it
         takes and ignores the rest; ``fixed`` is the identity structure.
-        A penalty that its builder or the task count rejects raises
+        A penalty that its builder or the task count rejects, and a delta
+        ladder that ``SolverConfig.delta_values`` rejects, raise
         :class:`ConfigError`.
         """
         kind = self.penalty["type"]
@@ -100,6 +102,10 @@ class RunConfig:
             penalty = builder(**args)
             check_tasks(penalty, n_tasks)
         except (BadPenaltyParam, BadRank) as exc:
+            raise ConfigError(0, str(exc)) from exc
+        try:
+            self.solver.delta_values()
+        except ValueError as exc:
             raise ConfigError(0, str(exc)) from exc
         return self.kernel, penalty, self.solver
 

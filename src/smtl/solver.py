@@ -51,8 +51,8 @@ holds the route, the instance the loop runs on and the map of its C back
 to the original basis, and carries the last solutions and the one-hot
 preconditioner from call to call.
 
-With a geometric delta schedule the loop converges at each barrier size,
-shrinks delta by a constant factor, and warm-starts the next phase.
+With a geometric delta schedule each phase stops on convergence or at
+``max_iter``; the next, at delta times a constant factor, warm-starts.
 """
 
 import numbers
@@ -93,7 +93,8 @@ class SolverConfig:
     epsilon is the absolute stopping tolerance on successive objective
     values; delta is the initial barrier size.
     With the geometric schedule, delta is multiplied by ``delta_factor``
-    after each converged phase until it would drop below ``delta_floor``.
+    after each phase (until converged, at most ``max_iter`` iterations)
+    until it would drop below ``delta_floor``, in at most ``max_iter`` phases.
     ``a0`` overrides the identity initialization of the structure matrix;
     bcd starts from its projection by ``project_structure``.
     Every float setting must be finite, and ``max_iter`` an integer >= 1.
@@ -134,12 +135,19 @@ class SolverConfig:
             raise ValueError("bcd step sizes must be positive")
 
     def delta_values(self):
-        """The ladder of barrier sizes the fit will run through."""
+        """The ladder of barrier sizes the fit will run through, one phase
+        each; one of more than ``max_iter`` phases raises ``ValueError``."""
         if self.delta_schedule == "fixed":
             return [self.delta]
         out = []
         d = self.delta
         while d >= self.delta_floor * (1.0 - 1e-12):
+            if len(out) == self.max_iter:
+                raise ValueError(
+                    "delta=%r, delta_factor=%r and delta_floor=%r make more "
+                    "than max_iter=%d phases"
+                    % (self.delta, self.delta_factor, self.delta_floor,
+                       self.max_iter))
             out.append(d)
             d *= self.delta_factor
         return out or [self.delta]
@@ -157,6 +165,10 @@ class FitReport:
     ``inverse_rebuilds``, the preconditioners built, and ``lu_solves``, the
     solves left to LU because the system was too ill-conditioned for PCG.
     The spectral and gradient routes leave all three at 0.
+    ``termination`` is the last phase's. ``wall_times`` holds, in seconds,
+    ``"gram"``, the kernel evaluation this fit triggered (0 if the Gram was
+    already evaluated), ``"supervised"`` and ``"unsupervised"``, the two
+    block steps, and ``"fit"``, K's eigenbasis (if needed) and the loop.
     """
 
     objective_trajectory: list
@@ -559,8 +571,7 @@ def _start_structure(config, penalty, n_tasks):
     be ``n_tasks x n_tasks`` and strictly PD. bcd starts from its
     projection by ``project_structure``, where the projected A-steps stay
     (S is +inf off an indicator's set, and a guarded step only lowers S),
-    and that projection must be strictly PD too. It builds no kernel, so
-    :func:`fit` calls it first.
+    and that projection must be strictly PD too.
     """
     check_tasks(penalty, n_tasks)
     if penalty.kind == "fixed" and not penalty.a0.is_pd():
@@ -589,12 +600,14 @@ def _start_structure(config, penalty, n_tasks):
 
 
 def fit_gram(gram, y, w, penalty, lam, ridge=0.0, config=None, callback=None):
-    """Run the solver against a prebuilt Gram matrix.
+    """Run the solver against a Gram matrix, evaluated or not.
 
     Returns ``(ModelState, FitReport)``. ``callback``, if given, is invoked
     as ``callback(iteration, C, A, value)`` after each outer iteration,
     with C in the original basis (n x T).
 
+    Every setting is checked, and the start structure built, before the
+    kernel is evaluated (if the fit reads its entries, see ``GramMatrix``).
     A fit with uniform weights, in either mode, runs in K's eigenbasis
     (see ``_SupervisedState``): every step and objective value there costs
     O(r T^2) or less, the trajectory adds the constant the rotation leaves
@@ -602,25 +615,28 @@ def fit_gram(gram, y, w, penalty, lam, ridge=0.0, config=None, callback=None):
     call). The returned model keeps ``gram`` and an instance in the
     original basis.
     """
-    n_tasks = np.asarray(y).shape[1]
     config = config or SolverConfig()
-    a = _start_structure(config, penalty, n_tasks)
     deltas = config.delta_values()
-
-    trajectory = []
-    phase_starts = []
-    substeps = []
-    times = {"gram": 0.0, "supervised": 0.0, "unsupervised": 0.0, "fit": 0.0}
-    total_iters = 0
-    converged = False
-    t_fit = time.perf_counter()
     inst = ProblemInstance(
         gram=gram, Y=y, W=w, lam=lam, penalty=penalty,
         ridge=ridge, delta=deltas[0],
     )
-    state = _SupervisedState.of(inst, config.mode, in_fit=True)  # all phases
+    a = _start_structure(config, penalty, inst.n_tasks)
+    route = _route(inst.W, config.mode)
+    t0 = time.perf_counter()
+    if route == "one_hot" or not gram.factored:
+        gram.raw  # evaluate the kernel inside the gram timer
+    times = {"gram": time.perf_counter() - t0, "supervised": 0.0,
+             "unsupervised": 0.0, "fit": 0.0}
+
+    trajectory = []
+    phase_starts = []
+    substeps = []
+    total_iters = 0
+    t_fit = time.perf_counter()
+    state = _SupervisedState.of(inst, config.mode, route, in_fit=True)
     work, offset = state.work, state.offset
-    c = np.zeros((work.n, n_tasks))
+    c = np.zeros((work.n, inst.n_tasks))
     for delta in deltas:
         work = work.with_delta(delta)
         phase_starts.append(len(trajectory))
@@ -674,34 +690,17 @@ def fit_gram(gram, y, w, penalty, lam, ridge=0.0, config=None, callback=None):
 
 def fit(dataset, kernel_spec, penalty, lam, ridge=0.0, config=None,
         callback=None):
-    """Fit predictors and structure to a dataset.
-
-    Evaluates the kernel matrix if the fit reads its entries (timed
-    separately in the report, as ``wall_times["gram"]``), then runs
-    :func:`fit_gram`. Every kernel that is not ``factored`` is evaluated;
-    a linear kernel with d < n only on the one-hot route, whose explicit
-    system matrix is built from K's entries. K's eigenbasis, if a
-    uniform-weight fit needs it, is built in :func:`fit_gram` and counts
-    towards ``wall_times["fit"]``.
-    """
+    """Fit predictors and structure to a dataset: :func:`fit_gram` on a
+    new ``GramMatrix`` of its inputs, once the dataset has a row and every
+    task a row."""
     if dataset.n < 1:
         raise EmptyTask(0)
     for t in range(dataset.n_tasks):
         if dataset.task_sizes[t] == 0:
             raise EmptyTask(t)
-    config = config or SolverConfig()
-    _start_structure(config, penalty, dataset.n_tasks)  # before the kernel
-    t0 = time.perf_counter()
-    gram = GramMatrix(kernel_spec, dataset.X)
-    if not gram.factored or _route(dataset.W, config.mode) == "one_hot":
-        gram.raw  # evaluate the kernel inside the gram timer
-    t_gram = time.perf_counter() - t0
-    state, report = fit_gram(
-        gram, dataset.Y, dataset.W, penalty, lam,
-        ridge=ridge, config=config, callback=callback,
-    )
-    report.wall_times["gram"] = t_gram
-    return state, report
+    return fit_gram(GramMatrix(kernel_spec, dataset.X), dataset.Y, dataset.W,
+                    penalty, lam, ridge=ridge, config=config,
+                    callback=callback)
 
 
 def refit_supervised(model, new_lambda):

@@ -80,8 +80,8 @@ def test_model_data_dimension_mismatch(tmp_path):
 def test_rejected_config_value_is_config_error(tmp_path):
     # the parser rejects non-finite values, lambda and ridge; the kernel
     # and the solver config refuse theirs as they are set, and the penalty
-    # builder and the task count theirs when the penalty is built. None
-    # may reach the solver
+    # builder, the task count and the delta ladder's length theirs when
+    # the config is built. None may reach the solver
     data = tmp_path / "train.csv"
     write_csv(data, seed=2)
     cfg = tmp_path / "run.cfg"
@@ -92,7 +92,9 @@ def test_rejected_config_value_is_config_error(tmp_path):
                  "penalty.type = cluster\npenalty.eps_w = -1",
                  "penalty.type = cluster\npenalty.eps_m = 1\n"
                  "penalty.eps_b = 2\npenalty.eps_w = 0.5",
-                 "penalty.p = 0.5", "mode = foo"):
+                 "penalty.p = 0.5", "mode = foo",
+                 "max_iter = 5\ndelta.schedule = geometric\ndelta = 1\n"
+                 "delta.factor = 0.5\ndelta.floor = 1e-6"):
         cfg.write_text(text + "\n")
         assert main(["fit", "--data", str(data),
                      "--out", str(tmp_path / "m.txt"),

@@ -93,9 +93,9 @@ def test_uniform_fit_decomposes_gram_once(n_by_n_eigs):
 ], ids=["one_hot", "masked", "one_hot_linear_factored"])
 def test_one_hot_and_cg_fits_decompose_nothing(monkeypatch, n_by_n_eigs,
                                               kernel_calls, pattern, spec):
-    """They evaluate the kernel once, in fit() before fit_gram, on a
-    factored linear kernel too: the one-hot route's system matrix reads
-    K's entries (``gram.raw``)."""
+    """They evaluate the kernel once, inside fit_gram, on a factored
+    linear kernel too: the one-hot route's system matrix reads K's entries
+    (``gram.raw``)."""
     calls_at_fit_gram = []
     original = smtl.solver.fit_gram
 
@@ -107,7 +107,7 @@ def test_one_hot_and_cg_fits_decompose_nothing(monkeypatch, n_by_n_eigs,
     _, rep = fit_small(dataset(pattern), spec)
     assert rep.iters >= 1
     assert n_by_n_eigs == []
-    assert calls_at_fit_gram == [1] and len(kernel_calls) == 1
+    assert calls_at_fit_gram == [0] and len(kernel_calls) == 1
 
 
 def test_load_and_predict_decompose_nothing(tmp_path, n_by_n_eigs):

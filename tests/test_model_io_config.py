@@ -344,3 +344,12 @@ class TestConfigBuilders:
         cfg = parse_config("penalty.type = lasso\n")
         with pytest.raises(ConfigError, match="lasso"):
             cfg.build(3)
+
+    def test_delta_ladder_longer_than_max_iter(self):
+        # max_iter may precede the ladder's keys, so the ladder's length is
+        # checked once every key is read: 1, 1/2, ..., 2^-19 is 20 phases
+        cfg = parse_config("max_iter = 5\ndelta.schedule = geometric\n"
+                           "delta = 1\ndelta.factor = 0.5\n"
+                           "delta.floor = 1e-6\n")
+        with pytest.raises(ConfigError, match="more than max_iter=5 phases"):
+            cfg.build(3)

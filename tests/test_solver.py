@@ -6,6 +6,7 @@ wherever their domains overlap, and the fixed-identity penalty must reduce
 to independent kernel ridge.
 """
 
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -13,9 +14,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 import smtl.kernels
+import smtl.solver
 from smtl.data import TaskDataset, dataset_from_rows
 from smtl.errors import (
-    BadPenaltyParam, CgStall, DimensionMismatch, EmptyTask, NotStrictlyPd,
+    BadPenaltyParam, CgStall, DimensionMismatch, EmptyTask, NonFinite,
+    NotStrictlyPd,
 )
 from smtl.kernels import GramMatrix, KernelSpec
 from smtl.linalg import PsdMatrix, sylvester_ls_solve
@@ -896,6 +899,78 @@ class TestFit:
                 penalty, 0.1, config=SolverConfig(mode=mode, a0=a0))
         assert calls == []
 
+    @pytest.mark.parametrize("settings, entry, error, match", [
+        ({"lam": 0.0}, None, ValueError, "lam must be positive"),
+        ({"lam": -1.0}, None, ValueError, "lam must be positive"),
+        ({"lam": np.nan}, None, ValueError, "lam must be positive"),
+        ({"ridge": -1.0}, None, ValueError, "ridge and delta must be"),
+        ({}, ("W", -1.0), ValueError, "weights must be nonnegative"),
+        ({}, ("W", np.inf), NonFinite, "Y and W must be finite"),
+        ({}, ("Y", np.nan), NonFinite, "Y and W must be finite"),
+        ({"config": SolverConfig(delta=1.0, delta_schedule="geometric",
+                                 delta_factor=0.5, delta_floor=1e-6,
+                                 max_iter=5)},
+         None, ValueError, "more than max_iter=5 phases"),
+    ], ids=["lam_zero", "lam_negative", "lam_nan", "ridge_negative",
+            "w_negative", "w_inf", "y_nan", "ladder_too_long"])
+    def test_problem_is_checked_before_the_kernel(
+            self, monkeypatch, settings, entry, error, match):
+        """lambda, ridge, Y, W and the delta ladder are refused before the
+        kernel is evaluated."""
+        calls = []
+        monkeypatch.setattr(smtl.kernels, "gram",
+                            lambda *args, **kwargs: calls.append(args))
+        ds = make_dataset(seed=16)
+        if entry is not None:
+            name, value = entry
+            getattr(ds, name)[0, 0] = value
+        with pytest.raises(error, match=match):
+            fit(ds, KernelSpec("gaussian", gamma=0.5), PenaltySpec.schatten(),
+                **{"lam": 0.1, **settings})
+        assert calls == []
+
+    def test_bcd_start_is_projected_once(self, monkeypatch):
+        """One projection of the start, then one of the single A-step's
+        gradient step."""
+        calls = []
+        original = smtl.solver.project_structure
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(smtl.solver, "project_structure", counting)
+        fit(make_dataset(seed=16), KernelSpec("linear"),
+            PenaltySpec.trace_one(), 0.1,
+            config=SolverConfig(mode="bcd", max_iter=1))
+        assert len(calls) == 2
+
+    def test_kernel_time_is_gram_for_both_entry_points(self, monkeypatch):
+        """The kernel evaluation a fit triggers is timed as "gram" and left
+        out of "fit", whether fit builds the GramMatrix or fit_gram is
+        handed a fresh one; a Gram evaluated before reports no time."""
+        pause = 0.2
+        original = smtl.kernels.gram
+
+        def slow(*args, **kwargs):
+            time.sleep(pause)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(smtl.kernels, "gram", slow)
+        ds = make_dataset(seed=16)
+        spec = KernelSpec("gaussian", gamma=0.5)
+        penalty, cfg = PenaltySpec.schatten(), SolverConfig(max_iter=5)
+        gram = GramMatrix(spec, ds.X)
+        for fresh, run in [
+                (True, lambda: fit(ds, spec, penalty, 0.1, config=cfg)),
+                (True, lambda: fit_gram(gram, ds.Y, ds.W, penalty, 0.1,
+                                        config=cfg)),
+                (False, lambda: fit_gram(gram, ds.Y, ds.W, penalty, 0.1,
+                                         config=cfg))]:
+            times = run()[1].wall_times
+            assert (times["gram"] >= pause) == fresh
+            assert times["fit"] < pause
+
     def test_cluster_weights_that_can_be_singular_are_rejected(self,
                                                                 monkeypatch):
         """eps_b >= eps_m + eps_w fails before any kernel work when r < T;
@@ -1109,6 +1184,18 @@ def test_solver_config_validation():
     cfg = SolverConfig(delta=1e-2, delta_schedule="geometric",
                        delta_factor=0.1, delta_floor=1e-4)
     assert_allclose(cfg.delta_values(), [1e-2, 1e-3, 1e-4])
+
+
+def test_delta_ladder_is_at_most_max_iter_phases():
+    """1, 1/2, ..., 2^-19 are 20 phases; fewer allowed phases raise a
+    ValueError that names the four settings, before the ladder is built."""
+    cfg = SolverConfig(delta=1.0, delta_schedule="geometric",
+                       delta_factor=0.5, delta_floor=1e-6, max_iter=20)
+    assert_allclose(cfg.delta_values(), 0.5 ** np.arange(20))
+    for max_iter in (5, 19):
+        with pytest.raises(ValueError, match="delta=1.0, delta_factor=0.5 "
+                           "and delta_floor=1e-06 make more than max_iter"):
+            replace(cfg, max_iter=max_iter).delta_values()
 
 
 @pytest.mark.parametrize("bad", [
