@@ -101,6 +101,10 @@ def _cmd_fit(args):
 def _cmd_predict(args):
     model = load_model(args.model)
     ds = load_dataset(args.data)
+    n_tasks = model.C.shape[1]
+    if ds.n_tasks > n_tasks:
+        raise DimensionMismatch("data has task %d, but the model has %d tasks"
+                                % (ds.n_tasks - 1, n_tasks))
     z = predict(model, ds.X)
     with open(args.out, "w") as fh:
         fh.write("task,pred\n")
@@ -108,7 +112,7 @@ def _cmd_predict(args):
             fh.write("%d,%.17g\n" % (t, z[i, t]))
     print("wrote %d predictions to %s" % (ds.n, args.out))
     if args.nmse:
-        value = nmse(ds.Y, z, mask=ds.W > 0)
+        value = nmse(ds.Y, z[:, :ds.n_tasks], mask=ds.W > 0)
         print("nmse %.6f" % value)
     return EXIT_OK
 

@@ -55,7 +55,7 @@ def gram(spec, x1, x2=None):
     With ``x2=None`` the self-Gram of ``x1`` is computed and symmetrized as
     ``(K + K') / 2``; it is not clipped onto the PSD cone (gaussian kernels
     can go slightly indefinite in floating point, which
-    :attr:`GramMatrix.K` absorbs in its spectral form). Cross-Gram matrices
+    :attr:`GramMatrix.eigenbasis` absorbs). Cross-Gram matrices
     are returned as-is.
 
     Returns a plain ``(m, r)`` ndarray.
@@ -101,19 +101,15 @@ class GramMatrix:
 
     * ``.raw`` is the symmetrized kernel matrix ``gram(spec, X_train)``, a
       read-only ``(n, n)`` ndarray.
-    * ``.K`` is its spectral form, a :class:`~smtl.linalg.PsdMatrix` from
-      one eigendecomposition of ``.raw`` by ``psd_clip``: the one PSD rule
-      of every ``PsdMatrix``, at ``tol = 1e-8``, so eigenvalues down to
-      ``-1e-8 * max(1, w_max)`` are zero in its (non-negative) spectrum
-      and more negative ones raise :class:`~smtl.errors.NotPsd`. Its
-      ``data`` is ``.raw`` itself, not rebuilt from the clipped spectrum.
-      The oracles, and K's eigenbasis on a kernel that is not
-      ``factored``, need it.
     * ``.eigenbasis`` is ``(U, s)`` with ``K = U diag(s) U'``, U an n x r
       matrix with orthonormal columns and ``s >= 0``: the thin SVD
-      ``X = U diag(sqrt(s)) V'`` if ``factored`` (r = d, and neither
-      ``.raw`` nor ``.K`` is built), else ``.K``'s eigenpairs (r = n). A
-      fit with uniform weights runs in this basis, in either solver mode
+      ``X = U diag(sqrt(s)) V'`` if ``factored`` (r = d, and ``.raw`` is
+      not built), else the eigenpairs of ``.raw`` by ``psd_clip`` (r = n):
+      the one PSD rule of every ``PsdMatrix``, at ``tol = 1e-8``, so
+      eigenvalues down to ``-1e-8 * max(1, w_max)`` are zero in ``s`` and
+      more negative ones raise :class:`~smtl.errors.NotPsd`. It is the
+      only decomposition of K a fit makes. A fit with uniform weights runs
+      in this basis, in either solver mode
       (see :class:`DiagonalGram`).
 
     Products with K go through :meth:`dot` (``K @ m``), :meth:`quad`
@@ -134,7 +130,7 @@ class GramMatrix:
     a first use at worst compute the same value twice.
     """
 
-    __slots__ = ("spec", "X_train", "_raw", "_K", "_basis")
+    __slots__ = ("spec", "X_train", "_raw", "_basis")
 
     def __init__(self, spec, x):
         x = np.atleast_2d(np.array(x, dtype=float))
@@ -144,7 +140,6 @@ class GramMatrix:
         self.spec = spec
         self.X_train = x
         self._raw = None
-        self._K = None
         self._basis = None
 
     @property
@@ -156,19 +151,19 @@ class GramMatrix:
         return self._raw
 
     @property
-    def K(self):
-        if self._K is None:
-            self._K = psd_clip(self.raw, tol=1e-8, keep_data=True)
-        return self._K
-
-    @property
     def eigenbasis(self):
         if self._basis is None:
             if self.factored:
                 u, sigma, _ = np.linalg.svd(self.X_train, full_matrices=False)
                 self._basis = (u, sigma * sigma)
             else:
-                self._basis = (self.K.eigenvectors, self.K.eigenvalues)
+                k = psd_clip(self.raw, tol=1e-8)
+                # row-major, as sym_eig returns it (from_eig's column
+                # permutation leaves it column-major): BLAS sums the
+                # uniform-weight fits' products with this basis in another
+                # order on the other layout
+                self._basis = (np.ascontiguousarray(k.eigenvectors),
+                               k.eigenvalues)
         return self._basis
 
     @property

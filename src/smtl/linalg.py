@@ -186,28 +186,15 @@ def _as_psd(a):
     return a if isinstance(a, PsdMatrix) else PsdMatrix(a)
 
 
-def psd_clip(a, tol=RANK_TOL, keep_data=False):
+def psd_clip(a, tol=RANK_TOL):
     """Project a nearly-PSD symmetric matrix onto the PSD cone.
 
     The :class:`PsdMatrix` rule at tolerance ``tol``: negative eigenvalues
     no smaller than ``-tol * max(1, w_max)`` are clipped to zero, and
     anything more negative raises :class:`NotPsd`.
-
-    With ``keep_data=True`` the clip applies to the spectral form only: the
-    result's ``data`` is ``a`` itself, neither copied nor rebuilt from the
-    clipped eigenvalues, so ``a`` must already be a symmetric ndarray and
-    should be read-only. This costs one eigendecomposition and keeps no
-    ``(m, m)`` array but ``a`` and the eigenvectors.
     """
     w, v = sym_eig(a)
-    out = PsdMatrix.from_eig(_clip(w, tol), v)
-    if keep_data:
-        out._data = a
-        # row-major, as sym_eig returns it (from_eig's column permutation
-        # leaves it column-major): BLAS sums the uniform-weight fits'
-        # products with this basis in another order on the other layout
-        out.eigenvectors = np.ascontiguousarray(out.eigenvectors)
-    return out
+    return PsdMatrix.from_eig(_clip(w, tol), v)
 
 
 def pinv_psd(a):

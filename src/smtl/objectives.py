@@ -55,6 +55,8 @@ class ProblemInstance:
 
     Every value must be finite: ``lam``, ``ridge`` and ``delta`` raise
     ``ValueError`` otherwise, and ``Y`` or ``W`` :class:`~smtl.errors.NonFinite`.
+    A ``W`` with a negative entry, or with no positive one, raises
+    ``ValueError``.
     """
 
     gram: object
@@ -80,10 +82,9 @@ class ProblemInstance:
             raise NonFinite("Y and W must be finite")
         if np.any(self.W < 0):
             raise ValueError("loss weights must be nonnegative")
-
-    @property
-    def K(self):
-        return self.gram.raw
+        if not np.any(self.W > 0):
+            raise ValueError("loss weights must have a positive entry: "
+                             "no entry of Y is observed")
 
     @property
     def n(self):

@@ -165,9 +165,8 @@ def brute_force_min_S(inst, delta=None, penalty_eval=None,
     w0 = _uniform_weight(inst.W)
     delta = inst.delta if delta is None else delta
     lam, ridge = inst.lam, inst.ridge
-    kmat = inst.gram.K
-    s = np.maximum(kmat.eigenvalues, 0.0)
-    u = kmat.eigenvectors
+    w, u = sym_eig(inst.gram.raw)
+    s = np.maximum(w, 0.0)
     yt = u.T @ inst.Y
 
     if penalty_eval is None:
@@ -175,8 +174,7 @@ def brute_force_min_S(inst, delta=None, penalty_eval=None,
             penalty_eval = _schatten_power_eval(inst.penalty)
         elif inst.penalty.kind == "fixed":
             a0 = inst.penalty.a0
-            c = sylvester_ls_solve(kmat, a0, lam / w0, inst.Y,
-                                   ridge=ridge / w0)
+            c = u @ sylvester_ls_solve(s, a0, lam / w0, yt, ridge / w0)
             return _point_value(inst, c, a0, delta), c, a0
         else:
             raise UnsupportedPenalty(
@@ -208,14 +206,13 @@ def brute_force_min_S(inst, delta=None, penalty_eval=None,
         eval_batch, rounds, shrink, coarse=coarse
     )
     a_best = PsdMatrix(np.array([[a_, b_], [b_, c_]]))
-    c_best = sylvester_ls_solve(kmat, a_best, lam / w0, inst.Y,
-                                ridge=ridge / w0)
+    c_best = u @ sylvester_ls_solve(s, a_best, lam / w0, yt, ridge / w0)
     return best_val, c_best, a_best
 
 
 def _point_value(inst, c, a, delta):
     """Barrier objective evaluated directly (delta may differ from inst's)."""
-    kc = inst.K @ c
+    kc = inst.gram.raw @ c
     m = c.T @ kc
     r = inst.Y - kc
     val = float(np.sum(inst.W * r * r))
@@ -483,10 +480,9 @@ def check_nuclear_variational(trials=12, seed=0):
 
 def _feature_factor(gram):
     """K = Kt Kt' with Kt of full column rank (drops null directions)."""
-    kmat = gram.K
-    s = kmat.eigenvalues
-    keep = s > kmat.rank_cut()
-    return kmat.eigenvectors[:, keep] * np.sqrt(s[keep])
+    w, v = sym_eig(gram.raw)
+    keep = w > 1e-10 * w[0]
+    return v[:, keep] * np.sqrt(w[keep])
 
 
 def _brute_feature_problem(kt, y, lam, p, capped=False, gamma=None):

@@ -77,6 +77,36 @@ def test_model_data_dimension_mismatch(tmp_path):
                  "--out", str(tmp_path / "p.csv")]) == 2
 
 
+def test_predict_task_beyond_model_is_data_error(tmp_path, capsys):
+    # a test task id >= the model's T is refused before --out is opened
+    data = tmp_path / "train.csv"
+    write_csv(data, n_tasks=2)
+    model = tmp_path / "model.txt"
+    assert main(["fit", "--data", str(data), "--out", str(model)]) == 0
+    more = tmp_path / "more.csv"
+    write_csv(more, seed=3, n_tasks=3)
+    out = tmp_path / "p.csv"
+    assert main(["predict", "--model", str(model), "--data", str(more),
+                 "--out", str(out), "--nmse"]) == 2
+    assert not out.exists()
+    assert "task 2" in capsys.readouterr().err
+
+
+def test_predict_fewer_tasks_than_model_is_scored(tmp_path, capsys):
+    data = tmp_path / "train.csv"
+    write_csv(data, n_tasks=2)
+    model = tmp_path / "model.txt"
+    assert main(["fit", "--data", str(data), "--out", str(model)]) == 0
+    fewer = tmp_path / "fewer.csv"
+    write_csv(fewer, seed=3, n_tasks=1)
+    out = tmp_path / "p.csv"
+    assert main(["predict", "--model", str(model), "--data", str(fewer),
+                 "--out", str(out), "--nmse"]) == 0
+    assert len(out.read_text().strip().split("\n")) == 1 + 8
+    val = float(capsys.readouterr().out.strip().rsplit(" ", 1)[-1])
+    assert np.isfinite(val)
+
+
 def test_rejected_config_value_is_config_error(tmp_path):
     # the parser rejects non-finite values, lambda and ridge; the kernel
     # and the solver config refuse theirs as they are set, and the penalty

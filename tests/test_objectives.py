@@ -127,7 +127,7 @@ def test_eval_s_matches_dense_reference(n_tasks, delta):
     for _ in range(3):
         c = rng.standard_normal((inst.n, n_tasks))
         a = PsdMatrix(random_pd(rng, n_tasks))
-        kc = inst.K @ c
+        kc = inst.gram.raw @ c
         m = c.T @ kc
         b = m + delta ** 2 * np.eye(n_tasks)
         ref = (np.sum(inst.W * (inst.Y - kc) ** 2)
@@ -151,7 +151,7 @@ def test_eval_s_accurate_where_a_is_of_order_delta():
                         np.full(n_tasks - rank, delta)])
     a = PsdMatrix.from_eig(w, q)
     w = a.eigenvalues  # sorted, in step with a.eigenvectors
-    kc = inst.K @ c
+    kc = inst.gram.raw @ c
     vr = a.eigenvectors[:, :rank]
     m_range = vr.T @ (c.T @ kc) @ vr
     ref = (np.sum(inst.W * (inst.Y - kc) ** 2)

@@ -7,13 +7,17 @@ with few trials so a regression in any oracle's plumbing shows up quickly.
 import numpy as np
 import pytest
 
+import smtl.kernels
 from smtl.errors import UnsupportedPenalty
-from smtl.kernels import KernelSpec
+from smtl.kernels import GramMatrix, KernelSpec
+from smtl.objectives import eval_S
 from smtl.oracles import (
     _REF_ROUNDS,
     _REF_SHRINK,
     OracleReport,
+    _feature_factor,
     _min_over_pd2,
+    _solve_small,
     brute_force_min_S,
     check_alignment,
     check_barrier_convergence,
@@ -71,20 +75,48 @@ def test_capped_pd2_search_stays_under_the_trace_cap():
 
 class TestBruteForce:
     def test_fixed_identity_matches_ridge(self):
-        # with A pinned to I the problem is kernel ridge per task, whose
-        # optimum we can write down; the grid search must land on it
-        inst = random_instance(seed=3, penalty=PenaltySpec.fixed(np.eye(2)),
-                               delta=1e-3)
-        val, c, a = brute_force_min_S(inst)
-        k, lam = inst.K, inst.lam
-        expected_c = np.linalg.solve(k + lam * np.eye(inst.n), inst.Y)
-        resid = inst.Y - k @ expected_c
-        expected = (np.sum(resid ** 2)
-                    + lam * np.trace(expected_c.T @ k @ expected_c)
-                    + 2 * lam * inst.delta ** 2)
-        assert abs(val - expected) <= 1e-6 * max(1.0, abs(expected))
-        assert np.max(np.abs(c - expected_c)) <= 1e-6
-        assert np.array_equal(a.data, np.eye(2))
+        # with A pinned to I the problem is kernel ridge per task, at
+        # lam + ridge, whose optimum we can write down; the grid search
+        # must land on it
+        for ridge in (0.0, 0.5):
+            inst = random_instance(seed=3, delta=1e-3, ridge=ridge,
+                                   penalty=PenaltySpec.fixed(np.eye(2)))
+            val, c, a = brute_force_min_S(inst)
+            k, lam = inst.gram.raw, inst.lam
+            reg = lam + ridge
+            expected_c = np.linalg.solve(k + reg * np.eye(inst.n), inst.Y)
+            resid = inst.Y - k @ expected_c
+            expected = (np.sum(resid ** 2)
+                        + reg * np.trace(expected_c.T @ k @ expected_c)
+                        + 2 * lam * inst.delta ** 2)
+            assert abs(val - expected) <= 1e-6 * max(1.0, abs(expected))
+            assert np.max(np.abs(c - expected_c)) <= 1e-6
+            assert np.array_equal(a.data, np.eye(2))
+
+    @pytest.mark.parametrize("ridge", [0.1, 1.0])
+    def test_ridge_fit_matches_brute_force(self, ridge):
+        for trial in range(5):
+            inst = random_instance(seed=(8, trial), ridge=ridge, delta=1e-3)
+            state, _ = _solve_small(inst, delta=1e-3)
+            val, _, _ = brute_force_min_S(inst, rounds=_REF_ROUNDS,
+                                          shrink=_REF_SHRINK)
+            fit_val = eval_S(inst, state.C, state.A)
+            assert abs(fit_val - val) <= 1e-8 * max(1.0, abs(val)), trial
+
+    def test_does_not_read_the_solvers_decomposition(self, monkeypatch):
+        """The oracles decompose K themselves: neither the eigenbasis a fit
+        runs in nor the psd_clip that builds it is read."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("an oracle read the solver's K")
+
+        monkeypatch.setattr(smtl.kernels, "psd_clip", refuse)
+        monkeypatch.setattr(GramMatrix, "eigenbasis", property(refuse))
+        val, _, _ = brute_force_min_S(random_instance(seed=9), coarse=10,
+                                      rounds=1)
+        assert np.isfinite(val)
+        x = np.random.default_rng(9).standard_normal((6, 2))
+        kt = _feature_factor(GramMatrix(KernelSpec("linear"), x))
+        assert kt.shape == (6, 2)
 
     def test_requires_two_tasks(self):
         inst = random_instance(seed=4, n_tasks=3)

@@ -472,6 +472,11 @@ def test_penalty_value_indicators():
     assert penalty_value(PenaltySpec.fixed(np.eye(2)), PsdMatrix(np.eye(2))) == 0.0
 
 
+def test_fixed_penalty_is_inf_off_its_structure():
+    spec = PenaltySpec.fixed(np.eye(2))
+    assert penalty_value(spec, PsdMatrix(np.diag([1.0, 1.0 + 1e-6]))) == np.inf
+
+
 def test_fixed_structure_of_wrong_size_is_bad_penalty_param():
     spec = PenaltySpec.fixed(np.eye(2))
     with pytest.raises(BadPenaltyParam):

@@ -1,7 +1,10 @@
-"""The README's Python examples run as written."""
+"""The README's Python examples run as written, and its config example
+parses and builds."""
 
 import re
 from pathlib import Path
+
+from smtl.config import CONFIG_KEYS, parse_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -15,3 +18,12 @@ def test_readme_python_blocks_run_in_order(capsys):
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
     assert namespace["report"].iters >= 1
+
+
+def test_readme_config_block_lists_every_key_and_builds():
+    (text,) = re.findall(r"```\n(kernel\.type.*?)```", README.read_text(),
+                         re.S)
+    keys = [line.split("#", 1)[0].split("=", 1)[0].strip()
+            for line in text.splitlines()]
+    assert sorted(keys) == sorted(CONFIG_KEYS)
+    parse_config(text).build(3)

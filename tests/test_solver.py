@@ -8,6 +8,7 @@ to independent kernel ridge.
 
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,16 +19,18 @@ import smtl.solver
 from smtl.data import TaskDataset, dataset_from_rows
 from smtl.errors import (
     BadPenaltyParam, CgStall, DimensionMismatch, EmptyTask, NonFinite,
-    NotStrictlyPd,
+    NonFiniteObjective, NotStrictlyPd,
 )
 from smtl.kernels import GramMatrix, KernelSpec
-from smtl.linalg import PsdMatrix, sylvester_ls_solve
+from smtl.linalg import PsdMatrix, psd_clip, sylvester_ls_solve
 from smtl.objectives import ProblemInstance, eval_S, grad_S_A, grad_S_C
 from smtl.penalties import PenaltySpec, structure_coding
 from smtl.solver import (
+    MAX_HALVINGS,
     RECYCLED_SOLUTIONS,
     SolverConfig,
     _SupervisedState,
+    _backtrack,
     _observed_step,
     _pcg,
     _recycled_start,
@@ -82,7 +85,7 @@ class TestSupervisedRoutes:
         standard kernel ridge (K + lam I)^-1 y_t."""
         inst = full_weight_instance(seed=1, penalty=PenaltySpec.fixed(np.eye(3)))
         c = _supervised_exact(inst, PsdMatrix(np.eye(3)))
-        k = inst.K
+        k = inst.gram.raw
         expected = np.linalg.solve(k + inst.lam * np.eye(inst.n), inst.Y)
         assert_allclose(c, expected, atol=1e-10)
 
@@ -91,7 +94,8 @@ class TestSupervisedRoutes:
         for trial in range(5):
             inst = full_weight_instance(seed=10 + trial)
             a = PsdMatrix(np.diag(0.5 + rng.random(3)))
-            exact = sylvester_ls_solve(inst.gram.K, a, inst.lam, inst.Y)
+            k = psd_clip(inst.gram.raw, tol=1e-8)
+            exact = sylvester_ls_solve(k, a, inst.lam, inst.Y)
             state = _SupervisedState.of(inst, "altmin", route="cg")
             cg = _observed_step(inst, a, state)
             assert np.max(np.abs(cg - exact)) <= 1e-7
@@ -141,7 +145,8 @@ def direct_one_hot_alpha(inst, a):
                             + inst.ridge * np.eye(inst.n_tasks))
     tids = np.argmax(inst.W > 0, axis=1)
     rows = np.arange(inst.n)
-    h = inst.K * a_tilde[np.ix_(tids, tids)] + np.diag(1.0 / inst.W[rows, tids])
+    h = (inst.gram.raw * a_tilde[np.ix_(tids, tids)]
+         + np.diag(1.0 / inst.W[rows, tids]))
     return np.linalg.solve(h, inst.Y[rows, tids]), np.linalg.cond(h)
 
 
@@ -265,7 +270,7 @@ def test_masked_gaussian_fit_solves_observed_entry_system():
     _supervised_exact(inst, model.A, state)
     rows, tids = np.nonzero(observed)
     a_tilde = np.linalg.inv(inst.lam * np.linalg.inv(a))
-    h = (inst.K[np.ix_(rows, rows)] * a_tilde[np.ix_(tids, tids)]
+    h = (inst.gram.raw[np.ix_(rows, rows)] * a_tilde[np.ix_(tids, tids)]
          + np.diag(1.0 / ds.W[rows, tids]))
     assert rel_err(state.alpha, np.linalg.solve(h, ds.Y[rows, tids])) <= 1e-10
 
@@ -338,17 +343,17 @@ def test_masked_route_accepts_roundoff_bound_on_rank_deficient_kernel():
     assert state.route == "cg"
     rows, tids = np.nonzero(inst.W)
     a_tilde = np.linalg.inv(inst.lam * np.linalg.inv(a))
-    h = (inst.K[np.ix_(rows, rows)] * a_tilde[np.ix_(tids, tids)]
+    h = (inst.gram.raw[np.ix_(rows, rows)] * a_tilde[np.ix_(tids, tids)]
          + np.diag(1.0 / inst.W[rows, tids]))
     y = inst.Y[rows, tids]
     assert rel_err(h @ state.alpha, y) > 1e-10  # short of PCG_RTOL
     assert state.pcg_steps < 2 * rows.size  # a stall, not the step limit
     p_alpha = np.zeros_like(inst.Y)  # P(alpha), alpha by LU
     p_alpha[rows, tids] = np.linalg.solve(h, y)
-    kc_dense = inst.K @ p_alpha @ a_tilde
+    kc_dense = inst.gram.raw @ p_alpha @ a_tilde
     cond = np.linalg.cond(h)
     assert cond > 1e9
-    assert rel_err(inst.K @ c, kc_dense) <= 1e-14 * cond
+    assert rel_err(inst.gram.raw @ c, kc_dense) <= 1e-14 * cond
 
 
 @pytest.mark.parametrize("bad_target", [np.nan, np.inf], ids=["nan", "inf"])
@@ -376,7 +381,7 @@ def dense_observed_system(inst, a):
                             + inst.ridge * np.eye(inst.n_tasks))
     rows, tids = np.nonzero(inst.W > 0)
     w = inst.W[rows, tids]
-    h = (inst.K[np.ix_(rows, rows)] * a_tilde[np.ix_(tids, tids)]
+    h = (inst.gram.raw[np.ix_(rows, rows)] * a_tilde[np.ix_(tids, tids)]
          + np.diag(1.0 / w))
 
     def c_of(alpha):
@@ -492,6 +497,35 @@ def drifting_solutions(inst, count):
         solved.append(np.linalg.solve(h, y))
 
 
+def test_pcg_stops_on_non_positive_curvature():
+    """The first direction of H = diag(1, -1), b = (1, 1) has p'Hp = 0:
+    PCG takes no step, the restart from the true residual does not lower
+    it, and the start (zeros) comes back with its residual ||b||."""
+    state = SimpleNamespace(pcg_steps=0)
+    b = np.ones(2)
+    x, res = _pcg(np.diag([1.0, -1.0]).__matmul__, b, [], lambda r: r,
+                  1e-12, 10, state)
+    assert np.array_equal(x, np.zeros(2))
+    assert res == np.linalg.norm(b) and state.pcg_steps == 0
+
+
+def test_backtrack_falls_back_when_no_step_is_low_enough():
+    """S >= 0 under a schatten penalty, so no halved step reaches -1: after
+    MAX_HALVINGS halvings the fallback comes back."""
+    inst = full_weight_instance(seed=8)
+    a = PsdMatrix(np.eye(3))
+    c = np.random.default_rng(8).standard_normal((inst.n, 3))
+    scales = []
+
+    def step_fn(scale):
+        scales.append(scale)
+        return scale * c, a
+
+    fallback = (np.zeros_like(c), a)
+    assert _backtrack(inst, -1.0, (c, a), fallback, step_fn) is fallback
+    assert scales == [0.5 ** (i + 1) for i in range(MAX_HALVINGS)]
+
+
 class TestRecycledStart:
     """PCG's start: the Galerkin solution on the span of the last
     solutions, kept only if it does not raise the energy x'Hx/2 - y'x."""
@@ -598,7 +632,7 @@ def test_per_task_weights_reduce_to_single_task_ridge():
     lam = 0.15
     model, _ = fit(ds, spec, PenaltySpec.fixed(np.eye(3)), lam,
                    config=SolverConfig(max_iter=5, epsilon=1e-14))
-    k_full = model.gram.K.data
+    k_full = model.gram.raw
     z = k_full @ model.C  # in-sample predictions, all tasks
     for t in range(3):
         rows = np.flatnonzero(ds.task_ids == t)
@@ -615,7 +649,7 @@ class TestUnsupervisedStep:
         c = rng.standard_normal((inst.n, 3)) * 0.3
         a_prev = PsdMatrix(np.eye(3))
         a = unsupervised_step(inst, c, a_prev)
-        m = c.T @ inst.K @ c + inst.delta ** 2 * np.eye(3)
+        m = c.T @ inst.gram.raw @ c + inst.delta ** 2 * np.eye(3)
         expected = (inst.lam / 1.0 * m)  # p=1, mu=1: A = sqrt(lam B / mu)
         from smtl.linalg import psd_power
         expected = psd_power(PsdMatrix(0.5 * (expected + expected.T)), 0.5)
@@ -721,7 +755,7 @@ class TestFit:
                          PenaltySpec.schatten(1.0, 1.0), 0.1,
                          config=SolverConfig(epsilon=1e-12, max_iter=300,
                                              delta=1e-3))
-        k = model.gram.K.data
+        k = model.gram.raw
         b = model.C.T @ k @ model.C + model.inst.delta ** 2 * np.eye(3)
         comm = model.A.data @ b - b @ model.A.data
         assert np.max(np.abs(comm)) <= 1e-8
@@ -904,30 +938,39 @@ class TestFit:
         ({"lam": -1.0}, None, ValueError, "lam must be positive"),
         ({"lam": np.nan}, None, ValueError, "lam must be positive"),
         ({"ridge": -1.0}, None, ValueError, "ridge and delta must be"),
-        ({}, ("W", -1.0), ValueError, "weights must be nonnegative"),
-        ({}, ("W", np.inf), NonFinite, "Y and W must be finite"),
-        ({}, ("Y", np.nan), NonFinite, "Y and W must be finite"),
+        ({}, ("W", (0, 0), -1.0), ValueError, "weights must be nonnegative"),
+        ({}, ("W", (0, 0), np.inf), NonFinite, "Y and W must be finite"),
+        ({}, ("Y", (0, 0), np.nan), NonFinite, "Y and W must be finite"),
+        ({}, ("W", Ellipsis, 0.0), ValueError, "must have a positive entry"),
         ({"config": SolverConfig(delta=1.0, delta_schedule="geometric",
                                  delta_factor=0.5, delta_floor=1e-6,
                                  max_iter=5)},
          None, ValueError, "more than max_iter=5 phases"),
     ], ids=["lam_zero", "lam_negative", "lam_nan", "ridge_negative",
-            "w_negative", "w_inf", "y_nan", "ladder_too_long"])
+            "w_negative", "w_inf", "y_nan", "w_zero", "ladder_too_long"])
     def test_problem_is_checked_before_the_kernel(
             self, monkeypatch, settings, entry, error, match):
-        """lambda, ridge, Y, W and the delta ladder are refused before the
-        kernel is evaluated."""
+        """lambda, ridge, Y, W (negative, non-finite, or with no observed
+        entry) and the delta ladder are refused before the kernel is
+        evaluated."""
         calls = []
         monkeypatch.setattr(smtl.kernels, "gram",
                             lambda *args, **kwargs: calls.append(args))
         ds = make_dataset(seed=16)
         if entry is not None:
-            name, value = entry
-            getattr(ds, name)[0, 0] = value
+            name, index, value = entry
+            getattr(ds, name)[index] = value
         with pytest.raises(error, match=match):
             fit(ds, KernelSpec("gaussian", gamma=0.5), PenaltySpec.schatten(),
                 **{"lam": 0.1, **settings})
         assert calls == []
+
+    def test_nan_objective_raises(self, monkeypatch):
+        monkeypatch.setattr(smtl.solver, "eval_S",
+                            lambda *args, **kwargs: np.nan)
+        with pytest.raises(NonFiniteObjective, match="NaN"):
+            fit(make_dataset(seed=16), KernelSpec("linear"),
+                PenaltySpec.schatten(), 0.1)
 
     def test_bcd_start_is_projected_once(self, monkeypatch):
         """One projection of the start, then one of the single A-step's
@@ -1060,8 +1103,8 @@ def test_refit_supervised_matches_fresh_solve():
         assert rep.supervised_route == "spectral"
         assert model.inst.gram is model.gram and model.inst.n == 25
         new_model = refit_supervised(model, 0.05)
-        ref = sylvester_ls_solve(model.gram.K, model.A, 0.05 / 0.5, y,
-                                 ridge=0.1 / 0.5)
+        ref = sylvester_ls_solve(psd_clip(model.gram.raw, tol=1e-8), model.A,
+                                 0.05 / 0.5, y, ridge=0.1 / 0.5)
         assert rel_err(new_model.C, ref) <= 1e-10
 
 
@@ -1097,8 +1140,8 @@ def test_rotated_fit_matches_reference_solve(spec, d, ridge, weight,
     a_prev = PsdMatrix(np.eye(t))
     for c, a in seen:
         assert c.shape == (n, t)
-        ref = sylvester_ls_solve(model.gram.K, a_prev, lam / weight, y,
-                                 ridge=ridge / weight)
+        ref = sylvester_ls_solve(psd_clip(model.gram.raw, tol=1e-8), a_prev,
+                                 lam / weight, y, ridge=ridge / weight)
         assert rel_err(c, ref) <= 1e-10
         a_prev = a
     assert np.array_equal(model.C, seen[-1][0])
