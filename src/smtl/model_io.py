@@ -136,8 +136,6 @@ def load_model(path):
         gamma = float(gamma_line[1])
     except ValueError:
         raise ParseError(rd.pos, "bad gamma value %r" % gamma_line[1])
-    if not np.isfinite(gamma):
-        raise ParseError(rd.pos, "non-finite gamma value %r" % gamma_line[1])
     try:
         spec = KernelSpec(kind=kind_line[1], gamma=gamma)
     except BadKernelParam as exc:

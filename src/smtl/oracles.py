@@ -31,9 +31,9 @@ import numpy as np
 
 from .errors import UnsupportedPenalty
 from .kernels import GramMatrix, KernelSpec
-from .linalg import PsdMatrix, pinv_psd, schatten, sym_eig, sylvester_ls_solve
-from .objectives import ProblemInstance, eval_Q, eval_R, map_R_to_Q
-from .penalties import PenaltySpec, penalty_value
+from .linalg import PsdMatrix, pinv_psd, schatten, sym_eig
+from .objectives import ProblemInstance, eval_Q, eval_R, map_Q_to_R, map_R_to_Q
+from .penalties import PenaltySpec
 from .solver import SolverConfig, fit_gram
 
 
@@ -56,26 +56,23 @@ class OracleReport:
         )
 
 
-def random_instance(seed=None, rng=None, n=6, d=3, n_tasks=2, lam=0.5,
-                    penalty=None, delta=1e-3, ridge=0.0, kernel=None,
-                    y_scale=1.0):
-    """A small dense instance with uniform weights, for oracle work."""
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, d))
-    kernel = kernel or KernelSpec(kind="gaussian", gamma=0.5)
-    gram = GramMatrix(kernel, x)
-    y = y_scale * rng.standard_normal((n, n_tasks))
+def random_instance(seed=None, n=6, n_tasks=2, penalty=None, delta=1e-3,
+                    ridge=0.0):
+    """A small dense instance with uniform weights, for oracle work: 3-d
+    inputs, gaussian kernel (gamma 0.5), lam 0.5, standard normal targets."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 3))
+    gram = GramMatrix(KernelSpec(kind="gaussian", gamma=0.5), x)
+    y = rng.standard_normal((n, n_tasks))
     w = np.ones((n, n_tasks))
     penalty = penalty or PenaltySpec.schatten(p=1.0, mu=1.0)
-    return ProblemInstance(gram=gram, Y=y, W=w, lam=lam, penalty=penalty,
+    return ProblemInstance(gram=gram, Y=y, W=w, lam=0.5, penalty=penalty,
                            ridge=ridge, delta=delta)
 
 
 # --- grid search over 2 x 2 PD matrices -------------------------------------
 
-def _min_over_pd2(eval_batch, rounds, shrink, capped=False, coarse=40,
-                  refine_pts=13):
+def _min_over_pd2(eval_batch, rounds, shrink, capped=False, coarse=40):
     """Minimize over PD [[a, b], [b, c]]: coarse grid, then refinement.
 
     ``eval_batch(a, b, c)`` maps equal-length 1-d arrays to objective values
@@ -86,6 +83,7 @@ def _min_over_pd2(eval_batch, rounds, shrink, capped=False, coarse=40,
     twice the previous grid spacing, so the incumbent can keep drifting
     toward the basin bottom instead of being trapped by an early center.
     """
+    refine_pts = 13  # points per axis of each refinement window
     if capped:
         avals = np.linspace(1e-3, 1.0, coarse)
         half = avals[1] - avals[0]
@@ -156,7 +154,8 @@ def brute_force_min_S(inst, delta=None, penalty_eval=None,
     The coefficient block is solved exactly for every grid matrix (the inner
     problem is a linear system), so the search runs only over the three free
     entries of the coupling matrix. ``delta=0`` searches the convex
-    objective itself over PD couplings, whose infimum it shares.
+    objective itself over PD couplings, whose infimum it shares. A fixed
+    penalty is evaluated at its one structure, where it is 0.
 
     Returns ``(value, C, A)``.
     """
@@ -169,60 +168,51 @@ def brute_force_min_S(inst, delta=None, penalty_eval=None,
     s = np.maximum(w, 0.0)
     yt = u.T @ inst.Y
 
-    if penalty_eval is None:
-        if inst.penalty.kind == "schatten":
-            penalty_eval = _schatten_power_eval(inst.penalty)
-        elif inst.penalty.kind == "fixed":
-            a0 = inst.penalty.a0
-            c = u @ sylvester_ls_solve(s, a0, lam / w0, yt, ridge / w0)
-            return _point_value(inst, c, a0, delta), c, a0
-        else:
+    fixed = penalty_eval is None and inst.penalty.kind == "fixed"
+    if penalty_eval is None and not fixed:
+        if inst.penalty.kind != "schatten":
             raise UnsupportedPenalty(
                 "no grid parameterization for penalty %r" % inst.penalty.kind
             )
+        penalty_eval = _schatten_power_eval(inst.penalty)
 
-    def eval_batch(av, bv, cv):
+    def solve_batch(av, bv, cv):
+        # eigenpairs of each [[a, b], [b, c]] and its exact C-block, in
+        # K's eigenbasis (rows) and the matrix's (columns)
         mats = np.empty((av.size, 2, 2))
         mats[:, 0, 0] = av
         mats[:, 1, 1] = cv
         mats[:, 0, 1] = bv
         mats[:, 1, 0] = bv
         dv, vv = np.linalg.eigh(mats)
-        ok = dv[:, 0] > 0
         dvs = np.where(dv > 0, dv, 1.0)
         yv = np.einsum("nt,gtj->gnj", yt, vv)
         denom = s[None, :, None] + (lam / dvs + ridge)[:, None, :] / w0
-        ct = yv / denom
+        return dv, vv, dvs, yv, yv / denom
+
+    def eval_batch(av, bv, cv):
+        dv, _, dvs, yv, ct = solve_batch(av, bv, cv)
         resid = yv - s[None, :, None] * ct
         vals = w0 * np.sum(resid * resid, axis=(1, 2))
         mdiag = np.einsum("gnj,n,gnj->gj", ct, s, ct)
         vals += lam * np.sum((mdiag + delta * delta) / dvs, axis=1)
         if ridge:
             vals += ridge * np.sum(mdiag, axis=1)
-        vals += penalty_eval(dv)
-        return np.where(ok, vals, np.inf)
+        if not fixed:  # F is 0 at the fixed structure, the one point tried
+            vals += penalty_eval(dv)
+        return np.where(dv[:, 0] > 0, vals, np.inf)
 
-    best_val, (a_, b_, c_) = _min_over_pd2(
-        eval_batch, rounds, shrink, coarse=coarse
-    )
-    a_best = PsdMatrix(np.array([[a_, b_], [b_, c_]]))
-    c_best = u @ sylvester_ls_solve(s, a_best, lam / w0, yt, ridge / w0)
-    return best_val, c_best, a_best
-
-
-def _point_value(inst, c, a, delta):
-    """Barrier objective evaluated directly (delta may differ from inst's)."""
-    kc = inst.gram.raw @ c
-    m = c.T @ kc
-    r = inst.Y - kc
-    val = float(np.sum(inst.W * r * r))
-    w = a.eigenvalues
-    v = a.eigenvectors
-    b = m + delta * delta * np.eye(inst.n_tasks)
-    val += inst.lam * float(np.sum(np.einsum("ij,jk,ki->i", v.T, b, v) / w))
-    if inst.ridge:
-        val += inst.ridge * float(np.trace(m))
-    return val + penalty_value(inst.penalty, a)
+    if fixed:
+        entries = inst.penalty.a0.data[[0, 0, 1], [0, 1, 1]]
+        best_val = float(eval_batch(*np.reshape(entries, (3, 1)))[0])
+    else:
+        best_val, entries = _min_over_pd2(
+            eval_batch, rounds, shrink, coarse=coarse
+        )
+    a_, b_, c_ = entries
+    _, vv, _, _, ct = solve_batch(*np.reshape(entries, (3, 1)))
+    return (best_val, u @ (ct[0] @ vv[0].T),
+            PsdMatrix(np.array([[a_, b_], [b_, c_]])))
 
 
 # --- whole-problem equivalence checks ----------------------------------------
@@ -234,13 +224,13 @@ _REF_ROUNDS = 8
 _REF_SHRINK = 1.0 / 3.0
 
 
-def _solve_small(inst, delta, epsilon=1e-12, max_iter=4000):
+def _solve_small(inst, delta, max_iter=4000):
     """High-precision fit ending at the given barrier value.
 
     The geometric ladder (warm starts from larger barriers) reaches
     boundary optima far faster than solving at the final delta cold.
     """
-    cfg = SolverConfig(mode="altmin", epsilon=epsilon, max_iter=max_iter,
+    cfg = SolverConfig(mode="altmin", epsilon=1e-12, max_iter=max_iter,
                        delta=max(delta, 1e-1), delta_schedule="geometric",
                        delta_factor=0.1, delta_floor=delta)
     state, report = fit_gram(inst.gram, inst.Y, inst.W, inst.penalty,
@@ -266,7 +256,7 @@ def check_theorem1(trials=20, seed=0):
         c_q, a_q = map_R_to_Q(inst, state.C, state.A)
         q_val = eval_Q(inst, c_q, a_q)
         # round trip through the other direction
-        r_back = eval_R(inst, c_q @ a_q.data, a_q)
+        r_back = eval_R(inst, *map_Q_to_R(inst, c_q, a_q))
         gap_map = max(gap_map, abs(q_val - r_val), abs(r_back - q_val))
         brute_val, _, _ = brute_force_min_S(inst, delta=0.0,
                                             rounds=_REF_ROUNDS,
@@ -288,8 +278,7 @@ def check_barrier_convergence(inst, deltas=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5)):
     """Convex-objective values of barrier solutions decrease to the minimum."""
     r_vals = []
     for delta in deltas:
-        state, _ = _solve_small(inst, delta=delta, epsilon=1e-12,
-                                max_iter=3000)
+        state, _ = _solve_small(inst, delta=delta, max_iter=3000)
         r_vals.append(eval_R(inst, state.C, state.A))
     mono_violation = 0.0
     for prev, nxt in zip(r_vals, r_vals[1:]):
@@ -562,7 +551,7 @@ def _min_trace_norm(kt, y, reg, iters=15000):
     return best
 
 
-def check_feature_space_equivalence(p=1.0, trials=3, seed=0, gamma_cal=0.4):
+def check_feature_space_equivalence(p=1.0, trials=3, seed=0):
     """The feature-space and task-space problems share their minimum.
 
     With ``Kt Kt' = K``, minimizing over an l x l PSD variable with a
@@ -573,6 +562,7 @@ def check_feature_space_equivalence(p=1.0, trials=3, seed=0, gamma_cal=0.4):
     solver; the trace-capped variant is checked against its closed inner
     form ``gamma ||B||_*^2``.
     """
+    gamma_cal = 0.4
     gap_equiv = 0.0
     gap_cal = 0.0
     gap_capped = 0.0

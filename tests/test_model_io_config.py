@@ -193,6 +193,7 @@ class TestModelRoundTrip:
 
     @pytest.mark.parametrize("block, row, value", [
         ("kernel", 2, "inf"),  # the gamma line
+        ("kernel", 2, "nan"),
         ("X", 2, "nan"),
         ("C", 3, "inf"),
         ("A", 1, "-inf"),

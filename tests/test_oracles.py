@@ -8,8 +8,13 @@ import numpy as np
 import pytest
 
 import smtl.kernels
+import smtl.linalg
+import smtl.oracles
+import smtl.penalties
+import smtl.solver
 from smtl.errors import UnsupportedPenalty
 from smtl.kernels import GramMatrix, KernelSpec
+from smtl.linalg import PsdMatrix, kron_ls_solve
 from smtl.objectives import eval_S
 from smtl.oracles import (
     _REF_ROUNDS,
@@ -117,6 +122,39 @@ class TestBruteForce:
         x = np.random.default_rng(9).standard_normal((6, 2))
         kt = _feature_factor(GramMatrix(KernelSpec("linear"), x))
         assert kt.shape == (6, 2)
+
+    @pytest.mark.parametrize("penalty, ridge", [
+        (PenaltySpec.schatten(p=1.0, mu=1.0), 0.0),
+        (PenaltySpec.schatten(p=1.0, mu=1.0), 0.5),
+        (PenaltySpec.fixed(np.array([[1.5, -0.4], [-0.4, 0.7]])), 0.0),
+    ], ids=["schatten-ridge0", "schatten-ridge0.5", "fixed"])
+    def test_returned_c_solves_the_c_block(self, penalty, ridge):
+        # the C returned with A is the exact minimizer over C at that A,
+        # checked against the dense Kronecker solve of the same system
+        inst = random_instance(seed=11, ridge=ridge, penalty=penalty)
+        _, c, a = brute_force_min_S(inst)
+        expected = kron_ls_solve(PsdMatrix(inst.gram.raw), a, inst.lam,
+                                 inst.Y, ridge)
+        gap = np.linalg.norm(c - expected) / np.linalg.norm(expected)
+        assert gap <= 1e-10
+
+    def test_does_not_run_solver_code(self, monkeypatch):
+        """The brute force solves the C-block and values every penalty by
+        its own formula: it binds neither the solver's spectral solve nor
+        the penalty evaluator, and runs with both patched to raise."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the brute force ran solver code")
+
+        for name in ("sylvester_ls_solve", "penalty_value"):
+            assert not hasattr(smtl.oracles, name), name
+        monkeypatch.setattr(smtl.linalg, "sylvester_ls_solve", refuse)
+        monkeypatch.setattr(smtl.solver, "sylvester_ls_solve", refuse)
+        monkeypatch.setattr(smtl.penalties, "penalty_value", refuse)
+        for penalty in (None, PenaltySpec.fixed(np.eye(2) + 0.2)):
+            val, c, _ = brute_force_min_S(
+                random_instance(seed=9, penalty=penalty), coarse=10, rounds=1
+            )
+            assert np.isfinite(val) and np.all(np.isfinite(c))
 
     def test_requires_two_tasks(self):
         inst = random_instance(seed=4, n_tasks=3)
