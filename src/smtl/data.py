@@ -72,15 +72,18 @@ def dataset_from_rows(task_ids, y, x, weighting="per_task"):
     """Assemble a :class:`TaskDataset` from per-row task ids, targets, inputs."""
     if weighting not in WEIGHTINGS:
         raise ValueError("weighting must be one of %r" % (WEIGHTINGS,))
-    task_ids = np.asarray(task_ids, dtype=int)
+    task_ids = np.asarray(task_ids)
     y = np.asarray(y, dtype=float)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n = task_ids.shape[0]
-    n_tasks = int(task_ids.max()) + 1 if n else 0
-    sizes = np.bincount(task_ids, minlength=n_tasks)
-    for t in range(n_tasks):
-        if sizes[t] == 0:
-            raise EmptyTask(t)
+    # Ids are counted capped at n, so no array is sized by a larger id and
+    # no int conversion overflows on it. An id at or past n always leaves a
+    # task below it without rows, and the first zero count is the smallest.
+    sizes = np.bincount(np.minimum(task_ids, n).astype(int))
+    empty = np.flatnonzero(sizes == 0)
+    if empty.size:
+        raise EmptyTask(int(empty[0]))
+    task_ids, n_tasks = task_ids.astype(int), sizes.size
     ymat = np.zeros((n, n_tasks))
     wmat = np.zeros((n, n_tasks))
     rows = np.arange(n)

@@ -335,27 +335,3 @@ def sylvester_ls_solve(k, a, lam, y, ridge=0.0):
     v = a.eigenvectors
     return (y @ v / (s[:, None] + lam / d[None, :] + ridge)) @ v.T
 
-
-def kron_ls_solve(k, a, lam, y, ridge=0.0):
-    """Dense Kronecker reference solve of the same system as
-    :func:`sylvester_ls_solve`.
-
-    Builds ``I_T (x) K + (lam * A^-1 + ridge * I_T) (x) I_n`` explicitly and
-    solves for ``vec(C)`` (column-major vec). Only meant as an oracle on
-    small problems; cost grows as ``(n T)^3``.
-    """
-    k = _as_psd(k)
-    a = _as_psd(a)
-    y = np.asarray(y, dtype=float)
-    n, t = k.dim, a.dim
-    if y.shape != (n, t):
-        raise DimensionMismatch(
-            "Y has shape %r, expected (%d, %d)" % (y.shape, n, t)
-        )
-    d = pd_eigenvalues(a)
-    v = a.eigenvectors
-    a_inv = (v / d) @ v.T
-    lam_mat = lam * a_inv + ridge * np.eye(t)
-    big = np.kron(np.eye(t), k.data) + np.kron(lam_mat, np.eye(n))
-    c_vec = np.linalg.solve(big, y.reshape(-1, order="F"))
-    return c_vec.reshape((n, t), order="F")

@@ -141,6 +141,8 @@ def load_model(path):
     except BadKernelParam as exc:
         raise ParseError(rd.pos, str(exc)) from exc
     x = rd.read_matrix("X")
+    if not x.shape[0]:  # no row was read, so rd.pos is the header's line
+        raise ParseError(rd.pos, "[X] has no rows, a model needs one")
     c = rd.read_matrix("C", (x.shape[0], None),
                        "[C] row count does not match [X]'s %d" % x.shape[0])
     t = c.shape[1]

@@ -29,9 +29,10 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import UnsupportedPenalty
+from .errors import DimensionMismatch, UnsupportedPenalty
 from .kernels import GramMatrix, KernelSpec
-from .linalg import PsdMatrix, pinv_psd, schatten, sym_eig
+from .linalg import (PsdMatrix, _as_psd, pd_eigenvalues, pinv_psd,
+                     schatten, sym_eig)
 from .objectives import ProblemInstance, eval_Q, eval_R, map_Q_to_R, map_R_to_Q
 from .penalties import PenaltySpec
 from .solver import SolverConfig, fit_gram
@@ -68,6 +69,31 @@ def random_instance(seed=None, n=6, n_tasks=2, penalty=None, delta=1e-3,
     penalty = penalty or PenaltySpec.schatten(p=1.0, mu=1.0)
     return ProblemInstance(gram=gram, Y=y, W=w, lam=0.5, penalty=penalty,
                            ridge=ridge, delta=delta)
+
+
+def kron_ls_solve(k, a, lam, y, ridge=0.0):
+    """Dense Kronecker reference solve of the same system as
+    :func:`smtl.linalg.sylvester_ls_solve`.
+
+    Builds ``I_T (x) K + (lam * A^-1 + ridge * I_T) (x) I_n`` explicitly and
+    solves for ``vec(C)`` (column-major vec). Only meant as an oracle on
+    small problems; cost grows as ``(n T)^3``.
+    """
+    k = _as_psd(k)
+    a = _as_psd(a)
+    y = np.asarray(y, dtype=float)
+    n, t = k.dim, a.dim
+    if y.shape != (n, t):
+        raise DimensionMismatch(
+            "Y has shape %r, expected (%d, %d)" % (y.shape, n, t)
+        )
+    d = pd_eigenvalues(a)
+    v = a.eigenvectors
+    a_inv = (v / d) @ v.T
+    lam_mat = lam * a_inv + ridge * np.eye(t)
+    big = np.kron(np.eye(t), k.data) + np.kron(lam_mat, np.eye(n))
+    c_vec = np.linalg.solve(big, y.reshape(-1, order="F"))
+    return c_vec.reshape((n, t), order="F")
 
 
 # --- grid search over 2 x 2 PD matrices -------------------------------------

@@ -222,15 +222,16 @@ class _SupervisedState:
     back to the original basis.
 
     The observed-entry routes keep the observed entries, taken from
-    ``W > 0``: their ``rows``, task ``tids``, loss weights ``wvec`` and
-    targets ``yvec``; the ``RECYCLED_SOLUTIONS`` last solutions ``recent``
-    (the latest, ``alpha``, is the next warm start, and all of them span
-    its Galerkin correction) and the counters. ``in_fit`` marks the state
-    of a ``fit_gram`` loop, whose solves stop at the objective's own
-    precision rather than at ``PCG_RTOL`` (see ``_observed_step``). The
-    one-hot route also keeps ``precond``, an explicit inverse of an
-    earlier system matrix; once ``lu_solves`` is nonzero, every solve of
-    the fit is an LU solve.
+    ``W > 0`` and addressed by their C-order ``flat`` positions in an n x T
+    array, which index several times faster than (row, task) pairs: their
+    task ``tids``, loss weights ``wvec`` and targets ``yvec``; the
+    ``RECYCLED_SOLUTIONS`` last solutions ``recent`` (the latest, ``alpha``,
+    is the next warm start, and all of them span its Galerkin correction)
+    and the counters. ``in_fit`` marks the state of a ``fit_gram`` loop,
+    whose solves stop at the objective's own precision rather than at
+    ``PCG_RTOL`` (see ``_observed_step``). The one-hot route also keeps
+    ``precond``, an explicit inverse of an earlier system matrix; once
+    ``lu_solves`` is nonzero, every solve of the fit is an LU solve.
     """
 
     route: str
@@ -239,7 +240,7 @@ class _SupervisedState:
     u: np.ndarray = None
     y_perp: np.ndarray = None
     offset: float = 0.0
-    rows: np.ndarray = None
+    flat: np.ndarray = None
     tids: np.ndarray = None
     wvec: np.ndarray = None
     yvec: np.ndarray = None
@@ -262,9 +263,10 @@ class _SupervisedState:
         check another route."""
         state = cls(route or _route(inst.W, mode), inst, in_fit)
         if state.route in ("one_hot", "cg"):
-            state.rows, state.tids = np.nonzero(inst.W > 0)
-            state.wvec = inst.W[state.rows, state.tids]
-            state.yvec = inst.Y[state.rows, state.tids]
+            state.flat = np.flatnonzero(inst.W > 0)
+            state.tids = state.flat % inst.n_tasks
+            state.wvec = inst.W.take(state.flat)
+            state.yvec = inst.Y.take(state.flat)
         elif _route(inst.W, "altmin") == "spectral":  # uniform weights
             w = inst.W.flat[0]
             state.u, s = inst.gram.eigenbasis
@@ -280,16 +282,16 @@ class _SupervisedState:
         """A C of ``work`` in the original basis: ``c`` itself, or, if
         ``work`` is rotated, ``U c + Y_perp Atilde`` with ``Atilde =
         (lam/w A^{-1} + ridge/w I)^{-1}`` at ``a``. The last term is the
-        exact C-step's part in K's null space, ``((Y_perp V) / (lam/(w d)
-        + ridge/w)) V'`` in A's eigenbasis."""
+        exact C-step's part in K's null space: ``sylvester_ls_solve`` with
+        K's spectrum zero there."""
         if self.u is None:
             return c
         out = self.u @ c
         if self.y_perp is not None:
             w = self.work.W.flat[0]
-            lam, ridge = self.work.lam / w, self.work.ridge / w
-            d, v = pd_eigenvalues(a), a.eigenvectors
-            out += ((self.y_perp @ v) / (lam / d + ridge)) @ v.T
+            out += sylvester_ls_solve(np.zeros(len(self.y_perp)), a,
+                                      self.work.lam / w, self.y_perp,
+                                      ridge=self.work.ridge / w)
         return out
 
 
@@ -405,7 +407,7 @@ def _solve_one_hot(gram, a_tilde, y, tol, state):
 def _solve_operator(gram, a_tilde, y, tol, state):
     """Solve the observed-entry system by PCG on its operator form.
 
-    The matvec is ``(K P(x) Atilde)[rows, tids] + x / w``, with the K
+    The matvec is ``(K P(x) Atilde).take(flat) + x / w``, with the K
     product from ``gram.dot``; the preconditioner is ``diag(w)``. PCG may
     take 2m steps, twice what exact arithmetic needs. Short of ``tol``, a
     solve is accepted within the matvec's roundoff,
@@ -415,12 +417,9 @@ def _solve_operator(gram, a_tilde, y, tol, state):
     applied as ``X (X' m)``. It raises ``CgStall`` above that bound, or if
     the bound reaches ``||y||``.
     """
-    w = state.wvec
+    w, flat = state.wvec, state.flat
     scattered = np.zeros((gram.n, a_tilde.shape[0]))
-    # The observed entries by flat position: indexing a 1-D view is several
-    # times faster than indexing by (rows, tids).
-    flat = np.ravel_multi_index((state.rows, state.tids), scattered.shape)
-    scattered_flat = scattered.reshape(-1)
+    scattered_flat = scattered.reshape(-1)  # a view, faster to index than put
 
     def matvec(v):
         scattered_flat[flat] = v
@@ -454,7 +453,6 @@ def _observed_step(inst, a, state):
     v = a.eigenvectors  # Atilde = (lam A^{-1} + ridge I)^{-1}
     a_tilde = (v * (1.0 / (inst.lam / pd_eigenvalues(a) + inst.ridge))) @ v.T
     y = state.yvec
-    one_hot = state.route == "one_hot"
     tol = PCG_RTOL * float(np.linalg.norm(y))
     if state.in_fit:
         y_w = float(state.wvec @ (y * y))  # ||y||_W^2
@@ -463,14 +461,12 @@ def _observed_step(inst, a, state):
     if tol == 0.0:
         alpha = np.zeros_like(y)
     else:
-        solve = _solve_one_hot if one_hot else _solve_operator
+        solve = _solve_one_hot if state.route == "one_hot" else _solve_operator
         alpha = solve(inst.gram, a_tilde, y, tol, state)
     if alpha is not state.alpha:  # a repeat solve adds nothing to recycle
         state.recent = (state.recent + [alpha])[-RECYCLED_SOLUTIONS:]
-    if one_hot:  # P(alpha) @ Atilde, one entry per row
-        return alpha[:, None] * a_tilde[state.tids, :]
-    c = np.zeros_like(inst.Y)
-    c[state.rows, state.tids] = alpha
+    c = np.zeros((inst.n, inst.n_tasks))  # P(alpha), C-ordered like flat
+    c.reshape(-1)[state.flat] = alpha
     return c @ a_tilde
 
 
@@ -640,9 +636,7 @@ def fit_gram(gram, y, w, penalty, lam, ridge=0.0, config=None, callback=None):
     for delta in deltas:
         work = work.with_delta(delta)
         phase_starts.append(len(trajectory))
-        s_prev = _safe_S(work, c, a) + offset
-        trajectory.append(s_prev)
-        converged = False
+        trajectory.append(_safe_S(work, c, a) + offset)
         for _ in range(config.max_iter):
             t0 = time.perf_counter()
             a_used = a  # the A of the last C-step
@@ -660,16 +654,13 @@ def fit_gram(gram, y, w, penalty, lam, ridge=0.0, config=None, callback=None):
             s_new = _safe_S(work, c, a, kc) + offset
             if np.isnan(s_new):
                 raise NonFiniteObjective("objective became NaN")
+            converged = abs(s_new - trajectory[-1]) < config.epsilon
             trajectory.append(s_new)
             total_iters += 1
             if callback is not None:
                 callback(total_iters, state.coefficients(c, a_used), a, s_new)
-            gap = abs(s_new - s_prev)
-            if np.isfinite(gap) and gap < config.epsilon:
-                converged = True
-                s_prev = s_new
+            if converged:
                 break
-            s_prev = s_new
     c = state.coefficients(c, a_used)
     times["fit"] = time.perf_counter() - t_fit
     report = FitReport(

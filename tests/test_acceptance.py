@@ -13,7 +13,7 @@ import pytest
 
 from smtl.data import dataset_from_rows
 from smtl.kernels import GramMatrix, KernelSpec
-from smtl.linalg import PsdMatrix, kron_ls_solve, psd_clip, sylvester_ls_solve
+from smtl.linalg import PsdMatrix, psd_clip, sylvester_ls_solve
 from smtl.metrics import nmse, normalized_improvement, predict
 from smtl.objectives import eval_S, grad_S_A, grad_S_C
 from smtl.oracles import (
@@ -24,6 +24,7 @@ from smtl.oracles import (
     check_metric_equivalence,
     check_nuclear_variational,
     check_theorem1,
+    kron_ls_solve,
     random_instance,
 )
 from smtl.penalties import PenaltySpec, penalty_value, unsupervised_min

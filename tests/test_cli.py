@@ -92,6 +92,46 @@ def test_predict_task_beyond_model_is_data_error(tmp_path, capsys):
     assert "task 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("far_id", [10 ** 8, 10 ** 12, 10 ** 20])
+@pytest.mark.parametrize("command", ["fit", "predict"])
+def test_task_id_past_the_row_count_is_empty_task(tmp_path, capsys, command,
+                                                  far_id):
+    # ids {0, 0, far_id} leave task 1 without rows, however far the last id
+    # (10**12 would size a 7 TiB count array, 10**20 overflows int64)
+    data = tmp_path / "far.csv"
+    data.write_text("task,y,x1\n0,1.0,2.0\n0,0.5,1.0\n%d,1.0,3.0\n"
+                    % far_id)
+    model = tmp_path / "model.txt"
+    if command == "predict":
+        write_csv(tmp_path / "train.csv", n_tasks=2)
+        assert main(["fit", "--data", str(tmp_path / "train.csv"),
+                     "--out", str(model)]) == 0
+        capsys.readouterr()
+    args = {"fit": ["fit", "--data", str(data), "--out", str(model)],
+            "predict": ["predict", "--model", str(model), "--data", str(data),
+                        "--out", str(tmp_path / "p.csv")]}[command]
+    assert main(args) == 2
+    assert capsys.readouterr().err == ("smtl %s: task 1 has no data rows\n"
+                                       % command)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "linear"])
+def test_model_without_training_rows_is_parse_error(tmp_path, capsys, kind):
+    # fit never writes n = 0; such a file would divide by zero (gaussian) or
+    # predict all zeros (linear), so load_model refuses it at [X]'s header
+    data = tmp_path / "test.csv"
+    write_csv(data, n_tasks=1)
+    model = tmp_path / "model.txt"
+    model.write_text("SMTL-MODEL v1\n[kernel]\nkind %s\ngamma 0.5\n"
+                     "[X] 0 2\n[C] 0 1\n[A] 1 1\n1\n" % kind)
+    out = tmp_path / "p.csv"
+    assert main(["predict", "--model", str(model), "--data", str(data),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "smtl predict: line 5: [X] has no rows, a model needs one\n")
+
+
 def test_predict_fewer_tasks_than_model_is_scored(tmp_path, capsys):
     data = tmp_path / "train.csv"
     write_csv(data, n_tasks=2)

@@ -15,7 +15,6 @@ from smtl.errors import (
 from smtl.linalg import (
     RANK_TOL,
     PsdMatrix,
-    kron_ls_solve,
     pd_eigenvalues,
     pinv_psd,
     psd_clip,
@@ -25,6 +24,7 @@ from smtl.linalg import (
     sym_eig,
     sylvester_ls_solve,
 )
+from smtl.oracles import kron_ls_solve
 
 
 def random_psd(rng, n, rank=None):

@@ -14,7 +14,7 @@ import smtl.penalties
 import smtl.solver
 from smtl.errors import UnsupportedPenalty
 from smtl.kernels import GramMatrix, KernelSpec
-from smtl.linalg import PsdMatrix, kron_ls_solve
+from smtl.linalg import PsdMatrix
 from smtl.objectives import eval_S
 from smtl.oracles import (
     _REF_ROUNDS,
@@ -31,6 +31,7 @@ from smtl.oracles import (
     check_metric_equivalence,
     check_nuclear_variational,
     check_theorem1,
+    kron_ls_solve,
     random_instance,
     run_all,
 )

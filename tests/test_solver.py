@@ -484,6 +484,29 @@ def test_fit_trajectory_matches_step_by_step_loop_at_pcg_rtol(route):
     assert_allclose(traj[-1], rep.objective_trajectory[-1], rtol=1e-10)
 
 
+@pytest.mark.parametrize("kernel", [KernelSpec("linear"),
+                                    KernelSpec("gaussian", gamma=0.3)],
+                         ids=["linear", "gaussian"])
+@pytest.mark.parametrize("route", ["one_hot", "cg"])
+def test_fit_is_bit_identical_for_fortran_ordered_targets(route, kernel):
+    """Observed entries are C-order flat positions of Y and W, whatever
+    their memory order, and C is scattered into an array of its own: a fit
+    of Fortran-ordered Y and W returns C, A and a trajectory bit-identical
+    to a fit of C-ordered ones."""
+    ds = (make_dataset(seed=3, n_tasks=4, n_per_task=15)
+          if route == "one_hot" else masked_dataset())
+    runs = []
+    for order in "CF":
+        y, w = np.asarray(ds.Y, order=order), np.asarray(ds.W, order=order)
+        model, rep = fit_gram(GramMatrix(kernel, ds.X), y, w,
+                              PenaltySpec.schatten(1.0, 1.0), 0.1,
+                              config=SolverConfig(max_iter=20))
+        assert rep.supervised_route == route
+        runs.append([np.asarray(v).tobytes() for v in (
+            model.C, model.A.data, rep.objective_trajectory)])
+    assert runs[0] == runs[1]
+
+
 def drifting_solutions(inst, count):
     """Dense systems of ``inst`` at ``count`` structures drifting as in a
     fit, each with the LU solutions at the structures before it."""
