@@ -4,6 +4,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# sym_eig and factor_eig are called as linalg.<name> so that a wrapper
+# installed on smtl.linalg (tracing, call-counting tests) sees the A-step.
+from . import linalg
 from .errors import BadKernelParam, DimensionMismatch, NonFinite
 from .linalg import psd_clip
 
@@ -96,8 +99,9 @@ class GramMatrix:
     """Training Gram matrix bundled with its kernel spec and inputs.
 
     Construction stores only the spec and the training inputs, which must
-    be finite (:class:`~smtl.errors.NonFinite`); nothing is evaluated until
-    it is used, and each form is built at most once:
+    be finite (:class:`~smtl.errors.NonFinite`) and have at least one
+    feature column (:class:`~smtl.errors.DimensionMismatch`); nothing is
+    evaluated until it is used, and each form is built at most once:
 
     * ``.raw`` is the symmetrized kernel matrix ``gram(spec, X_train)``, a
       read-only ``(n, n)`` ndarray.
@@ -113,14 +117,17 @@ class GramMatrix:
       (see :class:`DiagonalGram`).
 
     Products with K go through :meth:`dot` (``K @ m``), :meth:`quad`
-    (``C'KC``) and :meth:`diag_quads` (the diagonal of ``V'C'KCV``); their
-    roundoff is sized by :attr:`dot_terms` and :attr:`fro_norm`. These pick
-    their form from the kernel kind and the shape of ``X_train``. A linear
-    kernel with ``d < n`` (``factored``) has rank at most ``d < n``: it is
+    (``C'KC``), :meth:`quad_eig` (the eigenpairs of ``C'KC``) and
+    :meth:`diag_quads` (the diagonal of ``V'C'KCV``); their roundoff is
+    sized by :attr:`dot_terms` and :attr:`fro_norm`. These pick their form
+    from the kernel kind and the shape of ``X_train``. A linear kernel
+    with ``d < n`` (``factored``) has rank at most ``d < n``: it is
     applied through the n x d inputs as ``X (X' m)`` (2ndT flops against
     n^2 T, and no n x n array read), and ``C'KC`` is ``(X'C)'(X'C)``, so
     C's components in K's null space, which can be of order ``1/lam``,
-    add no roundoff to it. Every other kernel multiplies by ``.raw``. So
+    add no roundoff to it; with ``d < T`` its eigenpairs come from the
+    d x T factor ``X'C`` (:func:`~smtl.linalg.factor_eig`). Every other
+    kernel multiplies by ``.raw``. So
     ``.raw`` is built only for a kernel that is not ``factored``, or for
     the one-hot route's explicit system matrix, which reads K's entries.
 
@@ -136,6 +143,9 @@ class GramMatrix:
         x = np.atleast_2d(np.array(x, dtype=float))
         if not np.all(np.isfinite(x)):
             raise NonFinite("training inputs contain non-finite entries")
+        if not x.shape[1]:
+            raise DimensionMismatch("training inputs have no feature "
+                                    "columns, a kernel needs one")
         x.setflags(write=False)
         self.spec = spec
         self.X_train = x
@@ -187,6 +197,14 @@ class GramMatrix:
             return xc.T @ xc
         return c.T @ (self.dot(c) if kc is None else kc)
 
+    def quad_eig(self, c, kc=None):
+        """Eigenpairs of ``C'KC`` as a ``SymEig``: from the d x T factor
+        ``X'C`` if ``factored`` with ``d < T``, else ``sym_eig`` of
+        :meth:`quad`."""
+        if self.factored and self.d < c.shape[1]:
+            return linalg.factor_eig(self.X_train.T @ c)
+        return linalg.sym_eig(self.quad(c, kc))
+
     def diag_quads(self, c, kc, v):
         """Diagonal of ``V'C'KCV``, column by column: the squared column
         norms of ``X'CV`` if ``factored``, else ``sum((CV) * (KCV))``.
@@ -228,10 +246,13 @@ class DiagonalGram:
     :class:`GramMatrix` seen in its own eigenbasis.
 
     It has the product interface of :class:`GramMatrix` that a
-    uniform-weight fit reads (``dot``, ``quad``, ``diag_quads``, ``n``),
-    each product O(r T^2) or less. ``C'KC`` and its quadratic forms are
-    taken as ``(S C)'(S C)`` and the squared column norms of ``S C V``,
-    with ``S = diag(sqrt(s))``, so rows where ``s`` is zero add nothing.
+    uniform-weight fit reads (``dot``, ``quad``, ``quad_eig``,
+    ``diag_quads``, ``n``), each product O(r T^2) or less. ``C'KC`` and
+    its quadratic forms are taken as ``(S C)'(S C)`` and the squared
+    column norms of ``S C V``, with ``S = diag(sqrt(s))``, so rows where
+    ``s`` is zero add nothing. With ``r < T`` the eigenpairs of ``C'KC``
+    come from the r x T factor ``S C`` (:func:`~smtl.linalg.factor_eig`),
+    with no T x T eigendecomposition.
     """
 
     __slots__ = ("s", "_root")
@@ -248,6 +269,13 @@ class DiagonalGram:
         """``C'KC`` as ``(S C)'(S C)``; ``kc`` is not needed."""
         sc = self._root * c
         return sc.T @ sc
+
+    def quad_eig(self, c, kc=None):
+        """Eigenpairs of ``C'KC`` as a ``SymEig``: from the r x T factor
+        ``S C`` if ``r < T``, else ``sym_eig`` of :meth:`quad`."""
+        if self.n < c.shape[1]:
+            return linalg.factor_eig(self._root * c)
+        return linalg.sym_eig(self.quad(c, kc))
 
     def diag_quads(self, c, kc, v):
         """Diagonal of ``V'C'KCV``: the squared column norms of ``S C V``."""

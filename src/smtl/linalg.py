@@ -52,6 +52,8 @@ sorted non-increasing, and ``eigenvectors`` whose column ``i`` pairs with
 
 def _fix_signs(v):
     # Flip each column so its largest-magnitude entry is positive.
+    if not v.shape[0]:  # no rows: no entry to pick, nothing to flip
+        return v
     idx = np.argmax(np.abs(v), axis=0)
     signs = np.sign(v[idx, np.arange(v.shape[1])])
     signs[signs == 0] = 1.0
@@ -87,6 +89,35 @@ def sym_eig(a):
     w = w[::-1].copy()
     v = np.ascontiguousarray(v[:, ::-1])
     return SymEig(w, _fix_signs(v))
+
+
+def factor_eig(f):
+    """Eigendecomposition of ``F'F`` from a wide factor ``F`` (r x T, r < T).
+
+    From the SVD ``F = U diag(sigma) V'`` with V square (T x T), the
+    eigenpairs of ``F'F`` are ``sigma**2`` on V's first r columns and zero
+    on the other T - r, which the SVD completes to an orthonormal basis
+    from Householder reflectors. That costs O(r^2 T + r T^2), against the
+    O(T^3) of :func:`sym_eig` on the formed ``F'F``, and ``sigma**2``
+    carries the roundoff of ``F``, not that of the T x T product.
+
+    Returns
+    -------
+    SymEig
+        With the sign convention of :func:`sym_eig`.
+
+    Raises
+    ------
+    NonFinite
+        If ``f`` contains NaN or Inf.
+    """
+    f = np.asarray(f, dtype=float)
+    if not np.all(np.isfinite(f)):
+        raise NonFinite("matrix contains non-finite entries")
+    _, sigma, vt = np.linalg.svd(f)
+    w = np.zeros(f.shape[1])
+    w[:sigma.size] = sigma * sigma
+    return SymEig(w, _fix_signs(vt.T))
 
 
 def _frozen(a):
@@ -279,7 +310,7 @@ def pd_eigenvalues(a):
         If the smallest eigenvalue is not strictly positive.
     """
     w = a.eigenvalues
-    if not w[-1] > 0.0:
+    if w.size and not w[-1] > 0.0:  # a 0 x 0 matrix has no eigenvalue
         raise SingularA(
             "matrix is not strictly positive definite "
             "(smallest eigenvalue %.3e)" % w[-1]

@@ -73,6 +73,10 @@ class _Reader:
             raise ParseError(self.pos, "bad dimensions in %r" % line)
         if rows < 0 or cols < 0:
             raise ParseError(self.pos, "negative dimensions in %r" % line)
+        for size, what in ((rows, "rows"), (cols, "columns")):
+            if not size:  # no input row, feature or task
+                raise ParseError(self.pos, "[%s] has no %s, a model needs one"
+                                 % (name, what))
         return rows, cols
 
     def read_matrix(self, name, shape=(None, None), mismatch=None):
@@ -141,8 +145,6 @@ def load_model(path):
     except BadKernelParam as exc:
         raise ParseError(rd.pos, str(exc)) from exc
     x = rd.read_matrix("X")
-    if not x.shape[0]:  # no row was read, so rd.pos is the header's line
-        raise ParseError(rd.pos, "[X] has no rows, a model needs one")
     c = rd.read_matrix("C", (x.shape[0], None),
                        "[C] row count does not match [X]'s %d" % x.shape[0])
     t = c.shape[1]

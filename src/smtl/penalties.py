@@ -24,11 +24,19 @@ minimizing M is spanned by eigenvectors of ``B``. For each penalty,
 structure may take, which is the A-step of the gradient (bcd) algorithm:
 for schatten that set is ``{A >= 1e-12 I}``.
 
-The cluster map ``M -> A`` is written once (:func:`_cluster_structure`).
-When ``eps_b == eps_w`` its M term is exactly ``0 * M``, so every M gives
-the same A. Its inverse is read in A's eigenbasis
-(:func:`_cluster_assignment`), where ``V'MV`` is a diagonal minus a
-rank-one term: membership needs only A's eigenpairs.
+The cluster map ``M -> A`` is written once (:func:`_cluster_structure`),
+for M given by a factor Z, ``M = ZZ'``. Off ``span[Z, 1]`` the matrix
+``A^{-1}(M)`` is ``eps_w * I``, so the map takes a k x k eigenproblem on
+that span, k <= min(m + 1, T) for a T x m factor, and gives the rest of
+the space the one eigenvalue ``1/eps_w``. Z enters only when
+``eps_b != eps_w`` and the ones vector only when ``eps_m != eps_b``: with
+``eps_b == eps_w`` the map never reads Z, so every M gives the same A, bit
+for bit. Its inverse is
+read in A's eigenbasis (:func:`_cluster_assignment`), where ``V'MV`` is a
+diagonal minus a rank-one term: membership needs only A's eigenpairs, and
+M's spectrum comes by deflation (:func:`_assignment_spectrum`) from a
+problem with one row per distinct eigenvalue of A, k + 1 or fewer for an
+A of the cluster map.
 
 The ``structure_*`` builders return a ``PsdMatrix`` for
 :meth:`PenaltySpec.fixed`.
@@ -118,33 +126,70 @@ def check_tasks(spec, n_tasks):
         raise BadPenaltyParam("fixed structure is not %d x %d" % (n_tasks, n_tasks))
 
 
-def _cluster_structure(spec, m):
-    """The cluster map ``M -> A``: invert ``A^{-1}(M)``.
+def _cluster_structure(spec, z):
+    """The cluster map ``M -> A`` for ``M = ZZ'`` (Z is T x m): invert
+    ``A^{-1}(M) = eps_w I + (eps_b - eps_w) ZZ' + (eps_m - eps_b) uu'``,
+    with u the ones vector over ``sqrt(T)``, so that ``U = uu'``.
 
-    :func:`check_tasks` keeps ``A^{-1}(M)`` PD on ``S_c``; the inverse is
-    taken through :func:`pd_eigenvalues`. With ``eps_b == eps_w`` the M
-    term is an exact zero, so every M gives the same A, bit for bit.
+    Only the terms with a nonzero weight are kept, at most m + 1 columns.
+    With k their count, or T if that is less, the first k columns Q_k of
+    a complete QR of those columns contain their span, which
+    ``A^{-1}(M)`` maps into itself: there it is the k x k
+    ``Q_k' A^{-1}(M) Q_k``, eigendecomposed, and on the other T - k
+    columns of the QR it is ``eps_w I``. :func:`check_tasks` keeps
+    ``A^{-1}(M)`` PD on ``S_c``; the inverse is taken through
+    :func:`pd_eigenvalues`.
     """
-    n_tasks = m.shape[0]
-    a_inv = ((spec.eps_b - spec.eps_w) * m
-             + (spec.eps_m - spec.eps_b) * _ones_projector(n_tasks)
-             + spec.eps_w * np.eye(n_tasks))
-    e = sym_eig(a_inv)
-    return PsdMatrix.from_eig(1.0 / pd_eigenvalues(e), e.eigenvectors)
+    n_tasks = z.shape[0]
+    u = np.full((n_tasks, 1), n_tasks ** -0.5)
+    terms = [(coef, f) for coef, f in ((spec.eps_b - spec.eps_w, z),
+                                       (spec.eps_m - spec.eps_b, u)) if coef]
+    span = np.hstack([np.empty((n_tasks, 0))] + [f for _, f in terms])
+    q = np.linalg.qr(span, mode="complete")[0]
+    k = min(span.shape[1], n_tasks)
+    h = spec.eps_w * np.eye(k)
+    for coef, f in terms:
+        fq = f.T @ q[:, :k]
+        h += coef * (fq.T @ fq)
+    e = sym_eig(h)
+    w = np.full(n_tasks, 1.0 / spec.eps_w)
+    w[:k] = 1.0 / pd_eigenvalues(e)
+    return PsdMatrix.from_eig(
+        w, np.hstack((q[:, :k] @ e.eigenvectors, q[:, k:])))
 
 
-def _cluster_assignment(spec, inv_w, v):
-    """``V'MV`` for the M that the cluster map takes to ``V diag(inv_w) V'``.
+def _cluster_assignment(spec, inv_w, g):
+    """``V'MV`` for the M that the cluster map takes to ``V diag(inv_w) V'``,
+    given ``g = V'1 / sqrt(T)``.
 
-    In the basis V, ``U = gg'/T`` with ``g = V'1``. When ``eps_b == eps_w``
-    M cannot be read back from A, and the numerator ``V'(A^{-1} -
-    A^{-1}(0))V`` is returned undivided.
+    In the basis V, ``U = gg'``. When ``eps_b == eps_w`` M cannot be read
+    back from A, and the numerator ``V'(A^{-1} - A^{-1}(0))V`` is returned
+    undivided.
     """
-    g = v.sum(axis=0)
-    u_part = (spec.eps_m - spec.eps_b) / len(g) * np.outer(g, g)
-    num = np.diag(inv_w - spec.eps_w) - u_part
+    num = (np.diag(inv_w - spec.eps_w)
+           - (spec.eps_m - spec.eps_b) * np.outer(g, g))
     gap = spec.eps_b - spec.eps_w
     return num / gap if gap else num
+
+
+def _assignment_spectrum(spec, inv_w, g):
+    """Eigenvalues, unordered, of ``_cluster_assignment(spec, inv_w, g)``
+    for ``eps_b != eps_w``, by deflation.
+
+    A rotation within each group of equal ``inv_w`` entries that turns
+    the group's part of g onto one axis leaves the matrix's diagonal part
+    alone. So a group of m entries keeps m - 1 eigenvalues equal to its
+    diagonal entry, and the rest of the spectrum is that of the same
+    diagonal-minus-rank-one form with one row per group, whose g entry is
+    the norm of g over the group. This is exact for any A.
+    """
+    vals, group, counts = np.unique(inv_w, return_inverse=True,
+                                    return_counts=True)
+    h = np.sqrt(np.bincount(group, weights=g * g))
+    ties = (vals - spec.eps_w) / (spec.eps_b - spec.eps_w)
+    return np.concatenate((
+        np.linalg.eigvalsh(_cluster_assignment(spec, vals, h)),
+        np.repeat(ties, counts - 1)))
 
 
 def penalty_value(spec, a):
@@ -165,12 +210,14 @@ def penalty_value(spec, a):
     if not a.is_pd():
         return float("inf")
     inv_w = 1.0 / a.eigenvalues
-    m = _cluster_assignment(spec, inv_w, a.eigenvectors)
+    g = a.eigenvectors.sum(axis=0) / np.sqrt(a.dim)
     if spec.eps_b == spec.eps_w:
+        m = _cluster_assignment(spec, inv_w, g)
         ok = np.linalg.norm(m) <= 1e-6 * (1.0 + np.linalg.norm(inv_w))
     else:
-        mw = np.linalg.eigvalsh(m)  # M's spectrum must lie in [0, 1], sum r
-        ok = (mw[0] >= -1e-6 and mw[-1] <= 1.0 + 1e-6
+        # M's spectrum must lie in [0, 1], sum r
+        mw = _assignment_spectrum(spec, inv_w, g)
+        ok = (np.min(mw) >= -1e-6 and np.max(mw) <= 1.0 + 1e-6
               and abs(float(np.sum(mw)) - spec.r) <= 1e-6)
     return 0.0 if ok else float("inf")
 
@@ -230,7 +277,7 @@ def unsupervised_min(spec, b, lam):
 
     # B's r smallest eigenvalues when eps_b > eps_w, else its r largest
     vs = v[:, n_tasks - spec.r:] if spec.eps_b > spec.eps_w else v[:, :spec.r]
-    return _cluster_structure(spec, vs @ vs.T)
+    return _cluster_structure(spec, vs)
 
 
 def project_capped_simplex(v, r):
@@ -278,10 +325,12 @@ def project_structure(spec, a):
 
     cut = 1e-12 * max(abs(e.eigenvalues[0]), 1.0)
     inv_w = np.where(np.abs(e.eigenvalues) > cut, 1.0 / e.eigenvalues, 0.0)
-    em = sym_eig(_cluster_assignment(spec, inv_w, e.eigenvectors))
-    q = e.eigenvectors @ em.eigenvectors
+    g = e.eigenvectors.sum(axis=0) / np.sqrt(len(inv_w))
+    em = sym_eig(_cluster_assignment(spec, inv_w, g))
     w = project_capped_simplex(em.eigenvalues, float(spec.r))
-    return _cluster_structure(spec, (q * w) @ q.T)
+    keep = w > 0.0  # a zero weight adds nothing to M = ZZ'
+    q = e.eigenvectors @ em.eigenvectors[:, keep]
+    return _cluster_structure(spec, q * np.sqrt(w[keep]))
 
 
 # --- fixed structures from side information ---------------------------------

@@ -68,9 +68,6 @@ from .errors import (
     NonFiniteObjective,
     NotStrictlyPd,
 )
-# sym_eig is called as linalg.sym_eig so that a wrapper installed on
-# smtl.linalg.sym_eig (tracing, call-counting tests) sees the A-step too.
-from . import linalg
 from .kernels import DiagonalGram, GramMatrix
 from .linalg import PsdMatrix, _as_psd, pd_eigenvalues, sylvester_ls_solve
 from .objectives import (
@@ -536,14 +533,15 @@ def unsupervised_step(inst, c, a_prev, mode="altmin", step=None, kc=None):
     by halving. ``kc`` is ``K @ c``, if the caller has it.
     """
     if mode == "altmin":
-        # B = C'KC + delta^2 I in the eigenbasis V of M = C'KC. M's
+        # B = C'KC + delta^2 I in the eigenbasis V of M = C'KC, which
+        # quad_eig takes from a factor of M with fewer than T rows. M's
         # eigenvalues carry roundoff of order eps * ||M||, which swamps
         # delta^2 in M's near-null directions; the column forms of
         # diag(V'MV) are accurate there, as in eval_S. Adding delta^2 to
         # them keeps B strictly PD at tiny barrier floors.
         if kc is None:
             kc = inst.gram.dot(c)
-        em = linalg.sym_eig(inst.gram.quad(c, kc))
+        em = inst.gram.quad_eig(c, kc)
         quads = inst.gram.diag_quads(c, kc, em.eigenvectors)
         sigma = np.maximum(quads, 0.0) + inst.delta ** 2
         b = PsdMatrix.from_eig(sigma, em.eigenvectors)

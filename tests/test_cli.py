@@ -132,6 +132,21 @@ def test_model_without_training_rows_is_parse_error(tmp_path, capsys, kind):
         "smtl predict: line 5: [X] has no rows, a model needs one\n")
 
 
+@pytest.mark.parametrize("rows", ["0,1.0\n0,0.5\n", "0,1.0\n1,0.5\n"],
+                         ids=["one_task", "two_tasks"])
+def test_csv_without_feature_columns_is_data_error(tmp_path, capsys, rows):
+    # header task,y names no feature, so there is no kernel to fit with;
+    # the fit is refused before a Gram matrix exists, on either route
+    data = tmp_path / "nofeatures.csv"
+    data.write_text("task,y\n" + rows)
+    model = tmp_path / "model.txt"
+    assert main(["fit", "--data", str(data), "--out", str(model)]) == 2
+    assert not model.exists()
+    assert capsys.readouterr().err == (
+        "smtl fit: training inputs have no feature columns, a kernel needs "
+        "one\n")
+
+
 def test_predict_fewer_tasks_than_model_is_scored(tmp_path, capsys):
     data = tmp_path / "train.csv"
     write_csv(data, n_tasks=2)

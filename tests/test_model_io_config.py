@@ -176,6 +176,22 @@ class TestModelRoundTrip:
             load_model(bad)
         assert err.value.line == c_header + 1
 
+    def test_model_without_tasks_is_parse_error(self, fitted):
+        # T = 0 ([C] n 0 over n empty rows, then [A] 0 0) is refused at the
+        # [C] header; fit never writes it, and nothing could be predicted
+        model, tmp = fitted
+        path = tmp / "m.txt"
+        save_model(model, path)
+        lines = path.read_text().rstrip("\n").split("\n")
+        c_header = next(i for i, l in enumerate(lines) if l.startswith("[C]"))
+        n = model.C.shape[0]
+        lines[c_header:] = ["[C] %d 0" % n] + [""] * n + ["[A] 0 0"]
+        bad = tmp / "no_tasks.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=r"\[C\] has no columns") as err:
+            load_model(bad)
+        assert err.value.line == c_header + 1
+
     @pytest.mark.parametrize("text", ["[A] 3 2", "[A] 2 2", "[A] 4 4"],
                              ids=["not_square", "too_small", "too_large"])
     def test_structure_shape_is_reported_at_its_header(self, fitted, text):

@@ -214,7 +214,7 @@ class TestCluster:
         spec = PenaltySpec.cluster(r, *eps)
         q = np.linalg.qr(np.hstack([np.ones((t, 1)),
                                     np.eye(t)[:, :r]]))[0][:, 1:]
-        a = _cluster_structure(spec, q @ q.T)
+        a = _cluster_structure(spec, q)
         assert 0.0 < 1e10 * a.eigenvalues[-1] < a.eigenvalues[0]
         assert penalty_value(spec, a) == 0.0
 
@@ -230,7 +230,7 @@ class TestCluster:
                 continue
             w = project_capped_simplex(rng.uniform(-1.0, 2.0, size=t), r)
             q = np.linalg.qr(rng.standard_normal((t, t)))[0]
-            a = _cluster_structure(spec, (q * w) @ q.T)
+            a = _cluster_structure(spec, q * np.sqrt(w))
             assert a.eigenvalues[-1] > 0.0
 
 

@@ -64,7 +64,8 @@ def test_traced_masked_fit_records_cg_route(tracer):
 
 def test_traced_cluster_fit_records_one_eig_per_a_step(tracer):
     """penalties.unsupervised_min_s.cluster times the cluster map: one span
-    per A-step, each around one T x T eigendecomposition."""
+    per A-step, each around one eigendecomposition on span[Z, 1], of size
+    r + 1 = 3 for r = 2 clusters of T = 6 tasks."""
     rng = np.random.default_rng(1)
     n, n_tasks = 30, 6
     ds = TaskDataset(X=rng.standard_normal((n, 3)),
@@ -85,7 +86,7 @@ def test_traced_cluster_fit_records_one_eig_per_a_step(tracer):
         assert span["kind"] == "cluster"
         eigs = [s for s in t.spans if s["parent"] == span["id"]]
         assert [(s["name"], s["dim"]) for s in eigs] == [("linalg.sym_eig",
-                                                          n_tasks)]
+                                                          3)]
 
 
 def route_table():
