@@ -95,7 +95,50 @@ def _symmetrize(k):
             k[j:j + b, i:i + b] = tile.T
 
 
-class GramMatrix:
+class _FactorForm:
+    """Products with K written once over its factor form ``K = LL'``
+    (L n x r), through the factor product ``L'M`` (``_factor_product``;
+    None for a Gram with no factor, whose products read K itself).
+
+    * ``C'KC`` is ``(L'C)'(L'C)``: C's components in K's null space, of
+      order ``1/lam`` at small lam, add no roundoff to it.
+    * Its eigenpairs, of rank at most r, come from the r x T factor
+      ``L'C`` when ``r < T`` (:func:`~smtl.linalg.factor_eig`), with no
+      T x T eigendecomposition.
+    * Its quadratic forms ``v'C'KCv`` are taken column by column (the
+      squared column norms of ``L'CV``, or ``sum((CV) * (KCV))``), so the
+      roundoff in each scales with its own column, not with ``||C'KC||``.
+      The barrier objective divides them by A's eigenvalues, down to order
+      delta, and an error of ``eps ||C'KC||`` would make it rise between
+      iterations at tiny barrier sizes.
+    """
+
+    __slots__ = ()
+
+    def quad(self, c, kc=None):
+        """``C'KC`` (T x T); ``kc`` is ``K @ c``, if the caller has it."""
+        lc = self._factor_product(c)
+        if lc is None:
+            return c.T @ (self.dot(c) if kc is None else kc)
+        return lc.T @ lc
+
+    def quad_eig(self, c, kc=None):
+        """Eigenpairs of ``C'KC`` as a ``SymEig``."""
+        lc = self._factor_product(c)
+        if lc is not None and lc.shape[0] < lc.shape[1]:
+            return linalg.factor_eig(lc)
+        return linalg.sym_eig(self.quad(c, kc) if lc is None else lc.T @ lc)
+
+    def diag_quads(self, c, kc, v):
+        """Diagonal of ``V'C'KCV``."""
+        lc = self._factor_product(c)
+        if lc is None:
+            return np.sum((c @ v) * (kc @ v), axis=0)
+        lcv = lc @ v
+        return np.sum(lcv * lcv, axis=0)
+
+
+class GramMatrix(_FactorForm):
     """Training Gram matrix bundled with its kernel spec and inputs.
 
     Construction stores only the spec and the training inputs, which must
@@ -107,29 +150,23 @@ class GramMatrix:
       read-only ``(n, n)`` ndarray.
     * ``.eigenbasis`` is ``(U, s)`` with ``K = U diag(s) U'``, U an n x r
       matrix with orthonormal columns and ``s >= 0``: the thin SVD
-      ``X = U diag(sqrt(s)) V'`` if ``factored`` (r = d, and ``.raw`` is
-      not built), else the eigenpairs of ``.raw`` by ``psd_clip`` (r = n):
-      the one PSD rule of every ``PsdMatrix``, at ``tol = 1e-8``, so
-      eigenvalues down to ``-1e-8 * max(1, w_max)`` are zero in ``s`` and
-      more negative ones raise :class:`~smtl.errors.NotPsd`. It is the
-      only decomposition of K a fit makes. A fit with uniform weights runs
-      in this basis, in either solver mode
-      (see :class:`DiagonalGram`).
+      ``L = U diag(sqrt(s)) V'`` of the factor if ``factored`` (r = d, and
+      ``.raw`` is not built), else the eigenpairs of ``.raw`` by
+      ``psd_clip`` (r = n): the one PSD rule of every ``PsdMatrix``, at
+      ``tol = 1e-8``, so eigenvalues down to ``-1e-8 * max(1, w_max)`` are
+      zero in ``s`` and more negative ones raise
+      :class:`~smtl.errors.NotPsd`. It is the only decomposition of K a
+      fit makes. A fit with uniform weights runs in this basis, in either
+      solver mode (see :class:`DiagonalGram`).
 
-    Products with K go through :meth:`dot` (``K @ m``), :meth:`quad`
-    (``C'KC``), :meth:`quad_eig` (the eigenpairs of ``C'KC``) and
-    :meth:`diag_quads` (the diagonal of ``V'C'KCV``); their roundoff is
-    sized by :attr:`dot_terms` and :attr:`fro_norm`. These pick their form
-    from the kernel kind and the shape of ``X_train``. A linear kernel
-    with ``d < n`` (``factored``) has rank at most ``d < n``: it is
-    applied through the n x d inputs as ``X (X' m)`` (2ndT flops against
-    n^2 T, and no n x n array read), and ``C'KC`` is ``(X'C)'(X'C)``, so
-    C's components in K's null space, which can be of order ``1/lam``,
-    add no roundoff to it; with ``d < T`` its eigenpairs come from the
-    d x T factor ``X'C`` (:func:`~smtl.linalg.factor_eig`). Every other
-    kernel multiplies by ``.raw``. So
-    ``.raw`` is built only for a kernel that is not ``factored``, or for
-    the one-hot route's explicit system matrix, which reads K's entries.
+    Products with K go through :meth:`dot` (``K @ m``) and the shared
+    :meth:`quad`, :meth:`quad_eig` and :meth:`diag_quads` (see
+    ``_FactorForm``); :attr:`dot_terms` and :attr:`fro_norm` size the
+    roundoff of :meth:`dot`. A linear kernel with ``d < n`` (``factored``,
+    rank at most d) has factor ``L = X_train`` and is applied as
+    ``X (X' m)``: 2ndT flops against n^2 T, and no n x n array read. Every
+    other kernel multiplies by ``.raw``, which is built only then, or for
+    the one-hot route's explicit system matrix.
 
     A model that only predicts (e.g. one read by ``load_model``) builds
     none of them: prediction needs just the spec and ``X_train``. Every
@@ -137,7 +174,7 @@ class GramMatrix:
     a first use at worst compute the same value twice.
     """
 
-    __slots__ = ("spec", "X_train", "_raw", "_basis")
+    __slots__ = ("spec", "X_train", "_factor", "_raw", "_basis")
 
     def __init__(self, spec, x):
         x = np.atleast_2d(np.array(x, dtype=float))
@@ -149,6 +186,9 @@ class GramMatrix:
         x.setflags(write=False)
         self.spec = spec
         self.X_train = x
+        # L with K = LL': X_train for a linear kernel with d < n, whose
+        # rank is below n, else None
+        self._factor = x if spec.kind == "linear" and self.d < self.n else None
         self._raw = None
         self._basis = None
 
@@ -163,8 +203,8 @@ class GramMatrix:
     @property
     def eigenbasis(self):
         if self._basis is None:
-            if self.factored:
-                u, sigma, _ = np.linalg.svd(self.X_train, full_matrices=False)
+            if self._factor is not None:
+                u, sigma, _ = np.linalg.svd(self._factor, full_matrices=False)
                 self._basis = (u, sigma * sigma)
             else:
                 k = psd_clip(self.raw, tol=1e-8)
@@ -178,59 +218,33 @@ class GramMatrix:
 
     @property
     def factored(self):
-        """Whether products go through ``X_train``: a linear kernel with
-        ``d < n``, whose rank is below n."""
-        return self.spec.kind == "linear" and self.d < self.n
+        """Whether K has a factor L, so that products go through it."""
+        return self._factor is not None
+
+    def _factor_product(self, m):
+        """``L'M`` if ``factored``, else None."""
+        return None if self._factor is None else self._factor.T @ m
 
     def dot(self, m):
-        """``K @ m``: ``X (X' m)`` if ``factored``, else ``raw @ m``."""
-        if self.factored:
-            x = self.X_train
-            return x @ (x.T @ m)
-        return self.raw @ m
-
-    def quad(self, c, kc=None):
-        """``C'KC`` (T x T): ``(X'C)'(X'C)`` if ``factored``, else
-        ``C'(KC)``. ``kc`` is ``K @ c``, if the caller has it."""
-        if self.factored:
-            xc = self.X_train.T @ c
-            return xc.T @ xc
-        return c.T @ (self.dot(c) if kc is None else kc)
-
-    def quad_eig(self, c, kc=None):
-        """Eigenpairs of ``C'KC`` as a ``SymEig``: from the d x T factor
-        ``X'C`` if ``factored`` with ``d < T``, else ``sym_eig`` of
-        :meth:`quad`."""
-        if self.factored and self.d < c.shape[1]:
-            return linalg.factor_eig(self.X_train.T @ c)
-        return linalg.sym_eig(self.quad(c, kc))
-
-    def diag_quads(self, c, kc, v):
-        """Diagonal of ``V'C'KCV``, column by column: the squared column
-        norms of ``X'CV`` if ``factored``, else ``sum((CV) * (KCV))``.
-
-        The roundoff in each form scales with that column's own size, not
-        with ``||C'KC||`` as it would if ``C'KC`` were formed first.
-        """
-        if self.factored:
-            xcv = (self.X_train.T @ c) @ v
-            return np.sum(xcv * xcv, axis=0)
-        return np.sum((c @ v) * (kc @ v), axis=0)
+        """``K @ m``: ``L (L'm)`` if ``factored``, else ``raw @ m``."""
+        lm = self._factor_product(m)
+        return self.raw @ m if lm is None else self._factor @ lm
 
     @property
     def dot_terms(self):
         """Terms summed into each entry of :meth:`dot`, for its roundoff
-        bound: ``n``, or ``n + d`` (``X' m``, then ``X`` times it) if
+        bound: ``n``, or ``n + r`` (``L'm``, then ``L`` times it) if
         ``factored``."""
-        return self.n + self.d if self.factored else self.n
+        return (self.n if self._factor is None
+                else self.n + self._factor.shape[1])
 
     @property
     def fro_norm(self):
-        """``||K||_F``, as :meth:`dot` applies K: ``||X'X||_F`` (d x d,
+        """``||K||_F``, as :meth:`dot` applies K: ``||L'L||_F`` (r x r,
         equal in exact arithmetic) if ``factored``."""
-        if self.factored:
-            return float(np.linalg.norm(self.X_train.T @ self.X_train))
-        return float(np.linalg.norm(self.raw))
+        if self._factor is None:
+            return float(np.linalg.norm(self.raw))
+        return float(np.linalg.norm(self._factor.T @ self._factor))
 
     @property
     def n(self):
@@ -241,18 +255,12 @@ class GramMatrix:
         return self.X_train.shape[1]
 
 
-class DiagonalGram:
+class DiagonalGram(_FactorForm):
     """A Gram matrix that is diagonal, ``K = diag(s)``: a
-    :class:`GramMatrix` seen in its own eigenbasis.
-
-    It has the product interface of :class:`GramMatrix` that a
-    uniform-weight fit reads (``dot``, ``quad``, ``quad_eig``,
-    ``diag_quads``, ``n``), each product O(r T^2) or less. ``C'KC`` and
-    its quadratic forms are taken as ``(S C)'(S C)`` and the squared
-    column norms of ``S C V``, with ``S = diag(sqrt(s))``, so rows where
-    ``s`` is zero add nothing. With ``r < T`` the eigenpairs of ``C'KC``
-    come from the r x T factor ``S C`` (:func:`~smtl.linalg.factor_eig`),
-    with no T x T eigendecomposition.
+    :class:`GramMatrix` seen in its own eigenbasis, as a uniform-weight
+    fit reads it. Its factor is ``L = diag(sqrt(s))`` (r = ``len(s)``), so
+    rows where ``s`` is zero add nothing to a product, and each product
+    costs O(r T^2) or less (see ``_FactorForm``).
     """
 
     __slots__ = ("s", "_root")
@@ -265,22 +273,9 @@ class DiagonalGram:
         """``K @ m``, row ``i`` of ``m`` scaled by ``s_i``."""
         return self.s[:, None] * m
 
-    def quad(self, c, kc=None):
-        """``C'KC`` as ``(S C)'(S C)``; ``kc`` is not needed."""
-        sc = self._root * c
-        return sc.T @ sc
-
-    def quad_eig(self, c, kc=None):
-        """Eigenpairs of ``C'KC`` as a ``SymEig``: from the r x T factor
-        ``S C`` if ``r < T``, else ``sym_eig`` of :meth:`quad`."""
-        if self.n < c.shape[1]:
-            return linalg.factor_eig(self._root * c)
-        return linalg.sym_eig(self.quad(c, kc))
-
-    def diag_quads(self, c, kc, v):
-        """Diagonal of ``V'C'KCV``: the squared column norms of ``S C V``."""
-        scv = (self._root * c) @ v
-        return np.sum(scv * scv, axis=0)
+    def _factor_product(self, m):
+        """``L'M``, row ``i`` of ``m`` scaled by ``sqrt(s_i)``."""
+        return self._root * m
 
     @property
     def n(self):

@@ -14,13 +14,9 @@ matrix ``A`` (T x T) are exposed:
 Both trace terms are evaluated in A's eigenbasis ``A = V diag(w) V'``
 without forming ``C'KC``: ``tr(A^{-1} C'KC) = sum_i q_i / w_i`` with the
 quadratic forms ``q_i = v_i' C'KC v_i`` taken column by column
-(``GramMatrix.diag_quads``). The roundoff in each ``q_i`` then scales with
-that column's size, which is small exactly where ``w_i`` is small. Forming
-``C'KC`` first would leave an error of order ``eps ||C'KC||`` in every
-``q_i``, and dividing it by a ``w_i`` of order delta makes the barrier
-objective rise between iterations at tiny barrier sizes. Every product
-with K (``K @ C``, ``C'KC`` and these forms) comes from the
-``GramMatrix``, which picks its form.
+(``diag_quads``), so that a ``w_i`` of order delta divides no roundoff of
+``||C'KC||`` (see :mod:`smtl.kernels`). Every product with K comes from
+the Gram, which picks its form.
 
 The value-preserving maps between Q- and R-minimizers are ``map_Q_to_R``
 (``C -> C A``) and ``map_R_to_Q`` (``C -> C A^+``). Q's ridge term is R's

@@ -35,16 +35,15 @@ With uniform weights the squared loss does not change when the rows are
 rotated, so a uniform-weight fit, in either mode, runs in K's eigenbasis
 (``GramMatrix.eigenbasis``, ``K = U diag(s) U'``, U n x r; r = d for a
 linear kernel with d < n, else n). There the Gram is a ``DiagonalGram``
-and the targets ``U'Y``, computed once, and every product with K costs
-O(r T^2) or less. The objective adds back ``w ||Y - U U'Y||^2``, the part
-of Y that K cannot fit, and C is rotated back once at the end, with its
-part in K's null space (see ``_SupervisedState``).
+and the targets ``U'Y``, computed once. The objective adds back
+``w ||Y - U U'Y||^2``, the part of Y that K cannot fit, and C is rotated
+back once at the end, with its part in K's null space (see
+``_SupervisedState``).
 
-Every product with K comes from the ``GramMatrix`` (``dot``, ``quad``,
-``diag_quads``), so a linear kernel with d < n is applied as ``X (X' M)``
-and the ``"cg"`` route never reads the n x n matrix. Only the one-hot
-route's explicit matrix needs K's entries on such a kernel; uniform-weight
-fits take their eigenbasis from the thin SVD of X.
+Every product with K comes from the Gram (``dot``, ``quad``, ``quad_eig``,
+``diag_quads``), in the factor form ``K = LL'`` of :mod:`smtl.kernels`,
+which says what each form saves. Only the one-hot route's explicit matrix
+reads K's entries on a kernel with a factor.
 
 A per-fit ``_SupervisedState``, built once by ``_SupervisedState.of``,
 holds the route, the instance the loop runs on and the map of its C back
@@ -409,10 +408,9 @@ def _solve_operator(gram, a_tilde, y, tol, state):
     take 2m steps, twice what exact arithmetic needs. Short of ``tol``, a
     solve is accepted within the matvec's roundoff,
     ``(gram.dot_terms + T) u gram.fro_norm ||Atilde||_F ||x||`` (u the unit
-    roundoff) at ``||x|| = max(w) ||y||``, a bound on the solution's norm:
-    ``(n + T) u ||K||_F ...``, or ``(n + d + T) u ||X'X||_F ...`` when K is
-    applied as ``X (X' m)``. It raises ``CgStall`` above that bound, or if
-    the bound reaches ``||y||``.
+    roundoff) at ``||x|| = max(w) ||y||``, a bound on the solution's norm.
+    It raises ``CgStall`` above that bound, or if the bound reaches
+    ``||y||``.
     """
     w, flat = state.wvec, state.flat
     scattered = np.zeros((gram.n, a_tilde.shape[0]))

@@ -20,7 +20,7 @@ import smtl.linalg
 import smtl.solver
 from smtl.data import TaskDataset
 from smtl.errors import NotPsd
-from smtl.kernels import GramMatrix, KernelSpec
+from smtl.kernels import DiagonalGram, GramMatrix, KernelSpec
 from smtl.linalg import psd_clip
 from smtl.metrics import predict
 from smtl.model_io import load_model, save_model
@@ -171,20 +171,32 @@ def rel_err(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
-@pytest.mark.parametrize("d", [4, N // 2, N - 1])
+@pytest.mark.parametrize("d", [4, N // 2, N - 1,
+                               pytest.param(None, id="diagonal")])
 def test_factored_products_match_raw_and_evaluate_no_kernel(kernel_calls, d):
-    """A linear kernel with d < n multiplies through X_train."""
+    """A linear kernel with d < n multiplies through its factor X_train,
+    and the eigenbasis Gram ``diag(s)`` (d None) through ``sqrt(s)``; each
+    product matches the dense K's, and ``quad_eig`` reconstructs C'KC."""
     rng = np.random.default_rng(7)
-    gm = GramMatrix(KernelSpec("linear"), rng.standard_normal((N, d)))
+    if d is None:
+        s = rng.random(N)
+        s[:3] = 0.0  # K's null space: rows that add nothing
+        gm = DiagonalGram(s)
+    else:
+        gm = GramMatrix(KernelSpec("linear"), rng.standard_normal((N, d)))
+        assert gm.factored and gm.dot_terms == N + d
     c = rng.standard_normal((N, T))
     v = np.linalg.qr(rng.standard_normal((T, T)))[0]
-    assert gm.factored and gm.dot_terms == N + d
     kc = gm.dot(c)
-    products = (kc, gm.quad(c, kc), gm.diag_quads(c, kc, v), gm.fro_norm)
+    e = gm.quad_eig(c, kc)
+    products = [kc, gm.quad(c, kc), gm.diag_quads(c, kc, v),
+                (e.eigenvectors * e.eigenvalues) @ e.eigenvectors.T]
+    if d is not None:
+        products.append(gm.fro_norm)
     assert kernel_calls == []
-    k = gm.raw
+    k = np.diag(s) if d is None else gm.raw
     refs = (k @ c, c.T @ k @ c, np.diag(v.T @ c.T @ k @ c @ v),
-            np.linalg.norm(k))
+            c.T @ k @ c, np.linalg.norm(k))
     for got, ref in zip(products, refs):
         assert rel_err(got, ref) <= 1e-12
 

@@ -153,21 +153,26 @@ def test_factor_eig_is_the_spectral_form_of_the_product(rows):
     assert np.all(v[top, np.arange(T)] > 0.0)
 
 
-@pytest.mark.parametrize("gram_kind", ["diagonal", "factored"])
+@pytest.mark.parametrize("gram_kind", ["diagonal", "factored", "raw"])
 @pytest.mark.parametrize("rank", [D, T], ids=["rank_below_T", "rank_T"])
 def test_quad_eig_takes_the_factor_only_below_t(monkeypatch, gram_kind,
                                                 rank):
-    """Both forms go through the smtl.linalg module attribute, which the
-    benchmark's tracer and the call-counting tests patch."""
+    """Every form goes through the smtl.linalg module attribute, which the
+    benchmark's tracer and the call-counting tests patch. A raw kernel has
+    no factor, so it takes ``sym_eig`` even with n = rank < T."""
     rng = np.random.default_rng(rank)
     n = rank + 5
     if gram_kind == "diagonal":
         gram = DiagonalGram(rng.random(rank) + 0.1)
         c = rng.standard_normal((rank, T))
-    else:
+    elif gram_kind == "factored":
         gram = GramMatrix(KernelSpec("linear"),
                           rng.standard_normal((n, rank)))
         c = rng.standard_normal((n, T))
+    else:
+        gram = GramMatrix(KernelSpec("gaussian", gamma=0.5),
+                          rng.standard_normal((rank, D)))
+        c = rng.standard_normal((rank, T))
     calls = []
     for name in ("factor_eig", "sym_eig"):
         original = getattr(smtl.linalg, name)
@@ -175,7 +180,8 @@ def test_quad_eig_takes_the_factor_only_below_t(monkeypatch, gram_kind,
                             lambda a, name=name, original=original:
                             calls.append(name) or original(a))
     e = gram.quad_eig(c, gram.dot(c))
-    assert calls == ["factor_eig" if rank < T else "sym_eig"]
+    factor = gram_kind != "raw" and rank < T
+    assert calls == ["factor_eig" if factor else "sym_eig"]
     m = gram.quad(c)
     v = e.eigenvectors
     assert np.allclose((v * e.eigenvalues) @ v.T, m, rtol=0.0,
