@@ -11,7 +11,6 @@ from .errors import BadKernelParam, DimensionMismatch, NonFinite
 from .linalg import psd_clip
 
 KERNEL_KINDS = ("linear", "gaussian")
-SYMMETRIZE_BLOCK = 128  # tile side of the in-place self-Gram symmetrization
 
 
 @dataclass(frozen=True)
@@ -55,16 +54,20 @@ def pairwise_sq_dists(x1, x2):
 def gram(spec, x1, x2=None):
     """Kernel matrix between two sets of row vectors.
 
-    With ``x2=None`` the self-Gram of ``x1`` is computed and symmetrized as
-    ``(K + K') / 2``; it is not clipped onto the PSD cone (gaussian kernels
-    can go slightly indefinite in floating point, which
-    :attr:`GramMatrix.eigenbasis` absorbs). Cross-Gram matrices
-    are returned as-is.
+    With ``x2=None`` the self-Gram of ``x1`` is computed, exactly
+    symmetric by construction: ``x1`` is C- or F-contiguous (a strided one
+    is copied), so ``x1 @ x1.T`` is one BLAS ``syrk``, which fills both
+    triangles from one, and the gaussian's later elementwise steps treat
+    (i, j) and (j, i) alike. It is not clipped onto the PSD cone (gaussian
+    kernels can go slightly indefinite in floating point, which
+    :attr:`GramMatrix.eigenbasis` absorbs).
 
     Returns a plain ``(m, r)`` ndarray.
     """
     x1 = np.atleast_2d(np.asarray(x1, dtype=float))
     self_gram = x2 is None
+    if self_gram and not x1.flags.forc:
+        x1 = np.ascontiguousarray(x1)
     x2 = x1 if self_gram else np.atleast_2d(np.asarray(x2, dtype=float))
     if x1.shape[1] != x2.shape[1]:
         raise DimensionMismatch(
@@ -76,23 +79,7 @@ def gram(spec, x1, x2=None):
         k = pairwise_sq_dists(x1, x2)
         k *= -spec.gamma
         np.exp(k, out=k)
-    if self_gram:
-        _symmetrize(k)
     return k
-
-
-def _symmetrize(k):
-    """Replace a square ``k`` by ``(k + k') / 2`` in place, one pair of
-    tiles at a time, so the scratch is one tile rather than the n x n copy
-    that ``k += k.T`` makes of its overlapping operand. Each entry is
-    computed as ``(k_ij + k_ji) * 0.5``, exactly as there."""
-    n, b = k.shape[0], SYMMETRIZE_BLOCK
-    for i in range(0, n, b):
-        for j in range(i, n, b):
-            tile = k[i:i + b, j:j + b] + k[j:j + b, i:i + b].T
-            tile *= 0.5
-            k[i:i + b, j:j + b] = tile
-            k[j:j + b, i:i + b] = tile.T
 
 
 class _FactorForm:
@@ -146,8 +133,8 @@ class GramMatrix(_FactorForm):
     feature column (:class:`~smtl.errors.DimensionMismatch`); nothing is
     evaluated until it is used, and each form is built at most once:
 
-    * ``.raw`` is the symmetrized kernel matrix ``gram(spec, X_train)``, a
-      read-only ``(n, n)`` ndarray.
+    * ``.raw`` is the kernel matrix ``gram(spec, X_train)``, a read-only
+      ``(n, n)`` ndarray, exactly symmetric (see :func:`gram`).
     * ``.eigenbasis`` is ``(U, s)`` with ``K = U diag(s) U'``, U an n x r
       matrix with orthonormal columns and ``s >= 0``: the thin SVD
       ``L = U diag(sqrt(s)) V'`` of the factor if ``factored`` (r = d, and
@@ -208,12 +195,7 @@ class GramMatrix(_FactorForm):
                 self._basis = (u, sigma * sigma)
             else:
                 k = psd_clip(self.raw, tol=1e-8)
-                # row-major, as sym_eig returns it (from_eig's column
-                # permutation leaves it column-major): BLAS sums the
-                # uniform-weight fits' products with this basis in another
-                # order on the other layout
-                self._basis = (np.ascontiguousarray(k.eigenvectors),
-                               k.eigenvalues)
+                self._basis = (k.eigenvectors, k.eigenvalues)
         return self._basis
 
     @property

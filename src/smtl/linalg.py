@@ -51,13 +51,15 @@ sorted non-increasing, and ``eigenvectors`` whose column ``i`` pairs with
 
 
 def _fix_signs(v):
-    # Flip each column so its largest-magnitude entry is positive.
+    # Flip each column of v, a new array, so that its largest-magnitude
+    # entry is positive; in place, so that an n x n basis is not copied.
     if not v.shape[0]:  # no rows: no entry to pick, nothing to flip
         return v
     idx = np.argmax(np.abs(v), axis=0)
     signs = np.sign(v[idx, np.arange(v.shape[1])])
     signs[signs == 0] = 1.0
-    return v * signs
+    v *= signs
+    return v
 
 
 def sym_eig(a):
@@ -84,8 +86,7 @@ def sym_eig(a):
         raise DimensionMismatch("expected a square matrix, got shape %r" % (a.shape,))
     if not np.all(np.isfinite(a)):
         raise NonFinite("matrix contains non-finite entries")
-    s = 0.5 * (a + a.T)
-    w, v = np.linalg.eigh(s)
+    w, v = np.linalg.eigh(0.5 * (a + a.T))
     w = w[::-1].copy()
     v = np.ascontiguousarray(v[:, ::-1])
     return SymEig(w, _fix_signs(v))
@@ -145,10 +146,10 @@ class PsdMatrix:
     largest count as zero.
 
     ``data`` is the dense read-only matrix. Instances made by
-    :meth:`from_eig` build it from the spectral form on first read only,
-    since most of them (barrier iterates, B in the A-step) are read through
-    their eigenpairs alone. The build is deterministic, so two threads
-    racing on it store equal arrays.
+    :meth:`from_eig` or :func:`psd_clip` build it from the spectral form
+    on first read only, since most of them (barrier iterates, B in the
+    A-step, K's eigenbasis) are read through their eigenpairs alone. The
+    build is deterministic, so two threads racing on it store equal arrays.
 
     Raises
     ------
@@ -222,10 +223,15 @@ def psd_clip(a, tol=RANK_TOL):
 
     The :class:`PsdMatrix` rule at tolerance ``tol``: negative eigenvalues
     no smaller than ``-tol * max(1, w_max)`` are clipped to zero, and
-    anything more negative raises :class:`NotPsd`.
+    anything more negative raises :class:`NotPsd`. The eigenpairs are
+    :func:`sym_eig`'s as it returns them: sorted, with fixed signs, and
+    row-major.
     """
     w, v = sym_eig(a)
-    return PsdMatrix.from_eig(_clip(w, tol), v)
+    k = PsdMatrix.__new__(PsdMatrix)
+    k._data = None  # built from the clipped eigenpairs on first read
+    k.eigenvalues, k.eigenvectors = _clip(w, tol), v
+    return k
 
 
 def pinv_psd(a):

@@ -66,6 +66,7 @@ from .errors import (
     EmptyTask,
     NonFiniteObjective,
     NotStrictlyPd,
+    SingularMatrix,
 )
 from .kernels import DiagonalGram, GramMatrix
 from .linalg import PsdMatrix, _as_psd, pd_eigenvalues, sylvester_ls_solve
@@ -457,7 +458,14 @@ def _observed_step(inst, a, state):
         alpha = np.zeros_like(y)
     else:
         solve = _solve_one_hot if state.route == "one_hot" else _solve_operator
-        alpha = solve(inst.gram, a_tilde, y, tol, state)
+        try:
+            alpha = solve(inst.gram, a_tilde, y, tol, state)
+        except np.linalg.LinAlgError as exc:
+            # H is SPD, but at tiny lam Atilde o K is of order 1/lam and
+            # adding W^{-1} to it changes nothing in floating point
+            raise SingularMatrix(
+                "the %s system H is singular in floating point at lam = %g"
+                % (state.route.replace("_", "-"), inst.lam)) from exc
     if alpha is not state.alpha:  # a repeat solve adds nothing to recycle
         state.recent = (state.recent + [alpha])[-RECYCLED_SOLUTIONS:]
     c = np.zeros((inst.n, inst.n_tasks))  # P(alpha), C-ordered like flat

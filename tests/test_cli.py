@@ -212,6 +212,19 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_singular_one_hot_system_exit_code(tmp_path, capsys):
+    """At lam = 1e-20 the one-hot system is singular in floating point."""
+    data = tmp_path / "tiny.csv"
+    data.write_text("task,y,x1\n0,1.0,0.5\n1,2.0,0.1\n0,1.5,0.3\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lambda = 1e-20\n")
+    assert main(["fit", "--data", str(data), "--out", str(tmp_path / "m.txt"),
+                 "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err == (
+        "smtl fit: numerical failure: the one-hot system H is singular in "
+        "floating point at lam = 1e-20\n")
+
+
 def test_usage_errors_exit_one():
     with pytest.raises(SystemExit) as exc:
         main(["--bogus"])

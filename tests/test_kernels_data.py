@@ -22,7 +22,7 @@ from smtl.errors import (
     NonFinite,
     ParseError,
 )
-from smtl.kernels import GramMatrix, KernelSpec, _symmetrize, gram
+from smtl.kernels import GramMatrix, KernelSpec, gram
 
 
 def test_linear_gram_is_xxt():
@@ -57,27 +57,31 @@ def sha1(a):
     return hashlib.sha1(np.ascontiguousarray(a).tobytes()).hexdigest()
 
 
-@pytest.mark.parametrize("n", [1, 129, 300])
-def test_symmetrize_is_bitwise_half_sum_with_transpose(n):
-    """The tiled in-place symmetrization gives exactly ``(K + K') / 2``."""
-    k = np.random.default_rng(n).standard_normal((n, n))
-    ref = (k + k.T) * 0.5
-    _symmetrize(k)
-    assert sha1(k) == sha1(ref)
+KERNELS = [KernelSpec("linear"), KernelSpec("gaussian", gamma=0.3)]
+LAYOUTS = {"c": np.ascontiguousarray, "f": np.asfortranarray,
+           "strided": lambda x: np.repeat(x, 2, axis=1)[:, ::2]}
 
 
-@pytest.mark.parametrize("spec", [KernelSpec("linear"),
-                                  KernelSpec("gaussian", gamma=0.3)],
-                         ids=["linear", "gaussian"])
+@pytest.mark.parametrize("n", [1, 129, 300, 1000])
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("spec", KERNELS, ids=["linear", "gaussian"])
+def test_self_gram_is_exactly_symmetric(spec, layout, n):
+    """``x x'`` is one BLAS syrk, which fills both triangles from one, and
+    the gaussian's elementwise steps treat (i, j) and (j, i) alike."""
+    x = LAYOUTS[layout](np.random.default_rng(n).standard_normal((n, 5)))
+    k = gram(spec, x)
+    assert np.array_equal(k, k.T)
+
+
+@pytest.mark.parametrize("spec", KERNELS, ids=["linear", "gaussian"])
 def test_self_gram_of_strided_inputs_is_symmetric(spec):
-    """From contiguous inputs BLAS computes ``x x'`` symmetric already;
-    from column-strided ones it need not (here 9e-16 off at n = 300), and
-    the self-Gram is then the half sum with its transpose."""
+    """From column-strided inputs ``x x'`` need not be symmetric (here
+    9e-16 off at n = 300); the self-Gram copies them first, and is then
+    that of the contiguous copy."""
     x = np.random.default_rng(3).standard_normal((300, 10))[:, ::2]
-    k = gram(spec, x, x)  # the same arithmetic, unsymmetrized
     sym = gram(spec, x)
     assert np.array_equal(sym, sym.T)
-    assert sha1(sym) == sha1((k + k.T) * 0.5)
+    assert sha1(sym) == sha1(gram(spec, np.ascontiguousarray(x)))
 
 
 def test_linear_self_gram_peak_memory_is_one_result():
@@ -89,8 +93,7 @@ def test_linear_self_gram_peak_memory_is_one_result():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * k.nbytes
-    raw = x @ x.T
-    assert sha1(k) == sha1((raw + raw.T) * 0.5)
+    assert sha1(k) == sha1(x @ x.T)
 
 
 def test_kernel_param_validation():

@@ -145,6 +145,22 @@ def test_spectral_form_reconstructs_raw_kernel():
             gm.raw[0, 0] = 1.0
 
 
+def test_raw_eigenbasis_is_sym_eig_as_returned():
+    """A raw kernel's eigenbasis is ``sym_eig``'s pairs as it returns them:
+    U row-major and bit-identical to its eigenvectors (BLAS sums the
+    uniform-weight fits' products with U in another order on the other
+    layout), s its eigenvalues with the roundoff negatives clipped."""
+    x = np.random.default_rng(6).standard_normal((N, 1))
+    gm = GramMatrix(KernelSpec("gaussian", gamma=0.3), x)
+    u, s = gm.eigenbasis
+    e = smtl.linalg.sym_eig(gm.raw)
+    assert u.flags.c_contiguous
+    assert np.array_equal(u, e.eigenvectors)
+    w = e.eigenvalues
+    assert -1e-8 * w[0] < w[-1] < 0.0  # roundoff, clipped at tol = 1e-8
+    assert np.array_equal(s, np.maximum(w, 0.0))
+
+
 def test_spectral_form_rejects_clearly_indefinite():
     a = np.diag([1.0, -1e-3])
     with pytest.raises(NotPsd):

@@ -19,7 +19,7 @@ import smtl.solver
 from smtl.data import TaskDataset, dataset_from_rows
 from smtl.errors import (
     BadPenaltyParam, CgStall, DimensionMismatch, EmptyTask, NonFinite,
-    NonFiniteObjective, NotStrictlyPd,
+    NonFiniteObjective, NotStrictlyPd, SingularMatrix,
 )
 from smtl.kernels import GramMatrix, KernelSpec
 from smtl.linalg import PsdMatrix, psd_clip, sylvester_ls_solve
@@ -204,6 +204,19 @@ class TestOneHotPcg:
             assert cond > 1e6
             assert rel_err(state.alpha, alpha) <= 1e-14 * cond
         assert state.rebuilds == 1 and state.lu_solves == 2
+
+    def test_singular_system_raises_singular_matrix(self):
+        """H is SPD, but at lam = 1e-20 the entries of Atilde o K are of
+        order 1/lam, and adding W^{-1} to them changes nothing in floating
+        point: the fit fails with the package's error, naming lam."""
+        ds = dataset_from_rows([0, 1, 0], [1.0, 2.0, 1.5],
+                               [[0.5], [0.1], [0.3]])
+        spec, penalty = KernelSpec("linear"), PenaltySpec.schatten(1, 1)
+        _, report = fit(ds, spec, penalty, 1e-16)
+        assert report.supervised_route == "one_hot"
+        with pytest.raises(SingularMatrix,
+                           match="one-hot system .* at lam = 1e-20"):
+            fit(ds, spec, penalty, 1e-20)
 
     def test_zero_targets_give_zero_coefficients(self):
         inst = one_hot_instance(KernelSpec("gaussian", gamma=0.3))
