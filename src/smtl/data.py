@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    BadLabel,
     DimensionMismatch,
     EmptyTask,
     InconsistentDimension,
@@ -69,10 +70,21 @@ class TaskDataset:
 
 
 def dataset_from_rows(task_ids, y, x, weighting="per_task"):
-    """Assemble a :class:`TaskDataset` from per-row task ids, targets, inputs."""
+    """Assemble a :class:`TaskDataset` from per-row task ids, targets, inputs.
+
+    Task ids are non-negative integers, given as integers or as integral
+    floats such as ``1.0``; any other id raises :class:`BadLabel`, naming
+    its (0-based) row.
+    """
     if weighting not in WEIGHTINGS:
         raise ValueError("weighting must be one of %r" % (WEIGHTINGS,))
     task_ids = np.asarray(task_ids)
+    ids = task_ids.astype(float)  # an int past int64 is an object entry
+    bad = np.flatnonzero(~(np.isfinite(ids) & (ids >= 0))
+                         | (ids != np.floor(ids)))
+    if bad.size:
+        raise BadLabel("row %d: task id %s is not a non-negative integer"
+                       % (bad[0], task_ids[bad[0]]))
     y = np.asarray(y, dtype=float)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n = task_ids.shape[0]

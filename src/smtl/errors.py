@@ -129,7 +129,8 @@ class VersionMismatch(SmtlError):
 # --- metrics ----------------------------------------------------------------
 
 class BadLabel(SmtlError):
-    """A class label is outside the valid range [0, T)."""
+    """A class label is outside the valid range [0, T), or a task id is not
+    a non-negative integer."""
 
 
 class ZeroVariance(SmtlError):

@@ -110,11 +110,15 @@ class _FactorForm:
         return lc.T @ lc
 
     def quad_eig(self, c, kc=None):
-        """Eigenpairs of ``C'KC`` as a ``SymEig``."""
+        """Eigenpairs of ``C'KC`` as a ``SymEig``. With no factor,
+        ``C'(KC)`` is symmetric only up to roundoff, and is symmetrized
+        before ``sym_eig``, which reads one triangle; ``(L'C)'(L'C)`` is
+        one ``syrk``, exactly symmetric."""
         lc = self._factor_product(c)
         if lc is not None and lc.shape[0] < lc.shape[1]:
             return linalg.factor_eig(lc)
-        return linalg.sym_eig(self.quad(c, kc) if lc is None else lc.T @ lc)
+        b = self.quad(c, kc) if lc is None else lc.T @ lc
+        return linalg.sym_eig(0.5 * (b + b.T) if lc is None else b)
 
     def diag_quads(self, c, kc, v):
         """Diagonal of ``V'C'KCV``."""

@@ -8,10 +8,19 @@ share across threads.
 Conventions used throughout the package:
 
 * eigenvalues are returned in non-increasing order;
-* each eigenvector's entry of largest magnitude is made positive, which pins
-  an otherwise arbitrary sign and keeps repeated runs bit-identical;
-* matrices are symmetrized as ``(A + A.T) / 2`` before any decomposition to
-  absorb roundoff;
+* each eigenvector's entry of largest magnitude is positive, which pins an
+  otherwise arbitrary sign and keeps repeated runs bit-identical. The
+  decompositions (:func:`sym_eig`, :func:`factor_eig`) fix it once; a sign
+  flip is exact, so every eigenbasis derived from theirs by a permutation
+  or a spectral map keeps it, and :meth:`PsdMatrix.from_eig` keeps the
+  eigenvectors it is given;
+* symmetry is established where a matrix is made, not where it is
+  decomposed: :func:`sym_eig` reads the lower triangle (numpy's ``eigh``
+  contract), and a matrix that is symmetric only up to roundoff is
+  symmetrized once, as ``(A + A.T) / 2``, by whoever forms it. That is
+  :class:`PsdMatrix` for outside input; the package's own products are
+  exactly symmetric (``syrk`` products and symmetric elementwise maps) or
+  symmetrized where they are formed;
 * a :class:`PsdMatrix` spectrum is non-negative by construction: every
   constructor sets eigenvalues at or above ``-tol * max(1, w_max)`` to
   zero and raises :class:`NotPsd` below that (``tol`` is ``RANK_TOL``, or
@@ -68,7 +77,9 @@ def sym_eig(a):
     Parameters
     ----------
     a : (m, m) array_like
-        Symmetric up to roundoff; it is symmetrized before decomposing.
+        Symmetric. Only its lower triangle is read (``np.linalg.eigh``), so
+        a matrix that is symmetric only up to roundoff must be symmetrized
+        by its maker (see the module notes).
 
     Returns
     -------
@@ -86,7 +97,7 @@ def sym_eig(a):
         raise DimensionMismatch("expected a square matrix, got shape %r" % (a.shape,))
     if not np.all(np.isfinite(a)):
         raise NonFinite("matrix contains non-finite entries")
-    w, v = np.linalg.eigh(0.5 * (a + a.T))
+    w, v = np.linalg.eigh(a)
     w = w[::-1].copy()
     v = np.ascontiguousarray(v[:, ::-1])
     return SymEig(w, _fix_signs(v))
@@ -121,12 +132,6 @@ def factor_eig(f):
     return SymEig(w, _fix_signs(vt.T))
 
 
-def _frozen(a):
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
-
-
 def _clip(w, tol):
     """The one PSD rule (see the module notes) on a non-increasing spectrum:
     ``w`` with its negatives set to zero, or :class:`NotPsd` if one is below
@@ -145,48 +150,60 @@ class PsdMatrix:
     (see the module notes); those at or below ``RANK_TOL`` times the
     largest count as zero.
 
-    ``data`` is the dense read-only matrix. Instances made by
-    :meth:`from_eig` or :func:`psd_clip` build it from the spectral form
-    on first read only, since most of them (barrier iterates, B in the
-    A-step, K's eigenbasis) are read through their eigenpairs alone. The
-    build is deterministic, so two threads racing on it store equal arrays.
+    ``data`` is the dense read-only matrix. ``PsdMatrix(data)`` takes
+    outside input, symmetric only up to roundoff: it symmetrizes ``data``
+    once, as ``(data + data.T) / 2``, decomposes that array and keeps it.
+    Instances made by :meth:`from_eig` or :func:`psd_clip` build it from
+    the spectral form on first read only, since most of them (barrier
+    iterates, B in the A-step, K's eigenbasis) are read through their
+    eigenpairs alone. The build is deterministic, so two threads racing on
+    it store equal arrays.
 
     Raises
     ------
     NotPsd
         If the smallest eigenvalue is below ``-RANK_TOL * max(1, w_max)``.
+    DimensionMismatch
+        If ``data`` is not a square 2-d array.
     """
 
     __slots__ = ("_data", "eigenvalues", "eigenvectors")
 
     def __init__(self, data):
-        w, self.eigenvectors = sym_eig(data)
-        self.eigenvalues = _clip(w, RANK_TOL)
         a = np.asarray(data, dtype=float)
-        self._data = _frozen(0.5 * (a + a.T))
+        if a.shape == a.shape[::-1]:  # else not square: sym_eig refuses it
+            a = 0.5 * (a + a.T)
+        w, self.eigenvectors = sym_eig(a)
+        self.eigenvalues = _clip(w, RANK_TOL)
+        a.setflags(write=False)
+        self._data = a
 
     @classmethod
     def from_eig(cls, eigenvalues, eigenvectors):
         """Build from a known spectral form without re-decomposing.
 
         Eigenvalues may arrive in any order; they are sorted non-increasing
-        (with eigenvectors permuted to match) so invariants hold.
+        (with eigenvectors permuted to match) so invariants hold. The
+        eigenvectors are kept as given, so they carry the sign convention
+        of the module notes only if they arrive with it, as every
+        decomposition here returns them.
         """
         w = np.asarray(eigenvalues, dtype=float)
-        v = np.asarray(eigenvectors, dtype=float)
         order = np.argsort(-w, kind="stable")
         obj = cls.__new__(cls)
         obj._data = None  # built from the eigenpairs on first read of .data
         obj.eigenvalues = _clip(w[order], RANK_TOL)
-        obj.eigenvectors = _fix_signs(v[:, order])
+        obj.eigenvectors = np.asarray(eigenvectors, dtype=float)[:, order]
         return obj
 
     @property
     def data(self):
         if self._data is None:
             v = self.eigenvectors
+            # (V w) V' is symmetric only up to roundoff. numpy buffers
+            # the overlapping operand of r += r.T: r_ij + r_ji
             r = (v * self.eigenvalues) @ v.T
-            r += r.T  # numpy buffers the overlapping operand: r_ij + r_ji
+            r += r.T
             r *= 0.5
             r.setflags(write=False)
             self._data = r
@@ -220,6 +237,8 @@ def _as_psd(a):
 
 def psd_clip(a, tol=RANK_TOL):
     """Project a nearly-PSD symmetric matrix onto the PSD cone.
+
+    ``a`` must be exactly symmetric: :func:`sym_eig` reads one triangle.
 
     The :class:`PsdMatrix` rule at tolerance ``tol``: negative eigenvalues
     no smaller than ``-tol * max(1, w_max)`` are clipped to zero, and

@@ -112,7 +112,8 @@ def load_model(path):
     """Read a model file back into a :class:`~smtl.solver.ModelState`.
 
     The returned model predicts; it carries no problem instance (no targets
-    were saved), so it cannot be refit.
+    were saved), so it cannot be refit. Nothing but empty lines may follow
+    the ``[A]`` block.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = fh.read().split("\n")
@@ -150,6 +151,9 @@ def load_model(path):
     t = c.shape[1]
     a = rd.read_matrix("A", (t, t),
                        "[A] must be T x T matching [C]'s %d columns" % t)
+    if rd.pos < len(lines):  # trailing empty lines were dropped above
+        raise ParseError(rd.pos + 1, "unexpected %r after the [A] block"
+                         % lines[rd.pos].rstrip("\r"))
     try:
         a = PsdMatrix(a)
     except NotPsd as exc:

@@ -206,7 +206,7 @@ def grad_S_A(inst, c, a):
         p, mu = inst.penalty.p, inst.penalty.mu
         g[np.diag_indices_from(g)] += mu * p * w ** (p - 1.0)
     g = (v @ g) @ v.T
-    return 0.5 * (g + g.T)
+    return 0.5 * (g + g.T)  # the rotation is symmetric only up to roundoff
 
 
 def map_Q_to_R(inst, c_q, a_q):

@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import AsymmetricAdjacency, BadPenaltyParam, BadRank, NotPd
 from .linalg import (
-    PsdMatrix, _as_psd, pd_eigenvalues, pinv_psd, psd_clip, sym_eig,
+    PsdMatrix, _as_psd, _fix_signs, pd_eigenvalues, pinv_psd, psd_clip, sym_eig,
 )
 
 PENALTY_KINDS = ("schatten", "trace_one", "cluster", "fixed")
@@ -138,7 +138,8 @@ def _cluster_structure(spec, z):
     ``Q_k' A^{-1}(M) Q_k``, eigendecomposed, and on the other T - k
     columns of the QR it is ``eps_w I``. :func:`check_tasks` keeps
     ``A^{-1}(M)`` PD on ``S_c``; the inverse is taken through
-    :func:`pd_eigenvalues`.
+    :func:`pd_eigenvalues`. The QR's columns carry no sign convention, so
+    the eigenvectors are signed here (see :mod:`smtl.linalg`).
     """
     n_tasks = z.shape[0]
     u = np.full((n_tasks, 1), n_tasks ** -0.5)
@@ -155,7 +156,7 @@ def _cluster_structure(spec, z):
     w = np.full(n_tasks, 1.0 / spec.eps_w)
     w[:k] = 1.0 / pd_eigenvalues(e)
     return PsdMatrix.from_eig(
-        w, np.hstack((q[:, :k] @ e.eigenvectors, q[:, k:])))
+        w, _fix_signs(np.hstack((q[:, :k] @ e.eigenvectors, q[:, k:]))))
 
 
 def _cluster_assignment(spec, inv_w, g):

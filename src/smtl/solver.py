@@ -353,7 +353,7 @@ def _recycled_start(matvec, b, recent, hx):
     q, r = np.linalg.qr(np.column_stack(recent[::-1]))
     hq = np.column_stack([hx / r[0, 0]] + [matvec(v) for v in q.T[1:]])
     g = q.T @ hq
-    g = 0.5 * (g + g.T)
+    g = 0.5 * (g + g.T)  # Q'(HQ) is symmetric only up to roundoff
     qb = q.T @ b
     if not np.all(np.isfinite(g)):
         return None
@@ -389,7 +389,8 @@ def _solve_one_hot(gram, a_tilde, y, tol, state):
             return x
         recent = [x]
     state.precond = np.linalg.inv(h)
-    state.precond += state.precond.T  # symmetric, as PCG assumes
+    # inv(h) is symmetric only up to roundoff, and PCG assumes symmetry
+    state.precond += state.precond.T
     state.precond *= 0.5
     state.rebuilds += 1
     x, res = _pcg(h.__matmul__, y, recent, state.precond.__matmul__, tol,

@@ -132,6 +132,25 @@ def test_model_without_training_rows_is_parse_error(tmp_path, capsys, kind):
         "smtl predict: line 5: [X] has no rows, a model needs one\n")
 
 
+def test_model_with_content_after_structure_is_parse_error(tmp_path,
+                                                           capsys):
+    data = tmp_path / "train.csv"
+    write_csv(data)
+    model = tmp_path / "model.txt"
+    assert main(["fit", "--data", str(data), "--out", str(model)]) == 0
+    n_lines = len(model.read_text().rstrip("\n").split("\n"))
+    with open(model, "a") as fh:
+        fh.write("garbage line\n[X] 1 1\n3\n")
+    capsys.readouterr()
+    out = tmp_path / "p.csv"
+    assert main(["predict", "--model", str(model), "--data", str(data),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "smtl predict: line %d: unexpected 'garbage line' after the [A] "
+        "block\n" % (n_lines + 1))
+
+
 @pytest.mark.parametrize("rows", ["0,1.0\n0,0.5\n", "0,1.0\n1,0.5\n"],
                          ids=["one_task", "two_tasks"])
 def test_csv_without_feature_columns_is_data_error(tmp_path, capsys, rows):

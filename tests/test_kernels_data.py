@@ -16,6 +16,7 @@ from smtl.data import (
 )
 from smtl.errors import (
     BadKernelParam,
+    BadLabel,
     DimensionMismatch,
     EmptyTask,
     InconsistentDimension,
@@ -160,6 +161,41 @@ class TestDatasetFromRows:
         with pytest.raises(ValueError):
             dataset_from_rows(np.array([0, 1]), np.zeros(2), np.ones((2, 1)),
                               weighting="balanced")
+
+    @pytest.mark.parametrize("ids, message", [
+        ([0.5, 1, 0], "row 0: task id 0.5 is"),
+        ([0, 1, 2.7], "row 2: task id 2.7 is"),
+        ([-1, 0, 1], "row 0: task id -1 is"),
+        ([0, 1, float("nan")], "row 2: task id nan is"),
+        ([0, 1, float("inf")], "row 2: task id inf is"),
+    ])
+    def test_negative_or_fractional_task_id_is_bad_label(self, ids,
+                                                         message):
+        with pytest.raises(BadLabel, match=message + " not a non-negative "
+                           "integer"):
+            dataset_from_rows(ids, [1.0, 2.0, 1.5], [[0.5], [0.1], [0.3]])
+
+    def test_integral_float_task_ids_are_accepted(self):
+        ds = dataset_from_rows([0.0, 1.0, 0.0], [1.0, 2.0, 1.5],
+                               [[0.5], [0.1], [0.3]])
+        ref = dataset_from_rows([0, 1, 0], [1.0, 2.0, 1.5],
+                                [[0.5], [0.1], [0.3]])
+        assert np.array_equal(ds.task_ids, [0, 1, 0])
+        for name in ("X", "Y", "W", "task_sizes"):
+            assert np.array_equal(getattr(ds, name), getattr(ref, name))
+
+    @pytest.mark.parametrize("task, message", [
+        ("0.5", "line 2: task id '0.5' is not an integer"),
+        ("2.7", "line 2: task id '2.7' is not an integer"),
+        ("-1", "line 2: task id must be >= 0, got -1"),
+    ])
+    def test_csv_task_id_messages_are_unchanged(self, tmp_path, task,
+                                                message):
+        path = tmp_path / "ids.csv"
+        path.write_text("task,y,x1\n%s,1.0,0.5\n0,2.0,0.1\n" % task)
+        with pytest.raises(ParseError) as err:
+            load_dataset(path)
+        assert str(err.value) == message
 
 
 class TestLoader:

@@ -244,6 +244,27 @@ class TestModelRoundTrip:
             load_model(bad)
         assert err.value.line == len(lines)
 
+    def test_content_after_structure_is_parse_error_at_its_line(self,
+                                                                 fitted):
+        model, tmp = fitted
+        path = tmp / "m.txt"
+        save_model(model, path)
+        lines = path.read_text().rstrip("\n").split("\n")
+        bad = tmp / "trailing.txt"
+        bad.write_text("\n".join(lines + ["garbage line", "[X] 1 1", "3"])
+                       + "\n\n")
+        with pytest.raises(ParseError, match="'garbage line' after the "
+                           r"\[A\] block") as err:
+            load_model(bad)
+        assert err.value.line == len(lines) + 1
+
+    def test_trailing_empty_lines_are_allowed(self, fitted):
+        model, tmp = fitted
+        path = tmp / "m.txt"
+        save_model(model, path)
+        path.write_text(path.read_text() + "\n\r\n\n")
+        assert np.array_equal(load_model(path).A.data, model.A.data)
+
 
 class TestConfigParsing:
     def test_defaults_match_solver(self):
