@@ -44,9 +44,15 @@ class TaskDataset:
         self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
         self.Y = np.asarray(self.Y, dtype=float)
         self.W = np.asarray(self.W, dtype=float)
-        self.task_ids = np.asarray(self.task_ids, dtype=int)
         if self.Y.shape != self.W.shape or self.Y.shape[0] != self.X.shape[0]:
             raise DimensionMismatch("X, Y, W row counts or Y/W shapes disagree")
+        ids = _task_ids(self.task_ids)
+        if ids.shape != (self.n,):
+            raise DimensionMismatch("task_ids must hold one id per row of X")
+        if ids.size and ids.max() >= self.n_tasks:
+            raise BadLabel("row %d: task id %d is not below Y's %d tasks"
+                           % (ids.argmax(), ids.max(), self.n_tasks))
+        self.task_ids = ids.astype(int)
         if self.task_sizes is None:
             self.task_sizes = np.bincount(self.task_ids, minlength=self.Y.shape[1])
         self.task_sizes = np.asarray(self.task_sizes, dtype=int)
@@ -69,6 +75,20 @@ class TaskDataset:
         return self.Y[np.arange(self.n), self.task_ids]
 
 
+def _task_ids(task_ids):
+    """Task ids as floats, once each is a non-negative integer, given as an
+    integer or as an integral float such as ``1.0``; any other id raises
+    :class:`BadLabel`, naming its (0-based) row. As floats, ids past int64
+    (object entries) are compared and capped without overflow."""
+    ids = np.asarray(task_ids).astype(float)
+    bad = np.flatnonzero(~(np.isfinite(ids) & (ids >= 0))
+                         | (ids != np.floor(ids)))
+    if bad.size:
+        raise BadLabel("row %d: task id %s is not a non-negative integer"
+                       % (bad[0], np.asarray(task_ids)[bad[0]]))
+    return ids
+
+
 def dataset_from_rows(task_ids, y, x, weighting="per_task"):
     """Assemble a :class:`TaskDataset` from per-row task ids, targets, inputs.
 
@@ -78,32 +98,21 @@ def dataset_from_rows(task_ids, y, x, weighting="per_task"):
     """
     if weighting not in WEIGHTINGS:
         raise ValueError("weighting must be one of %r" % (WEIGHTINGS,))
-    task_ids = np.asarray(task_ids)
-    ids = task_ids.astype(float)  # an int past int64 is an object entry
-    bad = np.flatnonzero(~(np.isfinite(ids) & (ids >= 0))
-                         | (ids != np.floor(ids)))
-    if bad.size:
-        raise BadLabel("row %d: task id %s is not a non-negative integer"
-                       % (bad[0], task_ids[bad[0]]))
-    y = np.asarray(y, dtype=float)
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    n = task_ids.shape[0]
+    ids = _task_ids(task_ids)
+    n = ids.shape[0]
     # Ids are counted capped at n, so no array is sized by a larger id and
     # no int conversion overflows on it. An id at or past n always leaves a
     # task below it without rows, and the first zero count is the smallest.
-    sizes = np.bincount(np.minimum(task_ids, n).astype(int))
+    sizes = np.bincount(np.minimum(ids, n).astype(int))
     empty = np.flatnonzero(sizes == 0)
     if empty.size:
         raise EmptyTask(int(empty[0]))
-    task_ids, n_tasks = task_ids.astype(int), sizes.size
-    ymat = np.zeros((n, n_tasks))
-    wmat = np.zeros((n, n_tasks))
+    task_ids, n_tasks = ids.astype(int), sizes.size
+    ymat, wmat = np.zeros((n, n_tasks)), np.zeros((n, n_tasks))
     rows = np.arange(n)
     ymat[rows, task_ids] = y
-    if weighting == "per_task":
-        wmat[rows, task_ids] = 1.0 / sizes[task_ids]
-    else:
-        wmat[rows, task_ids] = 1.0 / n
+    wmat[rows, task_ids] = 1.0 / (sizes[task_ids] if weighting == "per_task"
+                                  else n)
     return TaskDataset(X=x, Y=ymat, W=wmat, task_ids=task_ids, task_sizes=sizes)
 
 
@@ -166,17 +175,22 @@ def load_dataset(path, weighting="per_task"):
         task_ids.append(t)
         ys.append(yv)
         xs.append(xv)
-    return dataset_from_rows(
-        np.array(task_ids), np.array(ys), np.array(xs), weighting=weighting
-    )
+    return dataset_from_rows(task_ids, ys, xs, weighting=weighting)
 
 
 def save_dataset(ds, path):
     """Write a dataset back to long CSV, 17 significant digits per value.
 
     ``load_dataset(save_dataset(ds))`` reproduces X and the observed targets
-    bit-for-bit.
+    bit-for-bit. The long CSV holds one observed entry per row, at the
+    row's task id, so a dataset with a row observed (``W > 0``) anywhere
+    else, or nowhere, raises :class:`DimensionMismatch`, naming the row.
     """
+    one_hot = np.eye(ds.n_tasks, dtype=bool)[ds.task_ids]
+    bad = np.flatnonzero(np.any((ds.W > 0) != one_hot, axis=1))
+    if bad.size:
+        raise DimensionMismatch("row %d: the long CSV needs its only observed "
+                                "entry at its task id" % bad[0])
     d = ds.d
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("task,y," + ",".join("x%d" % (j + 1) for j in range(d)) + "\n")

@@ -107,7 +107,6 @@ class SolverConfig:
     step_c: float = 1e-3
     step_a: float = 1e-3
     a0: object = None
-    track_substeps: bool = False
 
     def __post_init__(self):
         for name in ("epsilon", "delta", "delta_factor", "delta_floor",
@@ -173,7 +172,6 @@ class FitReport:
     termination: str
     wall_times: dict
     phase_starts: list = field(default_factory=list)
-    substep_values: list = field(default_factory=list)
     supervised_route: str = None
     pcg_steps: int = 0
     inverse_rebuilds: int = 0
@@ -498,16 +496,16 @@ def _safe_S(inst, c, a, kc=None):
         return float("inf")
 
 
-def _backtrack(inst, value_prev, candidate, fallback, step_fn):
-    """Halve the step until the objective stops increasing."""
-    cand = candidate
+def _backtrack(inst, value_prev, fallback, step_fn):
+    """Halve the step until the objective stops increasing: the first of
+    ``step_fn(1)``, ``step_fn(1/2)``, ... (``MAX_HALVINGS`` candidates) whose
+    S is at most ``value_prev``, else ``fallback``."""
     step_scale = 1.0
     for _ in range(MAX_HALVINGS):
-        val = _safe_S(inst, *cand)
-        if val <= value_prev:
+        cand = step_fn(step_scale)
+        if _safe_S(inst, *cand) <= value_prev:
             return cand
         step_scale *= 0.5
-        cand = step_fn(step_scale)
     return fallback
 
 
@@ -528,7 +526,7 @@ def supervised_step(inst, a, c_prev, mode="altmin", step=None, state=None):
     def make(scale):
         return (c_prev - scale * step * g, a)
 
-    c_new, _ = _backtrack(inst, s_prev, make(1.0), (c_prev, a), make)
+    c_new, _ = _backtrack(inst, s_prev, (c_prev, a), make)
     return c_new
 
 
@@ -560,7 +558,7 @@ def unsupervised_step(inst, c, a_prev, mode="altmin", step=None, kc=None):
         return (c, project_structure(inst.penalty,
                                      a_prev.data - scale * step * g))
 
-    _, a_new = _backtrack(inst, s_prev, make(1.0), (c, a_prev), make)
+    _, a_new = _backtrack(inst, s_prev, (c, a_prev), make)
     return a_new
 
 
@@ -605,7 +603,10 @@ def fit_gram(gram, y, w, penalty, lam, ridge=0.0, config=None, callback=None):
 
     Returns ``(ModelState, FitReport)``. ``callback``, if given, is invoked
     as ``callback(iteration, C, A, value)`` after each outer iteration,
-    with C in the original basis (n x T).
+    with C in the original basis (n x T): C is that iteration's C-step, A
+    its A-step and value S at both. S after the C-step alone is ``eval_S``
+    at the phase's delta, this C and the previous call's A (the start
+    structure on the first call).
 
     Every setting is checked, and the start structure built, before the
     kernel is evaluated (if the fit reads its entries, see ``GramMatrix``).
@@ -632,7 +633,6 @@ def fit_gram(gram, y, w, penalty, lam, ridge=0.0, config=None, callback=None):
 
     trajectory = []
     phase_starts = []
-    substeps = []
     total_iters = 0
     t_fit = time.perf_counter()
     state = _SupervisedState.of(inst, config.mode, route, in_fit=True)
@@ -649,8 +649,6 @@ def fit_gram(gram, y, w, penalty, lam, ridge=0.0, config=None, callback=None):
                                 step=config.step_c, state=state)
             t1 = time.perf_counter()
             kc = work.gram.dot(c)  # shared by the A-step and eval_S
-            if config.track_substeps:
-                substeps.append(_safe_S(work, c, a, kc) + offset)
             a = unsupervised_step(work, c, a, mode=config.mode,
                                   step=config.step_a, kc=kc)
             t2 = time.perf_counter()
@@ -674,7 +672,6 @@ def fit_gram(gram, y, w, penalty, lam, ridge=0.0, config=None, callback=None):
         termination="converged" if converged else "max_iter",
         wall_times=times,
         phase_starts=phase_starts,
-        substep_values=substeps,
         supervised_route=state.route,
         pcg_steps=state.pcg_steps,
         inverse_rebuilds=state.rebuilds,

@@ -24,6 +24,7 @@ from smtl.errors import (
     ParseError,
 )
 from smtl.kernels import GramMatrix, KernelSpec, gram
+from smtl.synth import SyntheticSpec, synth_generate
 
 
 def test_linear_gram_is_xxt():
@@ -199,18 +200,43 @@ class TestDatasetFromRows:
 
 
 class TestLoader:
+    def test_dense_dataset_is_refused(self, tmp_path):
+        """A long CSV line holds one target: saving every row's task-0
+        target alone would lose task 1's targets."""
+        dense = TaskDataset(X=np.arange(3.0)[:, None], Y=np.ones((3, 2)),
+                            W=np.ones((3, 2)), task_ids=np.zeros(3, dtype=int))
+        path = tmp_path / "dense.csv"
+        with pytest.raises(DimensionMismatch, match="row 0: the long CSV "
+                           "needs its only observed entry at its task id"):
+            save_dataset(dense, path)
+        assert not path.exists()
+
+    def test_row_with_no_observed_entry_is_refused(self, tmp_path):
+        ds = dataset_from_rows([0, 1, 0], [1.0, 2.0, 1.5],
+                               [[0.5], [0.1], [0.3]])
+        ds.W[2] = 0.0
+        with pytest.raises(DimensionMismatch, match="^row 2: "):
+            save_dataset(ds, tmp_path / "unobserved.csv")
+
     def test_round_trip_is_bitwise(self, tmp_path):
-        rng = np.random.default_rng(4)
-        tids = rng.integers(0, 3, size=20)
-        tids[:3] = [0, 1, 2]
-        ds = dataset_from_rows(tids, rng.standard_normal(20),
-                               rng.standard_normal((20, 4)))
-        path = tmp_path / "data.csv"
-        save_dataset(ds, path)
-        back = load_dataset(path)
-        assert np.array_equal(back.X, ds.X)
-        assert np.array_equal(back.Y, ds.Y)
-        assert np.array_equal(back.task_ids, ds.task_ids)
+        """Row-built and synthetic datasets, under either weighting."""
+        for weighting in ("per_task", "uniform"):
+            rng = np.random.default_rng(4)
+            tids = rng.integers(0, 3, size=20)
+            tids[:3] = [0, 1, 2]
+            from_rows = dataset_from_rows(tids, rng.standard_normal(20),
+                                          rng.standard_normal((20, 4)),
+                                          weighting=weighting)
+            synthetic, _ = synth_generate(
+                SyntheticSpec(d=4, n_tasks=3, n_per_task=7), seed=4,
+                weighting=weighting)
+            for ds in (from_rows, synthetic):
+                path = tmp_path / "data.csv"
+                save_dataset(ds, path)
+                back = load_dataset(path, weighting=weighting)
+                for name in ("X", "Y", "W", "task_ids", "task_sizes"):
+                    assert np.array_equal(getattr(back, name),
+                                          getattr(ds, name)), name
 
     def test_header_must_match(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -300,3 +326,30 @@ def test_task_dataset_validation():
     with pytest.raises(DimensionMismatch):
         TaskDataset(X=np.ones((3, 2)), Y=np.ones((2, 2)),
                     W=np.ones((3, 2)), task_ids=np.zeros(3, dtype=int))
+
+
+@pytest.mark.parametrize("ids, message", [
+    ([0.7, 1.9], "row 0: task id 0.7 is not a non-negative integer"),
+    ([-1, 1], "row 0: task id -1 is not a non-negative integer"),
+    ([0, 2], "row 1: task id 2 is not below Y's 2 tasks"),
+])
+def test_task_dataset_refuses_bad_task_ids(ids, message):
+    """Built directly, a dataset checks its task ids as dataset_from_rows
+    does, and against Y's task count."""
+    with pytest.raises(BadLabel, match="^" + message + "$"):
+        TaskDataset(X=np.ones((2, 1)), Y=np.zeros((2, 2)), W=np.ones((2, 2)),
+                    task_ids=ids)
+
+
+@pytest.mark.parametrize("ids", [[0, 1, 0], [[0, 1]], 0])
+def test_task_dataset_refuses_task_ids_not_one_per_row(ids):
+    with pytest.raises(DimensionMismatch, match="one id per row"):
+        TaskDataset(X=np.ones((2, 1)), Y=np.zeros((2, 2)), W=np.ones((2, 2)),
+                    task_ids=ids)
+
+
+def test_task_dataset_keeps_integral_task_ids():
+    ds = TaskDataset(X=np.ones((3, 1)), Y=np.zeros((3, 2)), W=np.ones((3, 2)),
+                     task_ids=[0.0, 1.0, 1.0])
+    assert ds.task_ids.dtype == int and np.array_equal(ds.task_ids, [0, 1, 1])
+    assert np.array_equal(ds.task_sizes, [1, 2])

@@ -546,8 +546,8 @@ def test_pcg_stops_on_non_positive_curvature():
 
 
 def test_backtrack_falls_back_when_no_step_is_low_enough():
-    """S >= 0 under a schatten penalty, so no halved step reaches -1: after
-    MAX_HALVINGS halvings the fallback comes back."""
+    """S >= 0 under a schatten penalty, so no step reaches -1: after
+    MAX_HALVINGS candidates, scales 1, 1/2, ..., the fallback comes back."""
     inst = full_weight_instance(seed=8)
     a = PsdMatrix(np.eye(3))
     c = np.random.default_rng(8).standard_normal((inst.n, 3))
@@ -558,8 +558,8 @@ def test_backtrack_falls_back_when_no_step_is_low_enough():
         return scale * c, a
 
     fallback = (np.zeros_like(c), a)
-    assert _backtrack(inst, -1.0, (c, a), fallback, step_fn) is fallback
-    assert scales == [0.5 ** (i + 1) for i in range(MAX_HALVINGS)]
+    assert _backtrack(inst, -1.0, fallback, step_fn) is fallback
+    assert scales == [0.5 ** i for i in range(MAX_HALVINGS)]
 
 
 class TestRecycledStart:
@@ -752,19 +752,46 @@ class TestFit:
         msg = str(err.value)
         assert "a0" in msg and "trace_one" in msg and "0.000e+00" in msg
 
-    def test_substep_values_interleave_monotonically(self):
+    @pytest.mark.parametrize("schedule", ["fixed", "geometric"])
+    @pytest.mark.parametrize("weights", ["one_hot", "uniform"])
+    def test_half_step_values_interleave_monotonically(self, weights,
+                                                       schedule):
+        """S after each C-step, read through the callback as eval_S at the
+        phase's delta, that iteration's C and the previous call's A (the
+        start structure I on the first), lies between the values before
+        and after its iteration. Uniform weights run in K's eigenbasis,
+        one-hot ones in the original basis."""
         ds = make_dataset(seed=10)
-        cfg = SolverConfig(epsilon=1e-10, max_iter=40, track_substeps=True)
-        _, rep = fit(ds, KernelSpec("linear"),
-                     PenaltySpec.schatten(1.0, 1.0), 0.2, config=cfg)
-        # substep sequence: value after each C-update, interleaved with the
-        # full trajectory; every recorded value is sandwiched correctly
-        assert len(rep.substep_values) == rep.iters
-        merged = []
-        for i in range(rep.iters):
-            merged.append(rep.substep_values[i])
-            merged.append(rep.objective_trajectory[i + 1])
-        merged = np.asarray([rep.objective_trajectory[0]] + merged)
+        if weights == "uniform":
+            ds = TaskDataset(
+                X=ds.X, Y=np.random.default_rng(10).standard_normal(ds.Y.shape),
+                W=np.full(ds.Y.shape, 1.0 / ds.n),
+                task_ids=np.zeros(ds.n, dtype=int),
+                task_sizes=np.full(ds.n_tasks, ds.n))
+        cfg = SolverConfig(epsilon=1e-10, max_iter=40, delta=1e-1,
+                           delta_schedule=schedule, delta_floor=1e-4)
+        calls = []
+        model, rep = fit(ds, KernelSpec("linear"),
+                         PenaltySpec.schatten(1.0, 1.0), 0.2, config=cfg,
+                         callback=lambda k, c, a, s: calls.append((c, a, s)))
+        assert len(calls) == rep.iters
+        traj = rep.objective_trajectory
+        bounds = rep.phase_starts + [len(traj)]
+        a_prev = PsdMatrix(np.eye(ds.n_tasks))
+        merged, a_step_gains, calls = [], [], iter(calls)
+        for phase, delta in enumerate(cfg.delta_values()):
+            inst = model.inst.with_delta(delta)
+            merged.append(traj[bounds[phase]])
+            for value in traj[bounds[phase] + 1:bounds[phase + 1]]:
+                c, a, called = next(calls)
+                assert called == value
+                half = eval_S(inst, c, a_prev)
+                merged += [half, value]
+                a_step_gains.append(half - value)
+                a_prev = a
+        assert len(merged) == len(traj) + rep.iters
+        assert max(a_step_gains) > 1e-10 * traj[0]  # not the end values
+        merged = np.asarray(merged)
         assert np.all(np.diff(merged) <= 1e-10 * (1 + np.abs(merged[:-1])))
 
     def test_identical_tasks_get_symmetric_structure(self):
