@@ -51,6 +51,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, "%s: error: %s\n" % (self.prog, message))
 
 
+def _seed(text):
+    """The type of ``--seed``: numpy's generators take only non-negative
+    integer seeds, so anything else is a usage error."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            "expected a non-negative integer, got %r" % text)
+    return int(text)
+
+
 def build_parser():
     parser = _Parser(prog="smtl",
                      description="Joint learning of task predictors and "
@@ -80,7 +89,7 @@ def build_parser():
                            help="run the independent equivalence checks")
     p_ver.add_argument("--filter", default=None,
                        help="run only checks whose name contains this")
-    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--seed", type=_seed, default=0)
     return parser
 
 
@@ -106,7 +115,7 @@ def _cmd_predict(args):
         raise DimensionMismatch("data has task %d, but the model has %d tasks"
                                 % (ds.n_tasks - 1, n_tasks))
     z = predict(model, ds.X)
-    with open(args.out, "w") as fh:
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("task,pred\n")
         for i, t in enumerate(ds.task_ids):
             fh.write("%d,%.17g\n" % (t, z[i, t]))

@@ -8,6 +8,7 @@ observed at each row's own task; the matching weight matrix ``W`` carries
 masked losses fall out of the same formulas as dense ones.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,15 +167,14 @@ def load_dataset(path, weighting="per_task"):
         if t < 0:
             raise ParseError(lineno, "task id must be >= 0, got %d" % t)
         try:
-            yv = float(fields[1])
-            xv = [float(f) for f in fields[2:]]
+            values = [float(f) for f in fields[1:]]
         except ValueError:
             raise ParseError(lineno, "non-numeric value in %r" % raw)
-        if not np.isfinite(yv) or not np.all(np.isfinite(xv)):
+        if not all(map(math.isfinite, values)):
             raise ParseError(lineno, "non-finite value in %r" % raw)
         task_ids.append(t)
-        ys.append(yv)
-        xs.append(xv)
+        ys.append(values[0])
+        xs.append(values[1:])
     return dataset_from_rows(task_ids, ys, xs, weighting=weighting)
 
 
@@ -191,14 +191,11 @@ def save_dataset(ds, path):
     if bad.size:
         raise DimensionMismatch("row %d: the long CSV needs its only observed "
                                 "entry at its task id" % bad[0])
-    d = ds.d
+    header = "task,y," + ",".join("x%d" % (j + 1) for j in range(ds.d))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("task,y," + ",".join("x%d" % (j + 1) for j in range(d)) + "\n")
-        yobs = ds.y_observed
-        for i in range(ds.n):
-            cells = ["%d" % ds.task_ids[i], "%.17g" % yobs[i]]
-            cells.extend("%.17g" % v for v in ds.X[i])
-            fh.write(",".join(cells) + "\n")
+        np.savetxt(fh, np.column_stack([ds.task_ids, ds.y_observed, ds.X]),
+                   fmt=["%d"] + ["%.17g"] * (ds.d + 1), delimiter=",",
+                   header=header, comments="")
 
 
 def loss_value_grad(y, z, w):

@@ -30,13 +30,6 @@ from .solver import ModelState
 MODEL_HEADER = "SMTL-MODEL v1"
 
 
-def _write_matrix(fh, name, mat):
-    mat = np.atleast_2d(mat)
-    fh.write("[%s] %d %d\n" % (name, mat.shape[0], mat.shape[1]))
-    for row in mat:
-        fh.write(" ".join("%.17g" % v for v in row) + "\n")
-
-
 def save_model(model, path):
     """Write a fitted model to a text file."""
     spec = model.gram.spec
@@ -45,9 +38,10 @@ def save_model(model, path):
         fh.write("[kernel]\n")
         fh.write("kind %s\n" % spec.kind)
         fh.write("gamma %.17g\n" % spec.gamma)
-        _write_matrix(fh, "X", model.gram.X_train)
-        _write_matrix(fh, "C", model.C)
-        _write_matrix(fh, "A", model.A.data)
+        for name, mat in (("X", model.gram.X_train), ("C", model.C),
+                          ("A", model.A.data)):
+            np.savetxt(fh, mat, fmt="%.17g", comments="",
+                       header="[%s] %d %d" % ((name,) + mat.shape))
 
 
 class _Reader:

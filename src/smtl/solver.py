@@ -685,12 +685,17 @@ def fit(dataset, kernel_spec, penalty, lam, ridge=0.0, config=None,
         callback=None):
     """Fit predictors and structure to a dataset: :func:`fit_gram` on a
     new ``GramMatrix`` of its inputs, once the dataset has a row and every
-    task a row."""
+    task a row of its own (in ``task_ids``) or an entry that W observes
+    (``W > 0``). Otherwise raises :class:`EmptyTask`, naming task 0 or the
+    first task with neither: a dense dataset's tasks have no rows of their
+    own, but W observes them.
+    """
     if dataset.n < 1:
         raise EmptyTask(0)
-    for t in range(dataset.n_tasks):
-        if dataset.task_sizes[t] == 0:
-            raise EmptyTask(t)
+    seen = np.any(dataset.W > 0, axis=0)
+    seen[dataset.task_ids] = True
+    if not seen.all():
+        raise EmptyTask(np.argmin(seen))
     return fit_gram(GramMatrix(kernel_spec, dataset.X), dataset.Y, dataset.W,
                     penalty, lam, ridge=ridge, config=config,
                     callback=callback)

@@ -259,6 +259,20 @@ def test_usage_errors_exit_one():
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+def test_verify_seed_that_is_not_a_non_negative_integer_is_usage_error(
+        capsys, seed):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--seed", seed])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    usage, message = err.splitlines()
+    assert usage.startswith("usage: smtl verify")
+    assert message == ("smtl verify: error: argument --seed: expected a "
+                       "non-negative integer, got %r" % seed)
+
+
 def test_verify_filter(capsys):
     assert main(["verify", "--filter", "nuclear"]) == 0
     out = capsys.readouterr().out

@@ -919,6 +919,33 @@ class TestFit:
             fit(no_rows, KernelSpec("linear"), PenaltySpec.schatten(), 0.1)
         assert err.value.task == 0
 
+    def test_dense_dataset_fits_with_default_task_sizes(self):
+        """A dense dataset's task ids are zeros, so task 1 has no rows of
+        its own and its default task_sizes entry is 0; fit also reads W,
+        which observes every task."""
+        rng = np.random.default_rng(16)
+        x, y = rng.standard_normal((5, 3)), rng.standard_normal((5, 2))
+        models = [
+            fit(TaskDataset(X=x, Y=y, W=np.ones((5, 2)),
+                            task_ids=np.zeros(5, int), task_sizes=sizes),
+                KernelSpec("linear"), PenaltySpec.schatten(1, 1), 0.1)[0]
+            for sizes in (None, np.full(2, 5))
+        ]
+        assert np.array_equal(models[0].C, models[1].C)
+        assert np.array_equal(models[0].A.data, models[1].A.data)
+
+    def test_dense_task_that_w_never_observes_is_rejected(self):
+        # task 1 has no rows of its own, and W observes none of its entries
+        rng = np.random.default_rng(17)
+        w = np.ones((6, 3))
+        w[:, 1] = 0.0
+        ds = TaskDataset(X=rng.standard_normal((6, 2)),
+                         Y=rng.standard_normal((6, 3)), W=w,
+                         task_ids=np.zeros(6, int))
+        with pytest.raises(EmptyTask) as err:
+            fit(ds, KernelSpec("linear"), PenaltySpec.schatten(), 0.1)
+        assert err.value.task == 1
+
     def test_initial_structure_must_be_pd(self):
         ds = make_dataset(seed=16)
         cfg = SolverConfig(a0=np.diag([1.0, 1.0, 0.0]))
