@@ -32,7 +32,10 @@ class TaskDataset:
     Y : (n, T) targets, zero at unobserved entries
     W : (n, T) nonnegative loss weights, zero marks unobserved entries
     task_ids : (n,) 0-based task of each row
-    task_sizes : (T,) number of rows per task
+    task_sizes : (T,) number of rows per task, ``bincount(task_ids)`` if
+        not given
+    Task ids and sizes are non-negative integers (:class:`BadLabel`), one
+    per row and one per task (:class:`DimensionMismatch`).
     """
 
     X: np.ndarray
@@ -47,7 +50,7 @@ class TaskDataset:
         self.W = np.asarray(self.W, dtype=float)
         if self.Y.shape != self.W.shape or self.Y.shape[0] != self.X.shape[0]:
             raise DimensionMismatch("X, Y, W row counts or Y/W shapes disagree")
-        ids = _task_ids(self.task_ids)
+        ids = _non_negative_ints(self.task_ids, "row %d: task id")
         if ids.shape != (self.n,):
             raise DimensionMismatch("task_ids must hold one id per row of X")
         if ids.size and ids.max() >= self.n_tasks:
@@ -56,7 +59,11 @@ class TaskDataset:
         self.task_ids = ids.astype(int)
         if self.task_sizes is None:
             self.task_sizes = np.bincount(self.task_ids, minlength=self.Y.shape[1])
-        self.task_sizes = np.asarray(self.task_sizes, dtype=int)
+        sizes = _non_negative_ints(self.task_sizes, "task %d: size")
+        if sizes.shape != (self.n_tasks,):
+            raise DimensionMismatch("task_sizes must hold one size per task "
+                                    "of Y")
+        self.task_sizes = sizes.astype(int)
 
     @property
     def n(self):
@@ -76,18 +83,19 @@ class TaskDataset:
         return self.Y[np.arange(self.n), self.task_ids]
 
 
-def _task_ids(task_ids):
-    """Task ids as floats, once each is a non-negative integer, given as an
-    integer or as an integral float such as ``1.0``; any other id raises
-    :class:`BadLabel`, naming its (0-based) row. As floats, ids past int64
-    (object entries) are compared and capped without overflow."""
-    ids = np.asarray(task_ids).astype(float)
-    bad = np.flatnonzero(~(np.isfinite(ids) & (ids >= 0))
-                         | (ids != np.floor(ids)))
+def _non_negative_ints(values, what):
+    """``values`` as floats, once each is a non-negative integer, given as
+    an integer or as an integral float such as ``1.0``; any other value
+    raises :class:`BadLabel`, naming it by ``what % index`` (0-based), as
+    in ``"row %d: task id"``. As floats, values past int64 (object
+    entries) are compared and capped without overflow."""
+    vals = np.asarray(values).astype(float)
+    bad = np.flatnonzero(~(np.isfinite(vals) & (vals >= 0))
+                         | (vals != np.floor(vals)))
     if bad.size:
-        raise BadLabel("row %d: task id %s is not a non-negative integer"
-                       % (bad[0], np.asarray(task_ids)[bad[0]]))
-    return ids
+        raise BadLabel("%s %s is not a non-negative integer"
+                       % (what % bad[0], np.asarray(values).flat[bad[0]]))
+    return vals
 
 
 def dataset_from_rows(task_ids, y, x, weighting="per_task"):
@@ -99,7 +107,7 @@ def dataset_from_rows(task_ids, y, x, weighting="per_task"):
     """
     if weighting not in WEIGHTINGS:
         raise ValueError("weighting must be one of %r" % (WEIGHTINGS,))
-    ids = _task_ids(task_ids)
+    ids = _non_negative_ints(task_ids, "row %d: task id")
     n = ids.shape[0]
     # Ids are counted capped at n, so no array is sized by a larger id and
     # no int conversion overflows on it. An id at or past n always leaves a

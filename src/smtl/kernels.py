@@ -132,9 +132,12 @@ class _FactorForm:
 class GramMatrix(_FactorForm):
     """Training Gram matrix bundled with its kernel spec and inputs.
 
-    Construction stores only the spec and the training inputs, which must
-    be finite (:class:`~smtl.errors.NonFinite`) and have at least one
-    feature column (:class:`~smtl.errors.DimensionMismatch`); nothing is
+    Construction stores only the spec and the training inputs. These must
+    be finite (:class:`~smtl.errors.NonFinite`), with each row's squared
+    norm ``x.x`` finite for the linear kernel and ``2 x.x`` finite for the
+    gaussian, which adds two of them (``NonFinite``, naming the first row
+    that fails, before any kernel entry is computed), and have at least one
+    feature column (:class:`~smtl.errors.DimensionMismatch`). Nothing is
     evaluated until it is used, and each form is built at most once:
 
     * ``.raw`` is the kernel matrix ``gram(spec, X_train)``, a read-only
@@ -171,6 +174,15 @@ class GramMatrix(_FactorForm):
         x = np.atleast_2d(np.array(x, dtype=float))
         if not np.all(np.isfinite(x)):
             raise NonFinite("training inputs contain non-finite entries")
+        # the linear kernel computes x.x, the gaussian also x.x + x'.x'
+        with np.errstate(over="ignore"):
+            sq = np.einsum("ij,ij->i", x, x) * (
+                1.0 if spec.kind == "linear" else 2.0)
+        overflows = np.flatnonzero(np.isinf(sq))
+        if overflows.size:
+            raise NonFinite("training input row %d: its squared norm x.x "
+                            "overflows in the %s kernel"
+                            % (overflows[0], spec.kind))
         if not x.shape[1]:
             raise DimensionMismatch("training inputs have no feature "
                                     "columns, a kernel needs one")

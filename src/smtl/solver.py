@@ -47,7 +47,8 @@ reads K's entries on a kernel with a factor.
 
 A per-fit ``_SupervisedState``, built once by ``_SupervisedState.of``,
 holds the route, the instance the loop runs on and the map of its C back
-to the original basis, and carries the last solutions and the one-hot
+to the original basis, the observed-entry routes' stop tolerance and
+P(.) array, and carries the last solutions and the one-hot
 preconditioner from call to call.
 
 With a geometric delta schedule each phase stops on convergence or at
@@ -219,19 +220,19 @@ class _SupervisedState:
     The observed-entry routes keep the observed entries, taken from
     ``W > 0`` and addressed by their C-order ``flat`` positions in an n x T
     array, which index several times faster than (row, task) pairs: their
-    task ``tids``, loss weights ``wvec`` and targets ``yvec``; the
+    task ``tids``, loss weights ``wvec`` and targets ``yvec``; ``tol``, the
+    stop of every solve, which only ``yvec`` and ``wvec`` determine (see
+    ``_observed_step``); ``scattered``, the n x T array that holds P(x),
+    zero outside ``flat``, for each product with K and Atilde; the
     ``RECYCLED_SOLUTIONS`` last solutions ``recent`` (the latest, ``alpha``,
     is the next warm start, and all of them span its Galerkin correction)
-    and the counters. ``in_fit`` marks the state of a ``fit_gram`` loop,
-    whose solves stop at the objective's own precision rather than at
-    ``PCG_RTOL`` (see ``_observed_step``). The one-hot route also keeps
-    ``precond``, an explicit inverse of an earlier system matrix; once
-    ``lu_solves`` is nonzero, every solve of the fit is an LU solve.
+    and the counters. The one-hot route also keeps ``precond``, an
+    explicit inverse of an earlier system matrix; once ``lu_solves`` is
+    nonzero, every solve of the fit is an LU solve.
     """
 
     route: str
     work: ProblemInstance
-    in_fit: bool = False
     u: np.ndarray = None
     y_perp: np.ndarray = None
     offset: float = 0.0
@@ -239,6 +240,8 @@ class _SupervisedState:
     tids: np.ndarray = None
     wvec: np.ndarray = None
     yvec: np.ndarray = None
+    tol: float = None
+    scattered: np.ndarray = None
     recent: list = field(default_factory=list)
     precond: np.ndarray = None
     pcg_steps: int = 0
@@ -253,15 +256,21 @@ class _SupervisedState:
     @classmethod
     def of(cls, inst, mode, route=None, in_fit=False):
         """The state of a fit of ``inst`` in ``mode``; ``in_fit`` for the
-        state of ``fit_gram``'s loop. ``route``, if given, replaces
-        ``_route``'s choice: ``"cg"`` solves any weight pattern, so it can
-        check another route."""
-        state = cls(route or _route(inst.W, mode), inst, in_fit)
+        state of ``fit_gram``'s loop, whose solves stop at the objective's
+        own precision rather than at ``PCG_RTOL`` (see ``_observed_step``).
+        ``route``, if given, replaces ``_route``'s choice: ``"cg"`` solves
+        any weight pattern, so it can check another route."""
+        state = cls(route or _route(inst.W, mode), inst)
         if state.route in ("one_hot", "cg"):
             state.flat = np.flatnonzero(inst.W > 0)
             state.tids = state.flat % inst.n_tasks
-            state.wvec = inst.W.take(state.flat)
-            state.yvec = inst.Y.take(state.flat)
+            state.wvec = w = inst.W.take(state.flat)
+            state.yvec = y = inst.Y.take(state.flat)
+            state.tol = PCG_RTOL * float(np.linalg.norm(y))
+            if in_fit:  # ||r||^2 <= u ||y||_W^2 / max(w)
+                state.tol = max(state.tol, np.sqrt(
+                    0.5 * np.finfo(float).eps * float(w @ (y * y)) / w.max()))
+            state.scattered = np.zeros(inst.W.shape)
         elif _route(inst.W, "altmin") == "spectral":  # uniform weights
             w = inst.W.flat[0]
             state.u, s = inst.gram.eigenbasis
@@ -364,38 +373,34 @@ def _recycled_start(matvec, b, recent, hx):
 def _solve_one_hot(gram, a_tilde, y, tol, state):
     """Solve the one-hot system by PCG on its explicit matrix ``H``.
 
-    PCG runs from ``state.recent`` (see ``_pcg``) on ``state.precond``.
-    If that fails to converge within ``PCG_REBUILD_STEPS`` steps (or there
-    is no preconditioner yet), the inverse is rebuilt from ``H`` and PCG
-    goes on from where it stopped. If even a fresh inverse cannot bring
-    the true residual to ``tol``, the system is too ill-conditioned for
-    PCG: LU solves it, and every later call of the fit. So does a ``y``
-    whose norm is not finite, since no residual test can accept a solve.
+    One loop tries, in turn, the kept inverse ``state.precond``, a fresh
+    inverse of ``H``, and LU. PCG runs from ``state.recent`` (see
+    ``_pcg``), at most ``PCG_REBUILD_STEPS`` steps on each inverse; if the
+    kept one (or none) falls short of ``tol``, the inverse is rebuilt and
+    PCG goes on from where it stopped. If even a fresh inverse cannot
+    bring the true residual to ``tol``, the system is too ill-conditioned
+    for PCG: LU solves it, and every later call of the fit. So does a
+    ``y`` whose norm is not finite, since no residual test can accept a
+    solve.
     """
     tids = state.tids
     h = np.take(a_tilde[tids], tids, axis=1)
     h *= gram.raw
     h.flat[::tids.size + 1] += 1.0 / state.wvec
-    if state.lu_solves or not tol < float("inf"):
-        state.lu_solves += 1
-        return np.linalg.solve(h, y)
-    recent = state.recent
-    if state.precond is not None:
+    recent, fresh = state.recent, False
+    while not (state.lu_solves or fresh or not tol < float("inf")):
+        if state.precond is None:
+            state.precond = np.linalg.inv(h)
+            # inv(h) is symmetric only up to roundoff, and PCG assumes symmetry
+            state.precond += state.precond.T
+            state.precond *= 0.5
+            state.rebuilds += 1
+            fresh = True
         x, res = _pcg(h.__matmul__, y, recent, state.precond.__matmul__,
                       tol, PCG_REBUILD_STEPS, state)
         if res <= tol:
             return x
-        recent = [x]
-    state.precond = np.linalg.inv(h)
-    # inv(h) is symmetric only up to roundoff, and PCG assumes symmetry
-    state.precond += state.precond.T
-    state.precond *= 0.5
-    state.rebuilds += 1
-    x, res = _pcg(h.__matmul__, y, recent, state.precond.__matmul__, tol,
-                  PCG_REBUILD_STEPS, state)
-    if res <= tol:
-        return x
-    state.precond = None
+        recent, state.precond = [x], None
     state.lu_solves += 1
     return np.linalg.solve(h, y)
 
@@ -412,8 +417,7 @@ def _solve_operator(gram, a_tilde, y, tol, state):
     It raises ``CgStall`` above that bound, or if the bound reaches
     ``||y||``.
     """
-    w, flat = state.wvec, state.flat
-    scattered = np.zeros((gram.n, a_tilde.shape[0]))
+    w, flat, scattered = state.wvec, state.flat, state.scattered
     scattered_flat = scattered.reshape(-1)  # a view, faster to index than put
 
     def matvec(v):
@@ -439,26 +443,21 @@ def _observed_step(inst, a, state):
     (Atilde kron K) S'``. The C-block objective at ``C(alpha)`` is ``f =
     ||y - G alpha||_W^2 + alpha'G alpha`` plus terms free of C, and with
     ``r = y - H alpha``, ``f - f* = r'W r - r'H^{-1} r <= ||r||_W^2``. A
-    fit's state (``in_fit``) stops at ``||r||_W^2 <= u ||y||_W^2``, u the
-    unit roundoff: the step is then exact to the roundoff of S's loss at C
-    = 0. It tests ``||r|| <= sqrt(u ||y||_W^2 / max(w))``, which implies
-    that, and never a tighter rule than ``PCG_RTOL * ||y||``, the stop of
-    every other state.
+    fit's state (``of(..., in_fit=True)``) stops at ``||r||_W^2 <= u
+    ||y||_W^2``, u the unit roundoff: the step is then exact to the
+    roundoff of S's loss at C = 0. It tests ``||r|| <= state.tol``, which
+    ``of`` sets once to ``sqrt(u ||y||_W^2 / max(w))``, a rule that implies
+    that, and never tighter than ``PCG_RTOL * ||y||``, the stop of every
+    other state. ``P(alpha)`` is written into ``state.scattered``.
     """
     v = a.eigenvectors  # Atilde = (lam A^{-1} + ridge I)^{-1}
     a_tilde = (v * (1.0 / (inst.lam / pd_eigenvalues(a) + inst.ridge))) @ v.T
-    y = state.yvec
-    tol = PCG_RTOL * float(np.linalg.norm(y))
-    if state.in_fit:
-        y_w = float(state.wvec @ (y * y))  # ||y||_W^2
-        tol = max(tol, np.sqrt(0.5 * np.finfo(float).eps * y_w
-                               / state.wvec.max()))
-    if tol == 0.0:
-        alpha = np.zeros_like(y)
+    if state.tol == 0.0:
+        alpha = np.zeros_like(state.yvec)
     else:
         solve = _solve_one_hot if state.route == "one_hot" else _solve_operator
         try:
-            alpha = solve(inst.gram, a_tilde, y, tol, state)
+            alpha = solve(inst.gram, a_tilde, state.yvec, state.tol, state)
         except np.linalg.LinAlgError as exc:
             # H is SPD, but at tiny lam Atilde o K is of order 1/lam and
             # adding W^{-1} to it changes nothing in floating point
@@ -467,9 +466,8 @@ def _observed_step(inst, a, state):
                 % (state.route.replace("_", "-"), inst.lam)) from exc
     if alpha is not state.alpha:  # a repeat solve adds nothing to recycle
         state.recent = (state.recent + [alpha])[-RECYCLED_SOLUTIONS:]
-    c = np.zeros((inst.n, inst.n_tasks))  # P(alpha), C-ordered like flat
-    c.reshape(-1)[state.flat] = alpha
-    return c @ a_tilde
+    state.scattered.reshape(-1)[state.flat] = alpha  # P(alpha)
+    return state.scattered @ a_tilde
 
 
 def _supervised_exact(inst, a, state=None):

@@ -231,6 +231,23 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kernel", ["linear", "gaussian"])
+def test_input_whose_squared_norm_overflows_is_named(tmp_path, capsys,
+                                                      kernel):
+    data = tmp_path / "huge.csv"
+    write_csv(data)
+    lines = data.read_text().split("\n")
+    lines[5] = lines[5].rsplit(",", 1)[0] + ",1e200"  # row 4, line 6
+    data.write_text("\n".join(lines))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kernel.type = %s\n" % kernel)
+    assert main(["fit", "--data", str(data), "--out", str(tmp_path / "m.txt"),
+                 "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err == (
+        "smtl fit: numerical failure: training input row 4: its squared norm "
+        "x.x overflows in the %s kernel\n" % kernel)
+
+
 def test_singular_one_hot_system_exit_code(tmp_path, capsys):
     """At lam = 1e-20 the one-hot system is singular in floating point."""
     data = tmp_path / "tiny.csv"

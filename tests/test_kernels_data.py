@@ -2,6 +2,7 @@
 
 import hashlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from smtl.errors import (
     ParseError,
 )
 from smtl.kernels import GramMatrix, KernelSpec, gram
+from smtl.penalties import PenaltySpec
+from smtl.solver import fit
 from smtl.synth import SyntheticSpec, synth_generate
 
 
@@ -120,6 +123,44 @@ def test_gram_matrix_rejects_non_finite_inputs(bad):
     x[2, 1] = bad
     with pytest.raises(NonFinite):
         GramMatrix(KernelSpec("gaussian", gamma=0.5), x)
+
+
+@pytest.mark.parametrize("weighting", ["per_task", "uniform"])
+@pytest.mark.parametrize("spec", [KernelSpec("linear"),
+                                  KernelSpec("gaussian", gamma=0.5)],
+                         ids=["linear", "gaussian"])
+def test_gram_matrix_rejects_inputs_whose_squared_norm_overflows(
+        monkeypatch, spec, weighting):
+    """A finite row with x.x = inf fails where the kernel is set up, naming
+    the row, before any kernel entry is computed and with no warning."""
+    ds, _ = synth_generate(SyntheticSpec(d=3, n_tasks=3, n_per_task=10),
+                           seed=0, weighting=weighting)
+    ds.X[4, 1] = 1e200
+
+    def no_gram(*args):
+        raise AssertionError("the kernel was evaluated")
+
+    monkeypatch.setattr("smtl.kernels.gram", no_gram)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match="^training input row 4: its "
+                           "squared norm x.x overflows in the %s kernel$"
+                           % spec.kind):
+            fit(ds, spec, PenaltySpec.schatten(1.0, 1.0), 0.1)
+
+
+def test_gaussian_gram_matrix_needs_twice_the_squared_norm_finite():
+    """The gaussian adds two squared norms, so x.x = 1.47e308, finite,
+    still overflows there (to a NaN entry); the linear kernel takes it."""
+    x = np.ones((3, 3))
+    x[1] = 7e153
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match="^training input row 1: its "
+                           "squared norm x.x overflows in the gaussian "
+                           "kernel$"):
+            GramMatrix(KernelSpec("gaussian", gamma=0.5), x)
+        GramMatrix(KernelSpec("linear"), x)
 
 
 def test_cross_gram_feature_mismatch():
@@ -353,3 +394,17 @@ def test_task_dataset_keeps_integral_task_ids():
                      task_ids=[0.0, 1.0, 1.0])
     assert ds.task_ids.dtype == int and np.array_equal(ds.task_ids, [0, 1, 1])
     assert np.array_equal(ds.task_sizes, [1, 2])
+
+
+@pytest.mark.parametrize("sizes, error, message", [
+    ([5], DimensionMismatch, "^task_sizes must hold one size per task of Y$"),
+    ([[1, 1]], DimensionMismatch,
+     "^task_sizes must hold one size per task of Y$"),
+    ([-3, 1], BadLabel, "^task 0: size -3 is not a non-negative integer$"),
+    ([1.5, 1], BadLabel, "^task 0: size 1.5 is not a non-negative integer$"),
+], ids=["too_few", "not_1d", "negative", "fractional"])
+def test_task_dataset_refuses_task_sizes_not_one_count_per_task(
+        sizes, error, message):
+    with pytest.raises(error, match=message):
+        TaskDataset(X=np.ones((2, 1)), Y=np.zeros((2, 2)), W=np.ones((2, 2)),
+                    task_ids=[0, 1], task_sizes=sizes)

@@ -100,11 +100,16 @@ class TestSupervisedRoutes:
             cg = _observed_step(inst, a, state)
             assert np.max(np.abs(cg - exact)) <= 1e-7
 
-    def test_one_hot_route_matches_cg(self):
+    @pytest.mark.parametrize("kernel", [KernelSpec("gaussian", gamma=0.3),
+                                        KernelSpec("linear")],
+                             ids=["gaussian", "linear"])
+    def test_one_hot_route_matches_cg(self, kernel):
         """The per-row-observation shortcut must agree with the operator
-        form of the same observed-entry system."""
+        form of the same observed-entry system, also on a kernel with a
+        factor (linear, d = 4 < n = 36), where only the one-hot route
+        reads K's entries."""
         ds = make_dataset(seed=3)
-        gram = GramMatrix(KernelSpec("gaussian", gamma=0.3), ds.X)
+        gram = GramMatrix(kernel, ds.X)
         rng = np.random.default_rng(3)
         a = PsdMatrix(np.diag(0.5 + rng.random(ds.n_tasks)) + 0.1)
         inst = ProblemInstance(gram=gram, Y=ds.Y, W=ds.W, lam=0.2,
