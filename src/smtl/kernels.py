@@ -160,7 +160,7 @@ class GramMatrix(_FactorForm):
     rank at most d) has factor ``L = X_train`` and is applied as
     ``X (X' m)``: 2ndT flops against n^2 T, and no n x n array read. Every
     other kernel multiplies by ``.raw``, which is built only then, or for
-    the one-hot route's explicit system matrix.
+    the one-hot route, whose products read K's entries on every kernel.
 
     A model that only predicts (e.g. one read by ``load_model``) builds
     none of them: prediction needs just the spec and ``X_train``. Every

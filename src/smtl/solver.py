@@ -22,9 +22,11 @@ the mode and the weight pattern by ``_route``:
   observed entries and ``alpha`` solves the SPD system ``(S (Atilde kron
   K) S' + diag(1/w)) alpha = y`` (Bonilla, Chai & Williams 2008) by
   preconditioned CG. With one observed entry per row (``"one_hot"``, m =
-  n) the matrix is explicit, the preconditioner an explicit inverse of an
-  earlier one and LU the fallback; with any other mask (``"cg"``) the
-  matrix is an operator, preconditioned by ``diag(w)``. Both routes start
+  n) each product with K is one pass over it (``_SupervisedState``), the
+  preconditioner is an explicit inverse of an earlier system matrix and
+  LU the fallback, and a standalone solve is one LU solve; with any other
+  mask (``"cg"``) the products go through ``gram.dot`` and the
+  preconditioner is ``diag(w)``. Both routes start
   CG from the last ``alpha``, or from the Galerkin solution on the span
   of the last ``RECYCLED_SOLUTIONS`` ones unless that raises the energy
   (``_recycled_start``). A fit's C-steps stop once the C-block objective
@@ -40,16 +42,16 @@ and the targets ``U'Y``, computed once. The objective adds back
 back once at the end, with its part in K's null space (see
 ``_SupervisedState``).
 
-Every product with K comes from the Gram (``dot``, ``quad``, ``quad_eig``,
-``diag_quads``), in the factor form ``K = LL'`` of :mod:`smtl.kernels`,
-which says what each form saves. Only the one-hot route's explicit matrix
-reads K's entries on a kernel with a factor.
+Every product with K but the one-hot route's ``K P(x)`` comes from the
+Gram (``dot``, ``quad``, ``quad_eig``, ``diag_quads``), in the factor form
+``K = LL'`` of :mod:`smtl.kernels`, which says what each form saves. Only
+the one-hot route reads K's entries on a kernel with a factor.
 
 A per-fit ``_SupervisedState``, built once by ``_SupervisedState.of``,
 holds the route, the instance the loop runs on and the map of its C back
 to the original basis, the observed-entry routes' stop tolerance and
-P(.) array, and carries the last solutions and the one-hot
-preconditioner from call to call.
+P(.) array, and carries the last solutions, the one-hot
+preconditioner and the last product with K from call to call.
 
 With a geometric delta schedule each phase stops on convergence or at
 ``max_iter``; the next, at delta times a constant factor, warm-starts.
@@ -203,6 +205,13 @@ def _route(w, mode):
     return "cg"
 
 
+def _runs(ids):
+    """``(id, start, end)`` of each run of equal values in ``ids``."""
+    starts = np.flatnonzero(np.diff(ids, prepend=-1))
+    return [(ids[s], s, e)
+            for s, e in zip(starts, np.append(starts[1:], ids.size))]
+
+
 @dataclass
 class _SupervisedState:
     """What one fit's supervised steps share, built once by ``of``.
@@ -225,10 +234,19 @@ class _SupervisedState:
     ``_observed_step``); ``scattered``, the n x T array that holds P(x),
     zero outside ``flat``, for each product with K and Atilde; the
     ``RECYCLED_SOLUTIONS`` last solutions ``recent`` (the latest, ``alpha``,
-    is the next warm start, and all of them span its Galerkin correction)
-    and the counters. The one-hot route also keeps ``precond``, an
-    explicit inverse of an earlier system matrix; once ``lu_solves`` is
-    nonzero, every solve of the fit is an LU solve.
+    is the next warm start, and all of them span its Galerkin correction),
+    ``a_tilde``, the Atilde of the last solve, and the counters.
+
+    The one-hot route orders its entries by task, with a stable sort
+    unless each task's rows are already contiguous, so that each task's
+    entries are one ``block`` (task, start, end); ``rows`` holds each
+    entry's row if the sort moved them (else None), and ``kernel`` is K
+    in entry order: ``gram.raw`` itself, or one permuted copy. Its
+    ``k_product`` is then one pass over K, and ``product`` keeps the last
+    one. It also keeps ``precond``, an explicit inverse of an earlier
+    system matrix; once ``lu_solves`` is nonzero, every solve of the fit
+    is an LU solve, and a ``one_shot`` state, which no later solve reuses,
+    solves by LU at once.
     """
 
     route: str
@@ -243,7 +261,13 @@ class _SupervisedState:
     tol: float = None
     scattered: np.ndarray = None
     recent: list = field(default_factory=list)
+    a_tilde: np.ndarray = None
+    blocks: list = None
+    rows: np.ndarray = None
+    kernel: np.ndarray = None
+    product: tuple = None
     precond: np.ndarray = None
+    one_shot: bool = False
     pcg_steps: int = 0
     rebuilds: int = 0
     lu_solves: int = 0
@@ -263,6 +287,8 @@ class _SupervisedState:
         state = cls(route or _route(inst.W, mode), inst)
         if state.route in ("one_hot", "cg"):
             state.flat = np.flatnonzero(inst.W > 0)
+            if state.route == "one_hot":
+                state._order_by_task()
             state.tids = state.flat % inst.n_tasks
             state.wvec = w = inst.W.take(state.flat)
             state.yvec = y = inst.Y.take(state.flat)
@@ -281,6 +307,49 @@ class _SupervisedState:
             state.work = replace(inst, gram=DiagonalGram(s), Y=yt,
                                  W=np.full(yt.shape, w))
         return state
+
+    def _order_by_task(self):
+        """Set the one-hot route's ``blocks``, ``rows`` and ``kernel``,
+        reordering ``flat`` by task if a task's rows are not contiguous."""
+        n_tasks = self.work.n_tasks
+        self.blocks = _runs(self.flat % n_tasks)
+        if len(self.blocks) > len({t for t, _, _ in self.blocks}):
+            self.flat = self.flat[np.argsort(self.flat % n_tasks,
+                                             kind="stable")]
+            self.blocks = _runs(self.flat % n_tasks)
+            self.rows = self.flat // n_tasks
+        k = self.work.gram.raw
+        self.kernel = k if self.rows is None else k[np.ix_(self.rows,
+                                                           self.rows)]
+
+    def k_product(self, x):
+        """``(K P(x))'``, T x n in entry order, for ``x`` over the one-hot
+        entries: K is symmetric, so row t is ``x[s:e] @ kernel[s:e]`` over
+        task t's block, and the product reads K once. For an n x k block
+        ``x`` it is T x k x n, still one pass. It does not depend on
+        Atilde, so the last one is kept, and a product at the same ``x``
+        (the same object) is not recomputed."""
+        if self.product is None or self.product[0] is not x:
+            pk = np.zeros((self.work.n_tasks,) + x.shape[::-1])
+            for t, s, e in self.blocks:
+                np.dot(x[s:e].T, self.kernel[s:e], out=pk[t])
+            self.product = (x, pk)
+        return self.product[1]
+
+    def kc(self, c):
+        """``K @ c`` for ``c``, the last C-step on this state (in ``work``'s
+        basis). On the one-hot route ``c = P(alpha) Atilde``, so ``KC = (K
+        P(alpha)) Atilde``, n T^2 from the solve's last product with K in
+        place of ``work.gram.dot(c)``'s n^2 T; every other route takes the
+        latter."""
+        if self.route != "one_hot":
+            return self.work.gram.dot(c)
+        kc = self.k_product(self.alpha).T @ self.a_tilde
+        if self.rows is None:
+            return kc
+        out = np.empty_like(kc)
+        out[self.rows] = kc
+        return out
 
     def coefficients(self, c, a):
         """A C of ``work`` in the original basis: ``c`` itself, or, if
@@ -301,8 +370,9 @@ class _SupervisedState:
 
 def _pcg(matvec, b, recent, precond, tol, max_steps, state):
     """At most ``max_steps`` steps of preconditioned CG on the SPD system
-    ``H x = b``, ``H x = matvec(x)``; ``precond(r)`` applies the
-    preconditioner. ``recent`` lists earlier solutions, the latest last.
+    ``H x = b``, ``H x = matvec(x)`` (also for x an n x k block of
+    columns, ``H X``); ``precond(r)`` applies the preconditioner.
+    ``recent`` lists earlier solutions, the latest last.
     CG starts from the latest (zeros if there is none) or, if that misses
     ``tol`` and there are others, from ``_recycled_start``. Whenever the
     recurrence residual is within ``tol`` or the curvature is not positive,
@@ -350,15 +420,17 @@ def _recycled_start(matvec, b, recent, hx):
     solutions, and its residual: ``Q c`` with ``(Q'HQ) c = Q'b``, ``Q`` an
     orthonormal basis of the span from the QR factorization of ``[x,
     earlier...]``, x the latest solution. ``hx = H x`` gives ``H q_1 = hx /
-    r_11``, so H Q costs one product per earlier solution, and it gives
-    both energies ``x'Hx / 2 - b'x`` and the residual. In that basis Q'HQ
+    r_11``, so H Q costs one block product for the earlier solutions
+    (``matvec`` of their columns, which the one-hot route takes in one
+    pass over K), and it gives both energies ``x'Hx / 2 - b'x`` and the
+    residual. In that basis Q'HQ
     is as well conditioned as H, and ``Q c`` has no cancellation, however
     close the solutions are. Returns None, to keep x, if ``Q c``'s energy
     is above x's or Q'HQ is not finite.
     """
     x = recent[-1]
     q, r = np.linalg.qr(np.column_stack(recent[::-1]))
-    hq = np.column_stack([hx / r[0, 0]] + [matvec(v) for v in q.T[1:]])
+    hq = np.column_stack([hx / r[0, 0], matvec(q[:, 1:])])
     g = q.T @ hq
     g = 0.5 * (g + g.T)  # Q'(HQ) is symmetric only up to roundoff
     qb = q.T @ b
@@ -370,59 +442,85 @@ def _recycled_start(matvec, b, recent, hx):
     return q @ c, b - hq @ c
 
 
-def _solve_one_hot(gram, a_tilde, y, tol, state):
-    """Solve the one-hot system by PCG on its explicit matrix ``H``.
+def _one_hot_system(a_tilde, state):
+    """The one-hot system matrix in entry order, ``H = Atilde[t_i, t_j]
+    K_ij + diag(1/w)``, built only to invert or factor."""
+    h = np.take(a_tilde[state.tids], state.tids, axis=1)
+    h *= state.kernel
+    h.flat[::h.shape[0] + 1] += 1.0 / state.wvec
+    return h
+
+
+def _one_hot_matvec(a_tilde, state):
+    """``H x`` of the one-hot system in entry order, for x a vector or an
+    n x k block of them, in one pass over K: ``(H x)_i = sum_t (K
+    P(x))'[t, i] Atilde[t, t_i] + x_i / w_i``, with ``state.k_product``."""
+    a_cols, w = a_tilde[:, state.tids], state.wvec  # Atilde[:, t_i]
+
+    def matvec(v):
+        return (np.einsum("t...i,ti->i...", state.k_product(v), a_cols)
+                + (v.T / w).T)
+
+    return matvec
+
+
+def _solve_one_hot(a_tilde, state):
+    """Solve the one-hot system by PCG with ``_one_hot_matvec``.
 
     One loop tries, in turn, the kept inverse ``state.precond``, a fresh
-    inverse of ``H``, and LU. PCG runs from ``state.recent`` (see
-    ``_pcg``), at most ``PCG_REBUILD_STEPS`` steps on each inverse; if the
-    kept one (or none) falls short of ``tol``, the inverse is rebuilt and
-    PCG goes on from where it stopped. If even a fresh inverse cannot
-    bring the true residual to ``tol``, the system is too ill-conditioned
-    for PCG: LU solves it, and every later call of the fit. So does a
-    ``y`` whose norm is not finite, since no residual test can accept a
-    solve.
+    inverse of the explicit ``H``, and LU. PCG runs from ``state.recent``
+    (see ``_pcg``), at most ``PCG_REBUILD_STEPS`` steps on each inverse; if
+    the kept one (or none) falls short of ``state.tol``, the inverse is
+    rebuilt and PCG goes on from where it stopped. If even a fresh inverse
+    cannot bring the true residual to the tolerance, the system is too
+    ill-conditioned for PCG: LU solves it, and every later call of the
+    fit. So does a ``y`` whose norm is not finite, since no residual test
+    can accept a solve, and a ``one_shot`` state, whose inverse nothing
+    would reuse: an LU solve costs about a fifth of an inverse.
     """
-    tids = state.tids
-    h = np.take(a_tilde[tids], tids, axis=1)
-    h *= gram.raw
-    h.flat[::tids.size + 1] += 1.0 / state.wvec
+    y, tol, matvec = state.yvec, state.tol, _one_hot_matvec(a_tilde, state)
     recent, fresh = state.recent, False
-    while not (state.lu_solves or fresh or not tol < float("inf")):
+    while not (state.lu_solves or state.one_shot or fresh
+               or not tol < float("inf")):
         if state.precond is None:
-            state.precond = np.linalg.inv(h)
+            state.precond = np.linalg.inv(_one_hot_system(a_tilde, state))
             # inv(h) is symmetric only up to roundoff, and PCG assumes symmetry
             state.precond += state.precond.T
             state.precond *= 0.5
             state.rebuilds += 1
             fresh = True
-        x, res = _pcg(h.__matmul__, y, recent, state.precond.__matmul__,
+        x, res = _pcg(matvec, y, recent, state.precond.__matmul__,
                       tol, PCG_REBUILD_STEPS, state)
         if res <= tol:
             return x
         recent, state.precond = [x], None
     state.lu_solves += 1
-    return np.linalg.solve(h, y)
+    return np.linalg.solve(_one_hot_system(a_tilde, state), y)
 
 
-def _solve_operator(gram, a_tilde, y, tol, state):
+def _solve_operator(a_tilde, state):
     """Solve the observed-entry system by PCG on its operator form.
 
     The matvec is ``(K P(x) Atilde).take(flat) + x / w``, with the K
     product from ``gram.dot``; the preconditioner is ``diag(w)``. PCG may
-    take 2m steps, twice what exact arithmetic needs. Short of ``tol``, a
-    solve is accepted within the matvec's roundoff,
+    take 2m steps, twice what exact arithmetic needs. Short of the
+    tolerance, a solve is accepted within the matvec's roundoff,
     ``(gram.dot_terms + T) u gram.fro_norm ||Atilde||_F ||x||`` (u the unit
     roundoff) at ``||x|| = max(w) ||y||``, a bound on the solution's norm.
     It raises ``CgStall`` above that bound, or if the bound reaches
     ``||y||``.
     """
+    gram, y, tol = state.work.gram, state.yvec, state.tol
     w, flat, scattered = state.wvec, state.flat, state.scattered
     scattered_flat = scattered.reshape(-1)  # a view, faster to index than put
 
-    def matvec(v):
+    def product(v):
         scattered_flat[flat] = v
         return (gram.dot(scattered) @ a_tilde).take(flat) + v / w
+
+    def matvec(v):  # a block of vectors one at a time
+        return (product(v) if v.ndim == 1
+                else np.column_stack([product(u) for u in v.T]))
 
     x, res = _pcg(matvec, y, state.recent, w.__mul__, tol, 2 * y.size, state)
     y_norm = float(np.linalg.norm(y))
@@ -452,12 +550,13 @@ def _observed_step(inst, a, state):
     """
     v = a.eigenvectors  # Atilde = (lam A^{-1} + ridge I)^{-1}
     a_tilde = (v * (1.0 / (inst.lam / pd_eigenvalues(a) + inst.ridge))) @ v.T
+    state.a_tilde = a_tilde
     if state.tol == 0.0:
         alpha = np.zeros_like(state.yvec)
     else:
         solve = _solve_one_hot if state.route == "one_hot" else _solve_operator
         try:
-            alpha = solve(inst.gram, a_tilde, state.yvec, state.tol, state)
+            alpha = solve(a_tilde, state)
         except np.linalg.LinAlgError as exc:
             # H is SPD, but at tiny lam Atilde o K is of order 1/lam and
             # adding W^{-1} to it changes nothing in floating point
@@ -474,11 +573,13 @@ def _supervised_exact(inst, a, state=None):
     """Exact minimizer of the C-block on the route ``state.route``.
 
     ``state`` is the fit's ``_SupervisedState`` and ``inst`` its ``work``
-    (at any delta). Without a state the call starts cold: it builds one,
-    solves on its ``work`` and returns C in the original basis.
+    (at any delta). Without a state the call starts cold: it builds a
+    ``one_shot`` one, solves on its ``work`` and returns C in the original
+    basis.
     """
     if state is None:
         state = _SupervisedState.of(inst, "altmin")
+        state.one_shot = True
         return state.coefficients(_supervised_exact(state.work, a, state), a)
     if state.route == "spectral":
         w = inst.W.flat[0]
@@ -646,7 +747,7 @@ def fit_gram(gram, y, w, penalty, lam, ridge=0.0, config=None, callback=None):
             c = supervised_step(work, a, c, mode=config.mode,
                                 step=config.step_c, state=state)
             t1 = time.perf_counter()
-            kc = work.gram.dot(c)  # shared by the A-step and eval_S
+            kc = state.kc(c)  # shared by the A-step and eval_S
             a = unsupervised_step(work, c, a, mode=config.mode,
                                   step=config.step_a, kc=kc)
             t2 = time.perf_counter()

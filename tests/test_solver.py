@@ -28,10 +28,13 @@ from smtl.penalties import PenaltySpec, structure_coding
 from smtl.solver import (
     MAX_HALVINGS,
     RECYCLED_SOLUTIONS,
+    ModelState,
     SolverConfig,
     _SupervisedState,
     _backtrack,
     _observed_step,
+    _one_hot_matvec,
+    _one_hot_system,
     _pcg,
     _recycled_start,
     _supervised_exact,
@@ -259,6 +262,125 @@ class TestOneHotPcg:
             else:
                 assert rep.pcg_steps == rep.inverse_rebuilds == 0
             assert rep.lu_solves == 0
+
+
+def one_hot_layout(layout, kernel, lam=0.2, seed=40):
+    """A one-hot instance on 4 tasks whose rows are ``"grouped"`` by task
+    or ``"shuffled"``, with 6 rows each, or, for ``"unequal_*"``, 7, 1, 12
+    and 4 rows; 3 features, so a linear kernel has rank 3 < n. Returns the
+    instance and each row's task."""
+    sizes = [7, 1, 12, 4] if layout.startswith("unequal") else [6] * 4
+    rng = np.random.default_rng(seed)
+    tids = np.repeat(np.arange(4), sizes)
+    if layout.endswith("shuffled"):
+        tids = rng.permutation(tids)
+    ds = dataset_from_rows(tids, rng.standard_normal(tids.size),
+                           rng.standard_normal((tids.size, 3)))
+    inst = ProblemInstance(gram=GramMatrix(kernel, ds.X), Y=ds.Y, W=ds.W,
+                           lam=lam, penalty=PenaltySpec.schatten(1.0, 1.0),
+                           delta=1e-3)
+    return inst, tids
+
+
+LAYOUTS = ["grouped", "shuffled", "unequal_grouped", "unequal_shuffled"]
+LAYOUT_KERNELS = pytest.mark.parametrize(
+    "kernel", [KernelSpec("gaussian", gamma=0.3), KernelSpec("linear")],
+    ids=["gaussian", "linear_rank_deficient"])
+
+
+class TestOneHotBlockedProduct:
+    """The one-hot route orders its entries by task and applies K one
+    task block at a time; its products must be the explicit system's."""
+
+    @LAYOUT_KERNELS
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_matvec_matches_explicit_system(self, layout, kernel):
+        inst, tids = one_hot_layout(layout, kernel)
+        state = _SupervisedState.of(inst, "altmin")
+        rows = state.flat // inst.n_tasks
+        assert np.array_equal(state.tids, tids[rows])
+        assert np.all(np.diff(state.tids) >= 0)
+        # K itself when every task's rows are contiguous, else one copy
+        assert (state.kernel is inst.gram.raw) == layout.endswith("grouped")
+        rng = np.random.default_rng(41)
+        a_tilde = random_structure(rng, inst.n_tasks)
+        h = (inst.gram.raw[np.ix_(rows, rows)]
+             * a_tilde[np.ix_(state.tids, state.tids)]
+             + np.diag(1.0 / state.wvec))
+        assert rel_err(_one_hot_system(a_tilde, state), h) <= 1e-15
+        matvec = _one_hot_matvec(a_tilde, state)
+        x = rng.standard_normal((inst.n, 3))
+        assert rel_err(matvec(x), h @ x) <= 1e-12
+        for col in x.T:
+            assert rel_err(matvec(col), h @ col) <= 1e-12
+
+    @LAYOUT_KERNELS
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_kc_matches_gram_product(self, layout, kernel):
+        """K @ C for C = P(alpha) Atilde from the solve's product with K,
+        in the rows of C, which the entry order does not change."""
+        inst, _ = one_hot_layout(layout, kernel)
+        a = PsdMatrix(random_structure(np.random.default_rng(42),
+                                       inst.n_tasks))
+        state = _SupervisedState.of(inst, "altmin", in_fit=True)
+        for _ in range(2):  # a cold and a warm solve
+            c = _supervised_exact(inst, a, state)
+            assert rel_err(state.kc(c), inst.gram.dot(c)) <= 1e-12
+        alpha, _ = direct_one_hot_alpha(inst, a.data)
+        rows = state.flat // inst.n_tasks
+        assert rel_err(state.alpha, alpha[rows]) <= 1e-10
+
+    @pytest.mark.parametrize("lam", [0.1, 1e-10], ids=["pcg", "lu"])
+    @pytest.mark.parametrize("unequal", [False, True],
+                             ids=["equal", "unequal"])
+    def test_fit_does_not_depend_on_row_order(self, unequal, lam):
+        """A fit on shuffled rows runs its entries in task order, a
+        permuted copy of K, and matches the fit of the same rows grouped by
+        task: trajectories within 1e-10 relative, C after un-permuting its
+        rows. At lam = 1e-10 on the rank-3 linear kernel both fall back to
+        LU."""
+        prefix = "unequal_" if unequal else ""
+        inst, tids = one_hot_layout(prefix + "shuffled", KernelSpec("linear"),
+                                    lam=lam)
+        order = np.argsort(tids, kind="stable")
+        x = inst.gram.X_train
+        config = SolverConfig(max_iter=30)
+        runs = [fit_gram(GramMatrix(KernelSpec("linear"), x[rows]),
+                         inst.Y[rows], inst.W[rows], inst.penalty, lam,
+                         config=config)
+                for rows in (np.arange(inst.n), order)]
+        (shuffled, rep_s), (grouped, rep_g) = runs
+        assert rep_s.supervised_route == rep_g.supervised_route == "one_hot"
+        assert (rep_s.lu_solves > 0) == (rep_g.lu_solves > 0) == (lam < 1e-3)
+        assert_allclose(rep_s.objective_trajectory,
+                        rep_g.objective_trajectory, rtol=1e-10, atol=0.0)
+        assert rel_err(shuffled.C[order], grouped.C) <= 1e-9
+        assert rel_err(shuffled.A.data, grouped.A.data) <= 1e-9
+
+    def test_standalone_solve_is_one_lu_solve(self, monkeypatch):
+        """A cold call with no state (``refit_supervised``) keeps no
+        preconditioner, so it solves the explicit system by LU and builds
+        no inverse."""
+        inst, _ = one_hot_layout("unequal_shuffled",
+                                 KernelSpec("gaussian", gamma=0.3))
+        a = PsdMatrix(random_structure(np.random.default_rng(43),
+                                       inst.n_tasks))
+        expected = []
+        for lam in (inst.lam, 0.05):
+            state = _SupervisedState.of(inst, "altmin")
+            expected.append(_supervised_exact(replace(inst, lam=lam), a,
+                                              state))
+            assert state.rebuilds == 1 and state.lu_solves == 0
+
+        def no_inverse(*args):
+            raise AssertionError("a standalone solve built an inverse")
+
+        monkeypatch.setattr(np.linalg, "inv", no_inverse)
+        c = _supervised_exact(inst, a)
+        assert rel_err(c, expected[0]) <= 1e-10
+        refit = refit_supervised(ModelState(C=c, A=a, gram=inst.gram,
+                                            inst=inst), 0.05)
+        assert rel_err(refit.C, expected[1]) <= 1e-10
 
 
 def test_masked_gaussian_fit_solves_observed_entry_system():
@@ -1141,29 +1263,37 @@ class TestFit:
 
 @pytest.mark.parametrize("dense", [False, True], ids=["one_hot", "spectral"])
 def test_trajectory_matches_step_by_step_loop(dense):
-    """fit_gram hands one K @ C to the A-step and eval_S; the objective
-    trajectory must be bit-identical to steps that each form their own,
-    on the instance the fit runs. With uniform weights that is the
-    instance in K's eigenbasis, whose objective is S less a constant
-    offset; steps on the original instance agree to roundoff."""
+    """fit_gram hands one K @ C, the state's ``kc``, to the A-step and
+    eval_S; the objective trajectory must be bit-identical to steps that
+    take it the same way, on the instance the fit runs. With uniform
+    weights that is the instance in K's eigenbasis, whose objective is S
+    less a constant offset, and ``kc`` is ``gram.dot``, so steps that each
+    form their own agree bit for bit; on the one-hot route ``kc`` comes
+    from the solve's product with K, and such steps agree to roundoff.
+    Steps on the original instance agree to roundoff."""
     ds = tiny_floor_datasets()[int(dense)]
     cfg = SolverConfig(max_iter=12, epsilon=1e-14)
     model, rep = fit(ds, KernelSpec("linear"),
                      PenaltySpec.schatten(1.0, 1.0), 0.1, config=cfg)
 
-    def steps(inst, state=None, offset=0.0):
+    def steps(inst, state=None, offset=0.0, shared=False):
         c = np.zeros((inst.n, ds.n_tasks))
         a = PsdMatrix(np.eye(ds.n_tasks))
         traj = [eval_S(inst, c, a) + offset]
         for _ in range(rep.iters):
             c = supervised_step(inst, a, c, state=state)
-            a = unsupervised_step(inst, c, a)
-            traj.append(eval_S(inst, c, a) + offset)
+            kc = state.kc(c) if shared else None
+            a = unsupervised_step(inst, c, a, kc=kc)
+            traj.append(eval_S(inst, c, a, kc=kc) + offset)
         return traj
 
     state = _SupervisedState.of(model.inst, "altmin", in_fit=True)
     if not dense:
-        assert steps(model.inst, state) == rep.objective_trajectory
+        assert (steps(model.inst, state, shared=True)
+                == rep.objective_trajectory)
+        state = _SupervisedState.of(model.inst, "altmin", in_fit=True)
+        assert_allclose(steps(model.inst, state), rep.objective_trajectory,
+                        rtol=1e-12)
         return
     assert state.offset > 0.0  # d = 5 < n = 60: K cannot fit all of Y
     assert (steps(state.work, state, state.offset)
