@@ -205,11 +205,17 @@ def _route(w, mode):
     return "cg"
 
 
-def _runs(ids):
-    """``(id, start, end)`` of each run of equal values in ``ids``."""
-    starts = np.flatnonzero(np.diff(ids, prepend=-1))
-    return [(ids[s], s, e)
-            for s, e in zip(starts, np.append(starts[1:], ids.size))]
+def _task_blocks(tids):
+    """``(task, rows)`` for each task in ``tids``: the positions of its
+    entries, a slice if they are contiguous, else an index array."""
+    order = np.argsort(tids, kind="stable")
+    blocks = []
+    for rows in np.split(order, np.flatnonzero(np.diff(tids[order])) + 1):
+        if rows.size:  # np.split gives one empty part if tids is empty
+            contiguous = rows[-1] - rows[0] == rows.size - 1
+            blocks.append((tids[rows[0]], slice(rows[0], rows[-1] + 1)
+                           if contiguous else rows))
+    return blocks
 
 
 @dataclass
@@ -237,16 +243,14 @@ class _SupervisedState:
     is the next warm start, and all of them span its Galerkin correction),
     ``a_tilde``, the Atilde of the last solve, and the counters.
 
-    The one-hot route orders its entries by task, with a stable sort
-    unless each task's rows are already contiguous, so that each task's
-    entries are one ``block`` (task, start, end); ``rows`` holds each
-    entry's row if the sort moved them (else None), and ``kernel`` is K
-    in entry order: ``gram.raw`` itself, or one permuted copy. Its
-    ``k_product`` is then one pass over K, and ``product`` keeps the last
-    one. It also keeps ``precond``, an explicit inverse of an earlier
-    system matrix; once ``lu_solves`` is nonzero, every solve of the fit
-    is an LU solve, and a ``one_shot`` state, which no later solve reuses,
-    solves by LU at once.
+    The one-hot route, whose entry i is row i's, keeps each task's rows
+    as one of its ``blocks`` (``_task_blocks``): its ``k_product`` reads
+    each row of K once, in place for a task whose rows are contiguous and
+    through a copy of that task's rows otherwise, and ``product`` keeps
+    the last one. It also keeps ``precond``, an explicit inverse of an
+    earlier system matrix; once ``lu_solves`` is nonzero, every solve of
+    the fit is an LU solve, and a ``one_shot`` state, which no later solve
+    reuses, solves by LU at once.
     """
 
     route: str
@@ -263,8 +267,6 @@ class _SupervisedState:
     recent: list = field(default_factory=list)
     a_tilde: np.ndarray = None
     blocks: list = None
-    rows: np.ndarray = None
-    kernel: np.ndarray = None
     product: tuple = None
     precond: np.ndarray = None
     one_shot: bool = False
@@ -287,9 +289,9 @@ class _SupervisedState:
         state = cls(route or _route(inst.W, mode), inst)
         if state.route in ("one_hot", "cg"):
             state.flat = np.flatnonzero(inst.W > 0)
-            if state.route == "one_hot":
-                state._order_by_task()
             state.tids = state.flat % inst.n_tasks
+            if state.route == "one_hot":
+                state.blocks = _task_blocks(state.tids)
             state.wvec = w = inst.W.take(state.flat)
             state.yvec = y = inst.Y.take(state.flat)
             state.tol = PCG_RTOL * float(np.linalg.norm(y))
@@ -308,31 +310,17 @@ class _SupervisedState:
                                  W=np.full(yt.shape, w))
         return state
 
-    def _order_by_task(self):
-        """Set the one-hot route's ``blocks``, ``rows`` and ``kernel``,
-        reordering ``flat`` by task if a task's rows are not contiguous."""
-        n_tasks = self.work.n_tasks
-        self.blocks = _runs(self.flat % n_tasks)
-        if len(self.blocks) > len({t for t, _, _ in self.blocks}):
-            self.flat = self.flat[np.argsort(self.flat % n_tasks,
-                                             kind="stable")]
-            self.blocks = _runs(self.flat % n_tasks)
-            self.rows = self.flat // n_tasks
-        k = self.work.gram.raw
-        self.kernel = k if self.rows is None else k[np.ix_(self.rows,
-                                                           self.rows)]
-
     def k_product(self, x):
-        """``(K P(x))'``, T x n in entry order, for ``x`` over the one-hot
-        entries: K is symmetric, so row t is ``x[s:e] @ kernel[s:e]`` over
-        task t's block, and the product reads K once. For an n x k block
-        ``x`` it is T x k x n, still one pass. It does not depend on
+        """``(K P(x))'``, T x n, for ``x`` over the one-hot entries: K is
+        symmetric, so row t is ``x[rows] @ K[rows]`` over task t's rows,
+        and the product reads each row of K once. It does not depend on
         Atilde, so the last one is kept, and a product at the same ``x``
         (the same object) is not recomputed."""
         if self.product is None or self.product[0] is not x:
-            pk = np.zeros((self.work.n_tasks,) + x.shape[::-1])
-            for t, s, e in self.blocks:
-                np.dot(x[s:e].T, self.kernel[s:e], out=pk[t])
+            k = self.work.gram.raw
+            pk = np.zeros((self.work.n_tasks, x.size))
+            for t, rows in self.blocks:
+                np.dot(x[rows], k[rows], out=pk[t])
             self.product = (x, pk)
         return self.product[1]
 
@@ -344,12 +332,7 @@ class _SupervisedState:
         latter."""
         if self.route != "one_hot":
             return self.work.gram.dot(c)
-        kc = self.k_product(self.alpha).T @ self.a_tilde
-        if self.rows is None:
-            return kc
-        out = np.empty_like(kc)
-        out[self.rows] = kc
-        return out
+        return self.k_product(self.alpha).T @ self.a_tilde
 
     def coefficients(self, c, a):
         """A C of ``work`` in the original basis: ``c`` itself, or, if
@@ -370,9 +353,8 @@ class _SupervisedState:
 
 def _pcg(matvec, b, recent, precond, tol, max_steps, state):
     """At most ``max_steps`` steps of preconditioned CG on the SPD system
-    ``H x = b``, ``H x = matvec(x)`` (also for x an n x k block of
-    columns, ``H X``); ``precond(r)`` applies the preconditioner.
-    ``recent`` lists earlier solutions, the latest last.
+    ``H x = b``, ``H x = matvec(x)``; ``precond(r)`` applies the
+    preconditioner. ``recent`` lists earlier solutions, the latest last.
     CG starts from the latest (zeros if there is none) or, if that misses
     ``tol`` and there are others, from ``_recycled_start``. Whenever the
     recurrence residual is within ``tol`` or the curvature is not positive,
@@ -420,17 +402,15 @@ def _recycled_start(matvec, b, recent, hx):
     solutions, and its residual: ``Q c`` with ``(Q'HQ) c = Q'b``, ``Q`` an
     orthonormal basis of the span from the QR factorization of ``[x,
     earlier...]``, x the latest solution. ``hx = H x`` gives ``H q_1 = hx /
-    r_11``, so H Q costs one block product for the earlier solutions
-    (``matvec`` of their columns, which the one-hot route takes in one
-    pass over K), and it gives both energies ``x'Hx / 2 - b'x`` and the
-    residual. In that basis Q'HQ
+    r_11``, so H Q costs one product per earlier solution, and it gives
+    both energies ``x'Hx / 2 - b'x`` and the residual. In that basis Q'HQ
     is as well conditioned as H, and ``Q c`` has no cancellation, however
     close the solutions are. Returns None, to keep x, if ``Q c``'s energy
     is above x's or Q'HQ is not finite.
     """
     x = recent[-1]
     q, r = np.linalg.qr(np.column_stack(recent[::-1]))
-    hq = np.column_stack([hx / r[0, 0], matvec(q[:, 1:])])
+    hq = np.column_stack([hx / r[0, 0]] + [matvec(v) for v in q.T[1:]])
     g = q.T @ hq
     g = 0.5 * (g + g.T)  # Q'(HQ) is symmetric only up to roundoff
     qb = q.T @ b
@@ -443,23 +423,22 @@ def _recycled_start(matvec, b, recent, hx):
 
 
 def _one_hot_system(a_tilde, state):
-    """The one-hot system matrix in entry order, ``H = Atilde[t_i, t_j]
-    K_ij + diag(1/w)``, built only to invert or factor."""
+    """The one-hot system matrix, ``H = Atilde[t_i, t_j] K_ij +
+    diag(1/w)``, built only to invert or factor."""
     h = np.take(a_tilde[state.tids], state.tids, axis=1)
-    h *= state.kernel
+    h *= state.work.gram.raw
     h.flat[::h.shape[0] + 1] += 1.0 / state.wvec
     return h
 
 
 def _one_hot_matvec(a_tilde, state):
-    """``H x`` of the one-hot system in entry order, for x a vector or an
-    n x k block of them, in one pass over K: ``(H x)_i = sum_t (K
-    P(x))'[t, i] Atilde[t, t_i] + x_i / w_i``, with ``state.k_product``."""
+    """``H x`` of the one-hot system in one pass over K: ``(H x)_i =
+    sum_t (K P(x))'[t, i] Atilde[t, t_i] + x_i / w_i``, with
+    ``state.k_product``."""
     a_cols, w = a_tilde[:, state.tids], state.wvec  # Atilde[:, t_i]
 
     def matvec(v):
-        return (np.einsum("t...i,ti->i...", state.k_product(v), a_cols)
-                + (v.T / w).T)
+        return np.einsum("ti,ti->i", state.k_product(v), a_cols) + v / w
 
     return matvec
 
@@ -514,13 +493,9 @@ def _solve_operator(a_tilde, state):
     w, flat, scattered = state.wvec, state.flat, state.scattered
     scattered_flat = scattered.reshape(-1)  # a view, faster to index than put
 
-    def product(v):
+    def matvec(v):
         scattered_flat[flat] = v
         return (gram.dot(scattered) @ a_tilde).take(flat) + v / w
-
-    def matvec(v):  # a block of vectors one at a time
-        return (product(v) if v.ndim == 1
-                else np.column_stack([product(u) for u in v.T]))
 
     x, res = _pcg(matvec, y, state.recent, w.__mul__, tol, 2 * y.size, state)
     y_norm = float(np.linalg.norm(y))

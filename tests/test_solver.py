@@ -289,36 +289,38 @@ LAYOUT_KERNELS = pytest.mark.parametrize(
 
 
 class TestOneHotBlockedProduct:
-    """The one-hot route orders its entries by task and applies K one
-    task block at a time; its products must be the explicit system's."""
+    """The one-hot route applies K one task's rows at a time, in place
+    where they are contiguous; its products must be the explicit
+    system's."""
 
     @LAYOUT_KERNELS
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_matvec_matches_explicit_system(self, layout, kernel):
         inst, tids = one_hot_layout(layout, kernel)
         state = _SupervisedState.of(inst, "altmin")
-        rows = state.flat // inst.n_tasks
-        assert np.array_equal(state.tids, tids[rows])
-        assert np.all(np.diff(state.tids) >= 0)
-        # K itself when every task's rows are contiguous, else one copy
-        assert (state.kernel is inst.gram.raw) == layout.endswith("grouped")
+        assert np.array_equal(state.tids, tids)
+        # each task's rows once; a slice of K's rows where they are contiguous
+        assert sorted(t for t, _ in state.blocks) == list(range(4))
+        assert np.array_equal(
+            np.sort(np.concatenate([np.arange(inst.n)[rows]
+                                    for _, rows in state.blocks])),
+            np.arange(inst.n))
+        slices = [isinstance(rows, slice) for _, rows in state.blocks]
+        assert all(slices) == layout.endswith("grouped")
         rng = np.random.default_rng(41)
         a_tilde = random_structure(rng, inst.n_tasks)
-        h = (inst.gram.raw[np.ix_(rows, rows)]
-             * a_tilde[np.ix_(state.tids, state.tids)]
+        h = (inst.gram.raw * a_tilde[np.ix_(tids, tids)]
              + np.diag(1.0 / state.wvec))
         assert rel_err(_one_hot_system(a_tilde, state), h) <= 1e-15
         matvec = _one_hot_matvec(a_tilde, state)
-        x = rng.standard_normal((inst.n, 3))
-        assert rel_err(matvec(x), h @ x) <= 1e-12
-        for col in x.T:
-            assert rel_err(matvec(col), h @ col) <= 1e-12
+        for x in rng.standard_normal((3, inst.n)):
+            assert rel_err(matvec(x), h @ x) <= 1e-12
 
     @LAYOUT_KERNELS
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_kc_matches_gram_product(self, layout, kernel):
-        """K @ C for C = P(alpha) Atilde from the solve's product with K,
-        in the rows of C, which the entry order does not change."""
+        """K @ C for C = P(alpha) Atilde from the solve's product with
+        K."""
         inst, _ = one_hot_layout(layout, kernel)
         a = PsdMatrix(random_structure(np.random.default_rng(42),
                                        inst.n_tasks))
@@ -327,18 +329,20 @@ class TestOneHotBlockedProduct:
             c = _supervised_exact(inst, a, state)
             assert rel_err(state.kc(c), inst.gram.dot(c)) <= 1e-12
         alpha, _ = direct_one_hot_alpha(inst, a.data)
-        rows = state.flat // inst.n_tasks
-        assert rel_err(state.alpha, alpha[rows]) <= 1e-10
+        assert rel_err(state.alpha, alpha) <= 1e-10
 
-    @pytest.mark.parametrize("lam", [0.1, 1e-10], ids=["pcg", "lu"])
+    @pytest.mark.parametrize("lam, rtol", [(0.1, 1e-10), (1e-10, 1e-5)],
+                             ids=["pcg", "lu"])
     @pytest.mark.parametrize("unequal", [False, True],
                              ids=["equal", "unequal"])
-    def test_fit_does_not_depend_on_row_order(self, unequal, lam):
-        """A fit on shuffled rows runs its entries in task order, a
-        permuted copy of K, and matches the fit of the same rows grouped by
-        task: trajectories within 1e-10 relative, C after un-permuting its
-        rows. At lam = 1e-10 on the rank-3 linear kernel both fall back to
-        LU."""
+    def test_fit_does_not_depend_on_row_order(self, unequal, lam, rtol):
+        """A fit on shuffled rows, which copies each task's rows of K
+        for each product, matches the fit of the same rows grouped by
+        task: trajectories within ``rtol`` relative, C after un-permuting
+        its rows. At lam = 1e-10 on the rank-3 linear kernel both fall back
+        to LU, whose pivots depend on the row order: the first system's
+        condition number is about 5e10, so the fits agree only to about
+        that times the unit roundoff, 6e-6."""
         prefix = "unequal_" if unequal else ""
         inst, tids = one_hot_layout(prefix + "shuffled", KernelSpec("linear"),
                                     lam=lam)
@@ -353,9 +357,9 @@ class TestOneHotBlockedProduct:
         assert rep_s.supervised_route == rep_g.supervised_route == "one_hot"
         assert (rep_s.lu_solves > 0) == (rep_g.lu_solves > 0) == (lam < 1e-3)
         assert_allclose(rep_s.objective_trajectory,
-                        rep_g.objective_trajectory, rtol=1e-10, atol=0.0)
-        assert rel_err(shuffled.C[order], grouped.C) <= 1e-9
-        assert rel_err(shuffled.A.data, grouped.A.data) <= 1e-9
+                        rep_g.objective_trajectory, rtol=rtol, atol=0.0)
+        assert rel_err(shuffled.C[order], grouped.C) <= 10 * rtol
+        assert rel_err(shuffled.A.data, grouped.A.data) <= 10 * rtol
 
     def test_standalone_solve_is_one_lu_solve(self, monkeypatch):
         """A cold call with no state (``refit_supervised``) keeps no
