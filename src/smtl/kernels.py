@@ -1,5 +1,7 @@
 """Scalar kernels and training Gram matrices."""
 
+import weakref
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,9 +168,18 @@ class GramMatrix(_FactorForm):
     none of them: prediction needs just the spec and ``X_train``. Every
     form depends only on the spec and inputs, so two threads that race on
     a first use at worst compute the same value twice.
+
+    For the same reason fits on the same inputs can share one Gram:
+    :func:`live_gram` hands ``solver.fit`` the Gram of a model still alive
+    whose inputs are bit-for-bit those of a new one, with the forms that
+    model's fit built. It holds each Gram weakly, so a Gram lives only as
+    long as a model (or a caller) holds it. ``fit`` constructs a new
+    Gram first and looks it up after, so every input check runs on each
+    fit.
     """
 
-    __slots__ = ("spec", "X_train", "_factor", "_raw", "_basis")
+    __slots__ = ("spec", "X_train", "_factor", "_raw", "_basis",
+                 "__weakref__")
 
     def __init__(self, spec, x):
         x = np.atleast_2d(np.array(x, dtype=float))
@@ -194,6 +205,11 @@ class GramMatrix(_FactorForm):
         self._factor = x if spec.kind == "linear" and self.d < self.n else None
         self._raw = None
         self._basis = None
+
+    @property
+    def evaluated(self):
+        """Whether ``.raw`` has been built."""
+        return self._raw is not None
 
     @property
     def raw(self):
@@ -251,6 +267,35 @@ class GramMatrix(_FactorForm):
     @property
     def d(self):
         return self.X_train.shape[1]
+
+
+# Grams that fit() built, by their inputs; an entry goes with its Gram
+_LIVE_GRAMS = weakref.WeakValueDictionary()
+
+
+def live_gram(gram):
+    """A live Gram on the same inputs as ``gram`` if there is one, else
+    ``gram``, which is then registered as live for the fits after it.
+
+    Inputs match when the specs have the same kind and the same bits of
+    gamma, and ``X_train`` the same shape, memory order and bits (so
+    ``-0.0`` and ``0.0`` differ). An F-ordered copy of the inputs thus has
+    a Gram of its own: its kernel can differ from the C-ordered one's in
+    the last bits. The registry keys on a CRC-32 of X's bytes (zlib, which
+    numpy loads anyway) and compares the bytes exactly on a hit, so a
+    collision costs only the sharing. Two threads that race here at worst
+    register two equal Grams.
+    """
+    x = gram.X_train
+    bits = x.ravel(order="K").view(np.uint64)
+    key = (gram.spec.kind, np.float64(gram.spec.gamma).tobytes(), x.shape,
+           x.flags.c_contiguous, zlib.crc32(bits))
+    live = _LIVE_GRAMS.get(key)
+    if live is not None and np.array_equal(
+            live.X_train.ravel(order="K").view(np.uint64), bits):
+        return live
+    _LIVE_GRAMS[key] = gram
+    return gram
 
 
 class DiagonalGram(_FactorForm):

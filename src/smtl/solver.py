@@ -71,7 +71,7 @@ from .errors import (
     NotStrictlyPd,
     SingularMatrix,
 )
-from .kernels import DiagonalGram, GramMatrix
+from .kernels import DiagonalGram, GramMatrix, live_gram
 from .linalg import PsdMatrix, _as_psd, pd_eigenvalues, sylvester_ls_solve
 from .objectives import (
     ProblemInstance, eval_S, grad_S_A, grad_S_C,
@@ -167,7 +167,10 @@ class FitReport:
     ``termination`` is the last phase's. ``wall_times`` holds, in seconds,
     ``"gram"``, the kernel evaluation this fit triggered (0 if the Gram was
     already evaluated), ``"supervised"`` and ``"unsupervised"``, the two
-    block steps, and ``"fit"``, K's eigenbasis (if needed) and the loop.
+    block steps, and ``"fit"``, K's eigenbasis (if needed and not yet
+    built) and the loop. On a Gram that ``fit`` reused from a live model
+    (see ``live_gram``), ``"gram"`` is 0 and ``"fit"`` holds no
+    eigenbasis.
     """
 
     objective_trajectory: list
@@ -487,7 +490,8 @@ def _solve_operator(a_tilde, state):
     ``(gram.dot_terms + T) u gram.fro_norm ||Atilde||_F ||x||`` (u the unit
     roundoff) at ``||x|| = max(w) ||y||``, a bound on the solution's norm.
     It raises ``CgStall`` above that bound, or if the bound reaches
-    ``||y||``.
+    ``||y||``. The bound is taken only for a solve short of the
+    tolerance: on a Gram with no factor ``gram.fro_norm`` reads all of K.
     """
     gram, y, tol = state.work.gram, state.yvec, state.tol
     w, flat, scattered = state.wvec, state.flat, state.scattered
@@ -498,10 +502,12 @@ def _solve_operator(a_tilde, state):
         return (gram.dot(scattered) @ a_tilde).take(flat) + v / w
 
     x, res = _pcg(matvec, y, state.recent, w.__mul__, tol, 2 * y.size, state)
+    if res <= tol < float("inf"):
+        return x
     y_norm = float(np.linalg.norm(y))
     bound = (0.5 * np.finfo(float).eps * (gram.dot_terms + a_tilde.shape[0])
              * w.max() * gram.fro_norm * np.linalg.norm(a_tilde) * y_norm)
-    if res <= tol < float("inf") or res <= bound < y_norm:
+    if res <= bound < y_norm:
         return x
     raise CgStall("observed-entry PCG stalled at relative residual %.3e "
                   "(roundoff bound %.3e)" % (res / y_norm, bound / y_norm))
@@ -699,11 +705,11 @@ def fit_gram(gram, y, w, penalty, lam, ridge=0.0, config=None, callback=None):
     )
     a = _start_structure(config, penalty, inst.n_tasks)
     route = _route(inst.W, config.mode)
-    t0 = time.perf_counter()
-    if route == "one_hot" or not gram.factored:
+    times = dict.fromkeys(("gram", "supervised", "unsupervised", "fit"), 0.0)
+    if (route == "one_hot" or not gram.factored) and not gram.evaluated:
+        t0 = time.perf_counter()
         gram.raw  # evaluate the kernel inside the gram timer
-    times = {"gram": time.perf_counter() - t0, "supervised": 0.0,
-             "unsupervised": 0.0, "fit": 0.0}
+        times["gram"] = time.perf_counter() - t0
 
     trajectory = []
     phase_starts = []
@@ -758,11 +764,19 @@ def fit_gram(gram, y, w, penalty, lam, ridge=0.0, config=None, callback=None):
 def fit(dataset, kernel_spec, penalty, lam, ridge=0.0, config=None,
         callback=None):
     """Fit predictors and structure to a dataset: :func:`fit_gram` on a
-    new ``GramMatrix`` of its inputs, once the dataset has a row and every
+    ``GramMatrix`` of its inputs, once the dataset has a row and every
     task a row of its own (in ``task_ids``) or an entry that W observes
     (``W > 0``). Otherwise raises :class:`EmptyTask`, naming task 0 or the
     first task with neither: a dense dataset's tasks have no rows of their
     own, but W observes them.
+
+    The Gram is new unless a model the caller still holds was fitted by
+    ``fit`` on the same kernel spec and bit-for-bit the same inputs
+    (``live_gram``): then the fit reuses that model's Gram, with the
+    kernel and eigenbasis it has built, so a path over lambda evaluates
+    and decomposes K once while it keeps the last model. Each Gram is held
+    weakly, and a new ``GramMatrix`` is still constructed first, so every
+    input check runs.
     """
     if dataset.n < 1:
         raise EmptyTask(0)
@@ -770,8 +784,8 @@ def fit(dataset, kernel_spec, penalty, lam, ridge=0.0, config=None,
     seen[dataset.task_ids] = True
     if not seen.all():
         raise EmptyTask(np.argmin(seen))
-    return fit_gram(GramMatrix(kernel_spec, dataset.X), dataset.Y, dataset.W,
-                    penalty, lam, ridge=ridge, config=config,
+    return fit_gram(live_gram(GramMatrix(kernel_spec, dataset.X)), dataset.Y,
+                    dataset.W, penalty, lam, ridge=ridge, config=config,
                     callback=callback)
 
 

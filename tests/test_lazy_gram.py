@@ -6,10 +6,14 @@ uniform-weight route's eigenbasis. The one-hot and CG routes, and a model
 read back from disk for prediction, never decompose an n x n matrix.
 Products with a linear kernel whose d < n go through the n x d inputs, and
 its eigenbasis comes from the thin SVD of those inputs, so the uniform and
-CG routes never evaluate that kernel at all.
+CG routes never evaluate that kernel at all. ``fit`` on bit-for-bit the
+inputs of a model still alive reuses that model's Gram, forms and all.
 """
 
+import gc
 import time
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +23,7 @@ import smtl.kernels
 import smtl.linalg
 import smtl.solver
 from smtl.data import TaskDataset
-from smtl.errors import NotPsd
+from smtl.errors import DimensionMismatch, NonFinite, NotPsd
 from smtl.kernels import DiagonalGram, GramMatrix, KernelSpec
 from smtl.linalg import psd_clip
 from smtl.metrics import predict
@@ -47,8 +51,8 @@ def dataset(pattern, seed=0):
     return TaskDataset(X=x, Y=y * (w > 0), W=w, task_ids=tids)
 
 
-def fit_small(ds, spec=KernelSpec("gaussian", gamma=0.4)):
-    return fit(ds, spec, PenaltySpec.schatten(1.0, 1.0), 0.2,
+def fit_small(ds, spec=KernelSpec("gaussian", gamma=0.4), lam=0.2):
+    return fit(ds, spec, PenaltySpec.schatten(1.0, 1.0), lam,
                config=SolverConfig(max_iter=5))
 
 
@@ -268,3 +272,146 @@ def test_large_factored_fit_forms_no_n_by_n_array(kernel_calls, n_by_n_eigs,
     assert rep.iters >= 1 and np.all(np.isfinite(rep.objective_trajectory))
     assert model.C.shape == (n, t)
     assert kernel_calls == [] and n_by_n_eigs == []
+
+
+# -- fit() reuses the Gram of a live model on the same inputs ---------------
+
+GAUSSIAN = KernelSpec("gaussian", gamma=0.4)
+
+
+def unshared_fit(ds, spec, lam):
+    """``fit_small`` on a Gram of its own, as ``fit`` ran with no live
+    model."""
+    return fit_gram(GramMatrix(spec, ds.X), ds.Y, ds.W,
+                    PenaltySpec.schatten(1.0, 1.0), lam,
+                    config=SolverConfig(max_iter=5))
+
+
+def assert_same_fit(got, ref):
+    (m, rep), (m_ref, rep_ref) = got, ref
+    assert np.array_equal(m.C, m_ref.C)
+    assert np.array_equal(m.A.data, m_ref.A.data)
+    assert rep.objective_trajectory == rep_ref.objective_trajectory
+
+
+@pytest.mark.parametrize("pattern, spec", [
+    ("uniform", GAUSSIAN),
+    ("uniform", KernelSpec("linear")),
+    ("one_hot", GAUSSIAN),
+    ("masked", GAUSSIAN),
+], ids=["uniform", "uniform_linear_factored", "one_hot", "masked"])
+def test_fit_reuses_the_gram_of_a_live_model(n_by_n_eigs, kernel_calls,
+                                            pattern, spec):
+    """The next lam of a path, on a bit-equal copy of the inputs while the
+    first model is alive, runs on that model's Gram: K is evaluated and
+    decomposed once, the second report times no kernel, and its numbers
+    are bit-identical to a fit on a Gram of its own."""
+    ds = dataset(pattern)
+    m1, r1 = fit_small(ds, spec)
+    built = (len(kernel_calls), list(n_by_n_eigs))
+    m2, r2 = fit_small(replace(ds, X=ds.X.copy()), spec, lam=0.05)
+    assert m2.gram is m1.gram and m2.inst.gram is m1.gram
+    assert (len(kernel_calls), n_by_n_eigs) == built
+    assert n_by_n_eigs == ([N] if spec is GAUSSIAN and pattern == "uniform"
+                           else [])
+    assert r2.wall_times["gram"] == 0
+    ref = unshared_fit(ds, spec, 0.05)
+    assert ref[0].gram is not m1.gram
+    assert_same_fit((m2, r2), ref)
+
+
+def test_reuse_ends_with_the_last_model_that_holds_the_gram(n_by_n_eigs):
+    ds = dataset("uniform")
+    m1, _ = fit_small(ds)
+    m2, _ = fit_small(ds, lam=0.05)
+    old = weakref.ref(m1.gram)
+    del m1
+    gc.collect()
+    assert old() is m2.gram  # m2 still holds it
+    del m2
+    gc.collect()
+    assert old() is None
+    m3, r3 = fit_small(ds)
+    assert n_by_n_eigs == [N, N] and r3.wall_times["gram"] > 0
+
+
+def uniform_on(x, seed=0):
+    rng = np.random.default_rng(seed)
+    n = x.shape[0]
+    return TaskDataset(X=x, Y=rng.standard_normal((n, T)), W=np.ones((n, T)),
+                       task_ids=np.zeros(n, dtype=int),
+                       task_sizes=np.full(T, n))
+
+
+def base_inputs():
+    x = np.random.default_rng(9).standard_normal((N, 4))
+    x[5, 2] = 0.0
+    return x
+
+
+def one_ulp_up(x):
+    x = x.copy()
+    x[3, 1] = np.nextafter(x[3, 1], np.inf)
+    return x
+
+
+def negative_zero(x):
+    x = x.copy()
+    x[5, 2] = -0.0
+    return x
+
+
+@pytest.mark.parametrize("spec1, spec2, inputs", [
+    (GAUSSIAN, GAUSSIAN, one_ulp_up),
+    (GAUSSIAN, GAUSSIAN, negative_zero),
+    (GAUSSIAN, GAUSSIAN, lambda x: x.reshape(2 * N, 2)),
+    (GAUSSIAN, GAUSSIAN, lambda x: x.ravel().reshape(x.shape, order="F")),
+    (GAUSSIAN, KernelSpec("gaussian", gamma=0.5), np.copy),
+    (GAUSSIAN, KernelSpec("linear", gamma=0.4), np.copy),
+    (KernelSpec("linear", gamma=0.0), KernelSpec("linear", gamma=-0.0),
+     np.copy),
+], ids=["one_ulp", "negative_zero", "reshaped", "same_bytes_f_order",
+        "gamma", "kind", "gamma_sign"])
+def test_fit_does_not_reuse_across_different_inputs(spec1, spec2, inputs):
+    """Inputs match only bit for bit, shape, memory order (an F-ordered
+    array with the same bytes in memory is another matrix) and kernel spec
+    included: a model saved from each fit stores its own gamma, -0.0
+    too."""
+    x = base_inputs()
+    m1, _ = fit_small(uniform_on(x), spec1)
+    ds2 = uniform_on(inputs(x))
+    m2, r2 = fit_small(ds2, spec2, lam=0.05)
+    assert m2.gram is not m1.gram and m2.gram.spec is spec2
+    assert_same_fit((m2, r2), unshared_fit(ds2, spec2, 0.05))
+
+
+def test_f_ordered_inputs_get_a_gram_of_their_own():
+    """Memory order is part of the match, so a fit on an F-ordered copy of
+    a live model's inputs builds its own Gram, and is bit-identical to a
+    fit on an F-ordered Gram of its own; a second fit on that copy shares
+    it."""
+    ds = dataset("uniform")
+    m1, _ = fit_small(ds)
+    ds_f = replace(ds, X=np.asfortranarray(ds.X))
+    m2, r2 = fit_small(ds_f, lam=0.05)
+    assert m2.gram is not m1.gram
+    assert m2.gram.X_train.flags.f_contiguous
+    assert_same_fit((m2, r2), unshared_fit(ds_f, GAUSSIAN, 0.05))
+    m3, _ = fit_small(ds_f)
+    assert m3.gram is m2.gram
+
+
+@pytest.mark.parametrize("edit, error, match", [
+    (lambda x: np.where(np.arange(4) == 1, np.nan, x), NonFinite,
+     "non-finite"),
+    (lambda x: np.where(np.arange(4) == 1, 1e200, x), NonFinite,
+     "^training input row 0: its squared norm"),
+    (lambda x: x[:, :0], DimensionMismatch, "no feature columns"),
+], ids=["nan", "overflow", "no_columns"])
+def test_invalid_inputs_raise_with_a_live_model(edit, error, match):
+    """Every input check runs before the lookup."""
+    ds = dataset("uniform")
+    m1, _ = fit_small(ds)
+    with pytest.raises(error, match=match):
+        fit_small(replace(ds, X=edit(ds.X)))
+    assert fit_small(ds, lam=0.05)[0].gram is m1.gram

@@ -513,6 +513,35 @@ def test_masked_route_raises_cg_stall_on_non_finite_target(bad_target):
     assert state.route == "cg"
 
 
+def test_masked_route_reads_fro_norm_only_short_of_tolerance(monkeypatch):
+    """``gram.fro_norm`` sizes the roundoff bound of a "cg" solve short of
+    its tolerance, and on a Gram with no factor it reads all of K. A
+    masked gaussian fit whose solves all reach the tolerance reads it
+    never; the rank-4 kernel at lam = 1e-8, whose solve stalls inside the
+    bound, reads it once."""
+    reads = []
+    original = GramMatrix.fro_norm.fget
+
+    def counting(gram):
+        reads.append(gram.n)
+        return original(gram)
+
+    monkeypatch.setattr(GramMatrix, "fro_norm", property(counting))
+    rng = np.random.default_rng(32)
+    w = (rng.random((40, 4)) < 0.7) * 1.0
+    w[np.arange(40), np.arange(40) % 4] = 1.0
+    ds = TaskDataset(X=rng.standard_normal((40, 3)),
+                     Y=w * rng.standard_normal(w.shape), W=w,
+                     task_ids=np.arange(40) % 4)
+    _, rep = fit(ds, KernelSpec("gaussian", gamma=0.5),
+                 PenaltySpec.schatten(1.0, 1.0), 0.1)
+    assert rep.supervised_route == "cg" and rep.termination == "converged"
+    assert rep.pcg_steps > 0 and reads == []
+    inst, a = masked_linear_instance(1e-8)
+    _supervised_exact(inst, PsdMatrix(a), _SupervisedState.of(inst, "altmin"))
+    assert reads == [36]
+
+
 UNIT_ROUNDOFF = 2.0 ** -53
 
 

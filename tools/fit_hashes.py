@@ -36,6 +36,13 @@ The grid crosses:
 
 at lam = 0.1 and ``max_iter`` 15. Each (n, T, kernel, weights) cell draws
 its data from its own seed, so cells do not depend on each other.
+
+The models of a cell are kept until the cell ends, so the fits of a cell
+share one Gram (see ``smtl.kernels.live_gram``): every fit after the
+first that returns a model runs on that model's Gram, with the kernel and
+eigenbasis its fit built. A tree where ``fit`` builds a new Gram for each
+fit prints the same line only if shared fits are bit-identical to
+unshared ones.
 """
 
 import argparse
@@ -95,8 +102,9 @@ def dataset(n, n_tasks, d, weights, seed):
 
 
 def fit_digest(ds, x_new, spec, penalty, mode):
-    """SHA-1 of one fit's numbers, or of its error, and a record of its
-    trajectory (or error) for ``--trajectories``."""
+    """SHA-1 of one fit's numbers, or of its error, a record of its
+    trajectory (or error) for ``--trajectories``, and the model (None for
+    an error)."""
     h = hashlib.sha1()
     try:
         model, report = fit(ds, spec, penalty, LAM,
@@ -104,11 +112,12 @@ def fit_digest(ds, x_new, spec, penalty, mode):
         for arr in (report.objective_trajectory, model.C, model.A.data,
                     predict(model, x_new)):
             h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
-        return h.digest(), {"trajectory": report.objective_trajectory}
+        return (h.digest(), {"trajectory": report.objective_trajectory},
+                model)
     except (SmtlError, ValueError, np.linalg.LinAlgError) as exc:
         error = "%s: %s" % (type(exc).__name__, exc)
         h.update(error.encode())
-        return h.digest(), {"error": error}
+        return h.digest(), {"error": error}, None
 
 
 def run_grid(trajectories_path=None):
@@ -118,9 +127,12 @@ def run_grid(trajectories_path=None):
             itertools.product(SHAPES, WEIGHTS)):
         for k, (d, spec) in enumerate(kernels(n)):
             ds, x_new = dataset(n, n_tasks, d, weights, 1000 * cell + k)
+            models = []  # alive to the cell's end: its fits share a Gram
             for penalty, mode in itertools.product(penalties(n_tasks),
                                                    MODES):
-                digest, record = fit_digest(ds, x_new, spec, penalty, mode)
+                digest, record, model = fit_digest(ds, x_new, spec, penalty,
+                                                   mode)
+                models.append(model)
                 total.update(digest)
                 record.update(n=n, n_tasks=n_tasks, weights=weights,
                               kernel="%s d=%d" % (spec.kind, d),
