@@ -47,13 +47,15 @@ class DimensionMismatch(SmtlError):
 
 
 class CgStall(SmtlError):
-    """Preconditioned CG on a masked fit's observed-entry system stopped
-    (a restart from the true residual did not lower it, or 2m steps for m
-    observed entries ran out) above both its tolerance and the roundoff
-    bound of its matrix-vector product, or that bound is no smaller than
-    the target, as on a non-finite target or at a vanishing lambda on a
-    kernel with a null space. The message gives the relative residual
-    reached and the relative bound."""
+    """An observed-entry solve that no residual test can accept: the
+    target's norm is not finite (on the one-hot or the ``"cg"`` route), or
+    preconditioned CG on a masked fit's system stopped short of both its
+    tolerance and the roundoff bound of its matrix-vector product (a
+    restart from the true residual did not lower it, or 2m steps for m
+    observed entries ran out) on more than ``max(n,
+    smtl.solver.LU_LIMIT)`` unknowns, too many for the LU solve that takes
+    over below that size. The message gives the target's norm, or the
+    relative residual reached, the relative bound, m and the limit."""
 
 
 class NonFiniteObjective(SmtlError):

@@ -158,11 +158,12 @@ class GramMatrix(_FactorForm):
     Products with K go through :meth:`dot` (``K @ m``) and the shared
     :meth:`quad`, :meth:`quad_eig` and :meth:`diag_quads` (see
     ``_FactorForm``); :attr:`dot_terms` and :attr:`fro_norm` size the
-    roundoff of :meth:`dot`. A linear kernel with ``d < n`` (``factored``,
-    rank at most d) has factor ``L = X_train`` and is applied as
-    ``X (X' m)``: 2ndT flops against n^2 T, and no n x n array read. Every
-    other kernel multiplies by ``.raw``, which is built only then, or for
-    the one-hot route, whose products read K's entries on every kernel.
+    roundoff of :meth:`dot`, and :meth:`block` gives K's entries at some
+    rows. A linear kernel with ``d < n`` (``factored``, rank at most d)
+    has factor ``L = X_train`` and is applied as ``X (X' m)``: 2ndT flops
+    against n^2 T, and no n x n array read. Every other kernel multiplies
+    by ``.raw``, which is built only then, or for the one-hot route, whose
+    products read K's entries on every kernel.
 
     A model that only predicts (e.g. one read by ``load_model``) builds
     none of them: prediction needs just the spec and ``X_train``. Every
@@ -243,6 +244,14 @@ class GramMatrix(_FactorForm):
         """``K @ m``: ``L (L'm)`` if ``factored``, else ``raw @ m``."""
         lm = self._factor_product(m)
         return self.raw @ m if lm is None else self._factor @ lm
+
+    def block(self, rows):
+        """``K[rows][:, rows]``: ``L[rows] L[rows]'`` if ``factored``, so
+        ``.raw`` is not built, else taken from ``.raw``."""
+        if self._factor is None:
+            return self.raw[np.ix_(rows, rows)]
+        lr = self._factor[rows]
+        return lr @ lr.T
 
     @property
     def dot_terms(self):

@@ -52,7 +52,9 @@ class ProblemInstance:
     Every value must be finite: ``lam``, ``ridge`` and ``delta`` raise
     ``ValueError`` otherwise, and ``Y`` or ``W`` :class:`~smtl.errors.NonFinite`.
     A ``W`` with a negative entry, or with no positive one, raises
-    ``ValueError``.
+    ``ValueError``. Targets whose weighted sum of squares ``sum(W Y^2)``
+    over the observed entries overflows raise ``NonFinite``: every route's
+    objective and stop tolerance take that sum.
     """
 
     gram: object
@@ -81,6 +83,12 @@ class ProblemInstance:
         if not np.any(self.W > 0):
             raise ValueError("loss weights must have a positive entry: "
                              "no entry of Y is observed")
+        with np.errstate(over="ignore"):  # W Y is 0 where W is: no 0 * inf
+            weighted_ss = np.sum(self.W * self.Y * self.Y)
+        if not np.isfinite(weighted_ss):
+            raise NonFinite("the targets Y overflow: their weighted sum of "
+                            "squares sum(W Y^2) over the observed entries "
+                            "is not finite")
 
     @property
     def n(self):

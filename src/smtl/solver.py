@@ -21,17 +21,20 @@ the mode and the weight pattern by ``_route``:
   A^{-1} + ridge I)^{-1}``, where ``P`` scatters ``alpha`` into the m
   observed entries and ``alpha`` solves the SPD system ``(S (Atilde kron
   K) S' + diag(1/w)) alpha = y`` (Bonilla, Chai & Williams 2008) by
-  preconditioned CG. With one observed entry per row (``"one_hot"``, m =
-  n) each product with K is one pass over it (``_SupervisedState``), the
-  preconditioner is an explicit inverse of an earlier system matrix and
-  LU the fallback, and a standalone solve is one LU solve; with any other
-  mask (``"cg"``) the products go through ``gram.dot`` and the
-  preconditioner is ``diag(w)``. Both routes start
+  preconditioned CG, then LU (``_solve_observed``). With one observed
+  entry per row (``"one_hot"``, m = n) each product with K is one pass
+  over it (``_SupervisedState``), the preconditioner is an explicit
+  inverse of an earlier system matrix, and a standalone solve is one LU
+  solve; with any other mask (``"cg"``) the products go through
+  ``gram.dot`` and the preconditioner is ``diag(w)``. Both routes start
   CG from the last ``alpha``, or from the Galerkin solution on the span
   of the last ``RECYCLED_SOLUTIONS`` ones unless that raises the energy
   (``_recycled_start``). A fit's C-steps stop once the C-block objective
   is within the roundoff of its loss term of its minimum; a standalone
   solve stops at a relative residual of ``PCG_RTOL`` (``_observed_step``).
+  Both end in the same last rung: a system PCG does not solve, within
+  ``max(n, LU_LIMIT)`` unknowns, is solved by LU of its explicit matrix
+  (``_observed_system``), and so is every later one of the fit.
 
 With uniform weights the squared loss does not change when the rows are
 rotated, so a uniform-weight fit, in either mode, runs in K's eigenbasis
@@ -44,7 +47,8 @@ back once at the end, with its part in K's null space (see
 
 Every product with K but the one-hot route's ``K P(x)`` comes from the
 Gram (``dot``, ``quad``, ``quad_eig``, ``diag_quads``), in the factor form
-``K = LL'`` of :mod:`smtl.kernels`, which says what each form saves. Only
+``K = LL'`` of :mod:`smtl.kernels`, which says what each form saves, and
+so do the ``"cg"`` route's explicit system's entries (``block``). Only
 the one-hot route reads K's entries on a kernel with a factor.
 
 A per-fit ``_SupervisedState``, built once by ``_SupervisedState.of``,
@@ -84,6 +88,7 @@ MAX_HALVINGS = 60
 PCG_RTOL = 1e-12  # standalone C-step exit: true residual <= PCG_RTOL * ||y||
 PCG_REBUILD_STEPS = 8  # more one-hot PCG steps rebuild the preconditioner
 RECYCLED_SOLUTIONS = 3  # PCG's Galerkin start spans this many solutions
+LU_LIMIT = 4096  # LU solves observed-entry systems of max(n, this) unknowns
 
 
 @dataclass
@@ -159,11 +164,12 @@ class FitReport:
     ``supervised_route`` is the route of the C-step (see ``_route``):
     ``"spectral"``, ``"one_hot"`` or ``"cg"`` in altmin mode,
     ``"gradient"`` in bcd mode.
-    ``pcg_steps`` counts the preconditioned CG steps over the whole fit, on
-    the one-hot and ``"cg"`` routes. Only the one-hot route fills
-    ``inverse_rebuilds``, the preconditioners built, and ``lu_solves``, the
-    solves left to LU because the system was too ill-conditioned for PCG.
-    The spectral and gradient routes leave all three at 0.
+    ``pcg_steps`` counts the preconditioned CG steps over the whole fit,
+    and ``lu_solves`` the solves left to LU because the system was too
+    ill-conditioned for PCG (once one is, every later solve of the fit is
+    an LU solve), on the one-hot and ``"cg"`` routes. Only the one-hot
+    route fills ``inverse_rebuilds``, the preconditioners built. The
+    spectral and gradient routes leave all three at 0.
     ``termination`` is the last phase's. ``wall_times`` holds, in seconds,
     ``"gram"``, the kernel evaluation this fit triggered (0 if the Gram was
     already evaluated), ``"supervised"`` and ``"unsupervised"``, the two
@@ -251,9 +257,9 @@ class _SupervisedState:
     each row of K once, in place for a task whose rows are contiguous and
     through a copy of that task's rows otherwise, and ``product`` keeps
     the last one. It also keeps ``precond``, an explicit inverse of an
-    earlier system matrix; once ``lu_solves`` is nonzero, every solve of
-    the fit is an LU solve, and a ``one_shot`` state, which no later solve
-    reuses, solves by LU at once.
+    earlier system matrix, and a ``one_shot`` state, which no later solve
+    reuses, solves by LU at once. On either route, once ``lu_solves`` is
+    nonzero, every solve of the fit is an LU solve.
     """
 
     route: str
@@ -425,11 +431,15 @@ def _recycled_start(matvec, b, recent, hx):
     return q @ c, b - hq @ c
 
 
-def _one_hot_system(a_tilde, state):
-    """The one-hot system matrix, ``H = Atilde[t_i, t_j] K_ij +
-    diag(1/w)``, built only to invert or factor."""
-    h = np.take(a_tilde[state.tids], state.tids, axis=1)
-    h *= state.work.gram.raw
+def _observed_system(a_tilde, state):
+    """The explicit observed-entry system, ``H = Atilde[t_i, t_j] K[r_i,
+    r_j] + diag(1/w)`` over the observed entries (r_i, t_i), built only to
+    invert or factor. The one-hot route, whose entry i is row i's, reads K
+    in place; the ``"cg"`` route takes ``gram.block`` of its rows."""
+    gram, tids = state.work.gram, state.tids
+    h = np.take(a_tilde[tids], tids, axis=1)
+    h *= (gram.raw if state.route == "one_hot"
+          else gram.block(state.flat // state.work.n_tasks))
     h.flat[::h.shape[0] + 1] += 1.0 / state.wvec
     return h
 
@@ -446,77 +456,81 @@ def _one_hot_matvec(a_tilde, state):
     return matvec
 
 
-def _solve_one_hot(a_tilde, state):
-    """Solve the one-hot system by PCG with ``_one_hot_matvec``.
+def _solve_observed(a_tilde, state):
+    """Solve the observed-entry system ``H alpha = y``: PCG from
+    ``state.recent`` (see ``_pcg``) with the route's product and
+    preconditioner, then LU of the explicit system.
 
-    One loop tries, in turn, the kept inverse ``state.precond``, a fresh
-    inverse of the explicit ``H``, and LU. PCG runs from ``state.recent``
-    (see ``_pcg``), at most ``PCG_REBUILD_STEPS`` steps on each inverse; if
-    the kept one (or none) falls short of ``state.tol``, the inverse is
-    rebuilt and PCG goes on from where it stopped. If even a fresh inverse
-    cannot bring the true residual to the tolerance, the system is too
-    ill-conditioned for PCG: LU solves it, and every later call of the
-    fit. So does a ``y`` whose norm is not finite, since no residual test
-    can accept a solve, and a ``one_shot`` state, whose inverse nothing
-    would reuse: an LU solve costs about a fifth of an inverse.
+    * One-hot: ``_one_hot_matvec``, preconditioned by the kept inverse
+      ``state.precond`` and, if that (or none) falls short of
+      ``state.tol``, by a fresh inverse of ``_observed_system``, from
+      where PCG stopped, at most ``PCG_REBUILD_STEPS`` steps on each. A
+      ``one_shot`` state, whose inverse nothing would reuse, skips PCG: an
+      LU solve costs about a fifth of an inverse.
+    * ``"cg"``: the operator form ``(K P(x) Atilde).take(flat) + x / w``,
+      with the K product from ``gram.dot``, preconditioned by ``diag(w)``,
+      for at most 2m steps, twice what exact arithmetic needs. Short of
+      the tolerance, a solve is accepted within the matvec's roundoff,
+      ``(gram.dot_terms + T) u gram.fro_norm ||Atilde||_F ||x||`` (u the
+      unit roundoff) at ``||x|| = max(w) ||y||``, a bound on the
+      solution's norm, if the bound is below ``||y||``. The bound is taken
+      only for a solve short of the tolerance: on a Gram with no factor
+      ``gram.fro_norm`` reads all of K.
+
+    A system that PCG does not solve is too ill-conditioned for it: LU of
+    ``_observed_system`` solves it, and every later call of the fit. Only
+    two cases raise ``CgStall``: a ``y`` whose norm is not finite, since
+    no residual test can accept a solve, and a stall on a system of more
+    than ``max(n, LU_LIMIT)`` unknowns, too large to factor.
     """
-    y, tol, matvec = state.yvec, state.tol, _one_hot_matvec(a_tilde, state)
-    recent, fresh = state.recent, False
-    while not (state.lu_solves or state.one_shot or fresh
-               or not tol < float("inf")):
-        if state.precond is None:
-            state.precond = np.linalg.inv(_one_hot_system(a_tilde, state))
-            # inv(h) is symmetric only up to roundoff, and PCG assumes symmetry
-            state.precond += state.precond.T
-            state.precond *= 0.5
-            state.rebuilds += 1
-            fresh = True
-        x, res = _pcg(matvec, y, recent, state.precond.__matmul__,
-                      tol, PCG_REBUILD_STEPS, state)
+    y, tol, recent, w = state.yvec, state.tol, state.recent, state.wvec
+    if not tol < float("inf"):
+        raise CgStall("no relative residual can accept an observed-entry "
+                      "solve whose target has norm %s" % np.linalg.norm(y))
+    if state.route == "one_hot":
+        matvec, fresh = _one_hot_matvec(a_tilde, state), False
+        while not (state.lu_solves or state.one_shot or fresh):
+            if state.precond is None:
+                state.precond = np.linalg.inv(_observed_system(a_tilde, state))
+                # inv(h) is symmetric only up to roundoff, and PCG assumes symmetry
+                state.precond += state.precond.T
+                state.precond *= 0.5
+                state.rebuilds += 1
+                fresh = True
+            x, res = _pcg(matvec, y, recent, state.precond.__matmul__,
+                          tol, PCG_REBUILD_STEPS, state)
+            if res <= tol:
+                return x
+            recent, state.precond = [x], None
+    elif not state.lu_solves:
+        gram, flat, scattered = state.work.gram, state.flat, state.scattered
+        scattered_flat = scattered.reshape(-1)  # a view, faster to index than put
+
+        def matvec(v):
+            scattered_flat[flat] = v
+            return (gram.dot(scattered) @ a_tilde).take(flat) + v / w
+
+        x, res = _pcg(matvec, y, recent, w.__mul__, tol, 2 * y.size, state)
         if res <= tol:
             return x
-        recent, state.precond = [x], None
+        y_norm = float(np.linalg.norm(y))
+        bound = (0.5 * np.finfo(float).eps * (gram.dot_terms + a_tilde.shape[0])
+                 * w.max() * gram.fro_norm * np.linalg.norm(a_tilde) * y_norm)
+        if res <= bound < y_norm:
+            return x
+        if y.size > max(state.work.n, LU_LIMIT):
+            raise CgStall("observed-entry PCG stalled at relative residual "
+                          "%.3e (roundoff bound %.3e), and m = %d unknowns "
+                          "are over the LU limit max(n, %d)"
+                          % (res / y_norm, bound / y_norm, y.size, LU_LIMIT))
     state.lu_solves += 1
-    return np.linalg.solve(_one_hot_system(a_tilde, state), y)
-
-
-def _solve_operator(a_tilde, state):
-    """Solve the observed-entry system by PCG on its operator form.
-
-    The matvec is ``(K P(x) Atilde).take(flat) + x / w``, with the K
-    product from ``gram.dot``; the preconditioner is ``diag(w)``. PCG may
-    take 2m steps, twice what exact arithmetic needs. Short of the
-    tolerance, a solve is accepted within the matvec's roundoff,
-    ``(gram.dot_terms + T) u gram.fro_norm ||Atilde||_F ||x||`` (u the unit
-    roundoff) at ``||x|| = max(w) ||y||``, a bound on the solution's norm.
-    It raises ``CgStall`` above that bound, or if the bound reaches
-    ``||y||``. The bound is taken only for a solve short of the
-    tolerance: on a Gram with no factor ``gram.fro_norm`` reads all of K.
-    """
-    gram, y, tol = state.work.gram, state.yvec, state.tol
-    w, flat, scattered = state.wvec, state.flat, state.scattered
-    scattered_flat = scattered.reshape(-1)  # a view, faster to index than put
-
-    def matvec(v):
-        scattered_flat[flat] = v
-        return (gram.dot(scattered) @ a_tilde).take(flat) + v / w
-
-    x, res = _pcg(matvec, y, state.recent, w.__mul__, tol, 2 * y.size, state)
-    if res <= tol < float("inf"):
-        return x
-    y_norm = float(np.linalg.norm(y))
-    bound = (0.5 * np.finfo(float).eps * (gram.dot_terms + a_tilde.shape[0])
-             * w.max() * gram.fro_norm * np.linalg.norm(a_tilde) * y_norm)
-    if res <= bound < y_norm:
-        return x
-    raise CgStall("observed-entry PCG stalled at relative residual %.3e "
-                  "(roundoff bound %.3e)" % (res / y_norm, bound / y_norm))
+    return np.linalg.solve(_observed_system(a_tilde, state), y)
 
 
 def _observed_step(inst, a, state):
     """C-step in observed-entry form, ``C = P(alpha) Atilde``, with
-    ``alpha`` from ``_solve_one_hot`` or ``_solve_operator``, by
-    ``state.route``, warm-started from ``state.recent`` (see ``_pcg``).
+    ``alpha`` from ``_solve_observed``, warm-started from ``state.recent``
+    (see ``_pcg``).
 
     ``alpha`` solves ``H alpha = y``, ``H = G + W^{-1}`` with ``G = S
     (Atilde kron K) S'``. The C-block objective at ``C(alpha)`` is ``f =
@@ -535,9 +549,8 @@ def _observed_step(inst, a, state):
     if state.tol == 0.0:
         alpha = np.zeros_like(state.yvec)
     else:
-        solve = _solve_one_hot if state.route == "one_hot" else _solve_operator
         try:
-            alpha = solve(a_tilde, state)
+            alpha = _solve_observed(a_tilde, state)
         except np.linalg.LinAlgError as exc:
             # H is SPD, but at tiny lam Atilde o K is of order 1/lam and
             # adding W^{-1} to it changes nothing in floating point

@@ -34,7 +34,7 @@ from smtl.solver import (
     _backtrack,
     _observed_step,
     _one_hot_matvec,
-    _one_hot_system,
+    _observed_system,
     _pcg,
     _recycled_start,
     _supervised_exact,
@@ -311,7 +311,7 @@ class TestOneHotBlockedProduct:
         a_tilde = random_structure(rng, inst.n_tasks)
         h = (inst.gram.raw * a_tilde[np.ix_(tids, tids)]
              + np.diag(1.0 / state.wvec))
-        assert rel_err(_one_hot_system(a_tilde, state), h) <= 1e-15
+        assert rel_err(_observed_system(a_tilde, state), h) <= 1e-15
         matvec = _one_hot_matvec(a_tilde, state)
         for x in rng.standard_normal((3, inst.n)):
             assert rel_err(matvec(x), h @ x) <= 1e-12
@@ -500,17 +500,24 @@ def test_masked_route_accepts_roundoff_bound_on_rank_deficient_kernel():
     assert rel_err(inst.gram.raw @ c, kc_dense) <= 1e-14 * cond
 
 
-@pytest.mark.parametrize("bad_target", [np.nan, np.inf], ids=["nan", "inf"])
-def test_masked_route_raises_cg_stall_on_non_finite_target(bad_target):
+@pytest.mark.parametrize("bad_target, route", [
+    pytest.param(np.nan, "cg", id="nan"), pytest.param(np.inf, "cg", id="inf"),
+    pytest.param(np.nan, "one_hot", id="nan-one_hot"),
+    pytest.param(np.inf, "one_hot", id="inf-one_hot")])
+def test_masked_route_raises_cg_stall_on_non_finite_target(bad_target, route):
     """No residual test can accept a solve whose target is not finite."""
-    inst, a = masked_linear_instance(0.1)
+    if route == "cg":
+        inst, a = masked_linear_instance(0.1)
+    else:
+        inst = one_hot_instance(KernelSpec("linear"))
+        a = random_structure(np.random.default_rng(5), inst.n_tasks)
     i, t = np.argwhere(inst.W)[0]
     inst.Y[i, t] *= bad_target
     state = _SupervisedState.of(inst, "altmin")
     with np.errstate(invalid="ignore"), \
             pytest.raises(CgStall, match="relative residual"):
         _supervised_exact(inst, PsdMatrix(a), state)
-    assert state.route == "cg"
+    assert state.route == route
 
 
 def test_masked_route_reads_fro_norm_only_short_of_tolerance(monkeypatch):
@@ -540,6 +547,109 @@ def test_masked_route_reads_fro_norm_only_short_of_tolerance(monkeypatch):
     inst, a = masked_linear_instance(1e-8)
     _supervised_exact(inst, PsdMatrix(a), _SupervisedState.of(inst, "altmin"))
     assert reads == [36]
+
+
+def census_masked_example():
+    """The masked fit of the failure census (``tools/failure_census.py``)
+    at T = 2, d = 1, seed 0: 16 rows, each observing its own task and the
+    other with probability 0.7 (27 observed entries, weight 1), with
+    N(0, 0.1^2) noise on every observed target."""
+    ds, _ = synth_generate(SyntheticSpec(d=1, n_tasks=2, n_per_task=8,
+                                         relatedness=0.5), seed=(0, 2, 1))
+    rng = np.random.default_rng((0, 99))
+    observed = (rng.random(ds.Y.shape) < 0.7) | (ds.W > 0)
+    y = (ds.Y + 0.1 * rng.standard_normal(ds.Y.shape)) * observed
+    return TaskDataset(X=ds.X, Y=y, W=observed * 1.0, task_ids=ds.task_ids,
+                       task_sizes=observed.sum(axis=0))
+
+
+def test_masked_fit_finishes_where_pcg_stalls_beyond_roundoff():
+    """A gaussian kernel (gamma 0.3) at lam = 1e-10: PCG on the 27 x 27
+    system stalls at relative residual 0.94, far above the matvec's
+    roundoff bound (3.7e-4), where the "cg" route used to raise CgStall.
+    LU of the explicit system solves it and every later C-step, and the
+    fit descends with S >= 0."""
+    _, rep = fit(census_masked_example(), KernelSpec("gaussian", gamma=0.3),
+                 PenaltySpec.schatten(1.0, 1.0), 1e-10,
+                 config=SolverConfig(max_iter=60, delta=1e-3))
+    assert rep.supervised_route == "cg" and rep.termination == "converged"
+    assert rep.lu_solves > 0 and rep.inverse_rebuilds == 0
+    traj = np.asarray(rep.objective_trajectory)
+    assert np.all(traj >= 0.0)
+    assert np.all(np.diff(traj) <= 1e-10 * np.abs(traj[:-1]))
+
+
+@pytest.mark.parametrize("kernel", [KernelSpec("linear"),
+                                    KernelSpec("gaussian", gamma=0.3)],
+                         ids=["linear_factored", "gaussian"])
+def test_masked_stall_falls_back_to_lu_of_explicit_system(kernel,
+                                                          monkeypatch):
+    """With PCG forced to stall, the "cg" route solves the explicit
+    system by LU (from the factor on the rank-4 linear kernel, from K's
+    entries on the gaussian), and so does every later solve on the same
+    state, with no PCG: alpha agrees with a dense solve to the system's
+    conditioning."""
+    inst, a = masked_linear_instance(0.1)
+    x = inst.gram.X_train
+    h, y, _, _ = dense_observed_system(
+        replace(inst, gram=GramMatrix(kernel, x)), a)
+    inst = replace(inst, gram=GramMatrix(kernel, x))
+    calls = []
+
+    def stalled(matvec, b, *rest):
+        calls.append(b.size)
+        return np.zeros_like(b), float("inf")
+
+    monkeypatch.setattr("smtl.solver._pcg", stalled)
+    state = _SupervisedState.of(inst, "altmin")
+    for lu_solves in (1, 2):
+        _supervised_exact(inst, PsdMatrix(a), state)
+        assert state.route == "cg" and state.lu_solves == lu_solves
+        assert rel_err(state.alpha, np.linalg.solve(h, y)) \
+            <= 1e-15 * np.linalg.cond(h)
+    assert calls == [y.size]
+    assert kernel.kind == "gaussian" or not inst.gram.evaluated
+
+
+def test_masked_stall_over_lu_limit_raises_cg_stall():
+    """A rank-1 linear kernel at lam = 1e-12, n = 65 rows and T = 64 tasks
+    all observed at unequal weights: PCG stalls on m = 4160 unknowns, more
+    than max(n, LU_LIMIT) = 4096, so the explicit system (139 MB) is not
+    built and the solve raises CgStall with m and the limit."""
+    rng = np.random.default_rng(0)
+    n, n_tasks = 65, 64
+    inst = ProblemInstance(
+        gram=GramMatrix(KernelSpec("linear"), rng.standard_normal((n, 1))),
+        Y=rng.standard_normal((n, n_tasks)),
+        W=rng.uniform(0.5, 1.0, (n, n_tasks)), lam=1e-12,
+        penalty=PenaltySpec.schatten(1.0, 1.0))
+    assert n * n_tasks > max(n, smtl.solver.LU_LIMIT) == 4096
+    state = _SupervisedState.of(inst, "altmin")
+    with pytest.raises(CgStall, match=r"relative residual .* m = 4160 "
+                       r"unknowns are over the LU limit max\(n, 4096\)"):
+        _supervised_exact(inst, PsdMatrix(np.eye(n_tasks)), state)
+    assert state.route == "cg" and state.lu_solves == 0
+
+
+@pytest.mark.parametrize("route", ["spectral", "one_hot", "cg"])
+def test_fit_refuses_targets_whose_weighted_squares_overflow(route):
+    """Targets scaled by 1e160 have a finite ``sum(W Y^2)`` only in exact
+    arithmetic. Every route refuses them as it builds the problem, naming
+    the targets, before any kernel entry or solve (which used to fail on
+    a non-finite K product, a NaN objective or a NaN residual)."""
+    ds = make_dataset(seed=3, n_tasks=4, n_per_task=15)
+    if route == "spectral":
+        ds = replace(ds, W=np.ones_like(ds.W),
+                     task_sizes=np.full(ds.n_tasks, ds.n))
+    elif route == "cg":
+        ds = masked_dataset()
+    spec, penalty = KernelSpec("gaussian", gamma=0.3), PenaltySpec.schatten(1, 1)
+    _, rep = fit(ds, spec, penalty, 0.1, config=SolverConfig(max_iter=2))
+    assert rep.supervised_route == route
+    gram = GramMatrix(spec, ds.X)
+    with pytest.raises(NonFinite, match=r"targets Y overflow: .*sum\(W Y\^2\)"):
+        fit_gram(gram, 1e160 * ds.Y, ds.W, penalty, 0.1)
+    assert not gram.evaluated
 
 
 UNIT_ROUNDOFF = 2.0 ** -53
