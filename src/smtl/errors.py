@@ -13,7 +13,8 @@ class SmtlError(Exception):
 # --- numerical / linear algebra -------------------------------------------
 
 class NonFinite(SmtlError):
-    """An input array contains NaN or infinite entries."""
+    """An input array contains NaN or infinite entries, or targets so large
+    that the squares a fit forms of them overflow."""
 
 
 class NotPsd(SmtlError):

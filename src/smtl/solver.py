@@ -23,15 +23,19 @@ the mode and the weight pattern by ``_route``:
   K) S' + diag(1/w)) alpha = y`` (Bonilla, Chai & Williams 2008) by
   preconditioned CG, then LU (``_solve_observed``). With one observed
   entry per row (``"one_hot"``, m = n) each product with K is one pass
-  over it (``_SupervisedState``), the preconditioner is an explicit
-  inverse of an earlier system matrix, and a standalone solve is one LU
-  solve; with any other mask (``"cg"``) the products go through
-  ``gram.dot`` and the preconditioner is ``diag(w)``. Both routes start
-  CG from the last ``alpha``, or from the Galerkin solution on the span
-  of the last ``RECYCLED_SOLUTIONS`` ones unless that raises the energy
-  (``_recycled_start``). A fit's C-steps stop once the C-block objective
-  is within the roundoff of its loss term of its minimum; a standalone
-  solve stops at a relative residual of ``PCG_RTOL`` (``_observed_step``).
+  over it (``_SupervisedState``), the preconditioner is ``diag(w)`` until
+  the fit's PCG steps have cost as much as an explicit inverse of the
+  system matrix, and that inverse after, rebuilt each time its steps
+  cost as much again, and a standalone solve is one LU solve; with any
+  other mask (``"cg"``) the products go through ``gram.dot`` and the
+  preconditioner is ``diag(w)``. Both routes start CG from the last
+  ``alpha``, or from the Galerkin solution on the span of the last
+  ``RECYCLED_SOLUTIONS`` ones unless that raises the energy
+  (``_recycled_start``), whose products with the earlier solutions take
+  one pass over K on the one-hot route. A fit's C-steps stop once the
+  C-block objective is within the roundoff of its loss term of its
+  minimum; a standalone solve stops at a relative residual of
+  ``PCG_RTOL`` (``_observed_step``).
   Both end in the same last rung: a system PCG does not solve, within
   ``max(n, LU_LIMIT)`` unknowns, is solved by LU of its explicit matrix
   (``_observed_system``), and so is every later one of the fit.
@@ -61,6 +65,7 @@ With a geometric delta schedule each phase stops on convergence or at
 ``max_iter``; the next, at delta times a constant factor, warm-starts.
 """
 
+import math
 import numbers
 import time
 from dataclasses import dataclass, field, replace
@@ -71,6 +76,7 @@ from .errors import (
     CgStall,
     DimensionMismatch,
     EmptyTask,
+    NonFinite,
     NonFiniteObjective,
     NotStrictlyPd,
     SingularMatrix,
@@ -86,9 +92,10 @@ MODES = ("altmin", "bcd")
 SCHEDULES = ("fixed", "geometric")
 MAX_HALVINGS = 60
 PCG_RTOL = 1e-12  # standalone C-step exit: true residual <= PCG_RTOL * ||y||
-PCG_REBUILD_STEPS = 8  # more one-hot PCG steps rebuild the preconditioner
+BUILD_STEPS_PER_ROW = 0.5  # one-hot PCG steps an n x n inverse costs, per row
 RECYCLED_SOLUTIONS = 3  # PCG's Galerkin start spans this many solutions
 LU_LIMIT = 4096  # LU solves observed-entry systems of max(n, this) unknowns
+TARGET_LIMIT = 2.0 ** 256  # a fit's largest observed |Y|; its square is 2^512
 
 
 @dataclass
@@ -168,7 +175,10 @@ class FitReport:
     and ``lu_solves`` the solves left to LU because the system was too
     ill-conditioned for PCG (once one is, every later solve of the fit is
     an LU solve), on the one-hot and ``"cg"`` routes. Only the one-hot
-    route fills ``inverse_rebuilds``, the preconditioners built. The
+    route fills ``inverse_rebuilds``, the explicit inverses built as
+    preconditioners: a solve builds one when its PCG steps since the last
+    build (on ``diag(w)`` before the first) reach ``BUILD_STEPS_PER_ROW *
+    n``, about an inverse's cost, or stop short of the tolerance. The
     spectral and gradient routes leave all three at 0.
     ``termination`` is the last phase's. ``wall_times`` holds, in seconds,
     ``"gram"``, the kernel evaluation this fit triggered (0 if the Gram was
@@ -256,8 +266,11 @@ class _SupervisedState:
     as one of its ``blocks`` (``_task_blocks``): its ``k_product`` reads
     each row of K once, in place for a task whose rows are contiguous and
     through a copy of that task's rows otherwise, and ``product`` keeps
-    the last one. It also keeps ``precond``, an explicit inverse of an
-    earlier system matrix, and a ``one_shot`` state, which no later solve
+    the last one. It also keeps ``precond``, None (PCG then takes
+    ``diag(w)``) or an explicit inverse of an earlier system matrix, and
+    ``built_at``, the count of ``pcg_steps`` when that inverse was built,
+    so that ``_solve_observed`` can charge the steps taken since against
+    the cost of the next build. A ``one_shot`` state, which no later solve
     reuses, solves by LU at once. On either route, once ``lu_solves`` is
     nonzero, every solve of the fit is an LU solve.
     """
@@ -278,6 +291,7 @@ class _SupervisedState:
     blocks: list = None
     product: tuple = None
     precond: np.ndarray = None
+    built_at: int = 0
     one_shot: bool = False
     pcg_steps: int = 0
     rebuilds: int = 0
@@ -320,16 +334,17 @@ class _SupervisedState:
         return state
 
     def k_product(self, x):
-        """``(K P(x))'``, T x n, for ``x`` over the one-hot entries: K is
-        symmetric, so row t is ``x[rows] @ K[rows]`` over task t's rows,
-        and the product reads each row of K once. It does not depend on
-        Atilde, so the last one is kept, and a product at the same ``x``
-        (the same object) is not recomputed."""
+        """``(K P(x))'``, T x n, for ``x`` over the one-hot entries, or
+        for an n x k block ``x`` that of each column, T x k x n: K is
+        symmetric, so entry t is ``x[rows]' K[rows]`` over task t's rows,
+        one product per task whatever k, and the product reads each row of
+        K once. It does not depend on Atilde, so the last one is kept, and
+        a product at the same ``x`` (the same object) is not recomputed."""
         if self.product is None or self.product[0] is not x:
             k = self.work.gram.raw
-            pk = np.zeros((self.work.n_tasks, x.size))
+            pk = np.zeros((self.work.n_tasks,) + x.shape[1:] + x.shape[:1])
             for t, rows in self.blocks:
-                np.dot(x[rows], k[rows], out=pk[t])
+                np.dot(x[rows].T, k[rows], out=pk[t])
             self.product = (x, pk)
         return self.product[1]
 
@@ -365,10 +380,10 @@ def _pcg(matvec, b, recent, precond, tol, max_steps, state):
     ``H x = b``, ``H x = matvec(x)``; ``precond(r)`` applies the
     preconditioner. ``recent`` lists earlier solutions, the latest last.
     CG starts from the latest (zeros if there is none) or, if that misses
-    ``tol`` and there are others, from ``_recycled_start``. Whenever the
-    recurrence residual is within ``tol`` or the curvature is not positive,
-    CG restarts from the true residual ``||b - H x||``, and stops once a
-    restart does not lower it. Returns ``(x, res)``: the best ``x`` whose
+    ``tol``, there are others and a step may be taken, from
+    ``_recycled_start``. Whenever the recurrence residual is within
+    ``tol`` or the curvature is not positive, CG restarts from the true
+    residual ``||b - H x||``, and stops once a restart does not lower it. Returns ``(x, res)``: the best ``x`` whose
     true residual was taken, and that residual, NaN if ``b`` is. Steps
     taken are added to ``state.pcg_steps``.
     """
@@ -377,7 +392,7 @@ def _pcg(matvec, b, recent, precond, tol, max_steps, state):
     r = b - hx
     res = float(np.linalg.norm(r))
     x_checked = x
-    if len(recent) > 1 and not res <= tol:
+    if len(recent) > 1 and max_steps and not res <= tol:
         x, r = _recycled_start(matvec, b, recent, hx) or (x, r)
     steps = 0
     while not res <= tol:  # NaN never converges
@@ -411,15 +426,15 @@ def _recycled_start(matvec, b, recent, hx):
     solutions, and its residual: ``Q c`` with ``(Q'HQ) c = Q'b``, ``Q`` an
     orthonormal basis of the span from the QR factorization of ``[x,
     earlier...]``, x the latest solution. ``hx = H x`` gives ``H q_1 = hx /
-    r_11``, so H Q costs one product per earlier solution, and it gives
-    both energies ``x'Hx / 2 - b'x`` and the residual. In that basis Q'HQ
-    is as well conditioned as H, and ``Q c`` has no cancellation, however
-    close the solutions are. Returns None, to keep x, if ``Q c``'s energy
+    r_11``, so H Q costs one ``matvec`` of the block of Q's other columns,
+    and it gives both energies ``x'Hx / 2 - b'x`` and the residual. In
+    that basis Q'HQ is as well conditioned as H, and ``Q c`` has no
+    cancellation, however close the solutions are. Returns None, to keep x, if ``Q c``'s energy
     is above x's or Q'HQ is not finite.
     """
     x = recent[-1]
     q, r = np.linalg.qr(np.column_stack(recent[::-1]))
-    hq = np.column_stack([hx / r[0, 0]] + [matvec(v) for v in q.T[1:]])
+    hq = np.column_stack([hx / r[0, 0], matvec(q[:, 1:])])
     g = q.T @ hq
     g = 0.5 * (g + g.T)  # Q'(HQ) is symmetric only up to roundoff
     qb = q.T @ b
@@ -447,11 +462,37 @@ def _observed_system(a_tilde, state):
 def _one_hot_matvec(a_tilde, state):
     """``H x`` of the one-hot system in one pass over K: ``(H x)_i =
     sum_t (K P(x))'[t, i] Atilde[t, t_i] + x_i / w_i``, with
-    ``state.k_product``."""
+    ``state.k_product``; for an n x k block x, ``H`` of each column, in the
+    same one pass."""
     a_cols, w = a_tilde[:, state.tids], state.wvec  # Atilde[:, t_i]
 
     def matvec(v):
-        return np.einsum("ti,ti->i", state.k_product(v), a_cols) + v / w
+        return (np.einsum("t...i,ti->i...", state.k_product(v), a_cols)
+                + (v.T / w).T)
+
+    return matvec
+
+
+def _cg_matvec(a_tilde, state):
+    """``H x`` of the ``"cg"`` route's system as an operator, ``(K P(x)
+    Atilde).take(flat) + x / w``, with the K product from ``gram.dot``; for
+    an m x k block x, ``H`` of each column in turn. ``gram.dot`` of one
+    scatter is a product with an n x T matrix already; one call on the k
+    scatters side by side would be slower: on a masked linear kernel (n =
+    600, T = 30, d = 10) its index arrays and n x kT temporaries cost more
+    than the products they share."""
+    gram, flat, scattered = state.work.gram, state.flat, state.scattered
+    scattered_flat = scattered.reshape(-1)  # a view, faster to index than put
+    w = state.wvec
+
+    def product(v):
+        scattered_flat[flat] = v
+        return (gram.dot(scattered) @ a_tilde).take(flat) + v / w
+
+    def matvec(v):  # not recursive: a cycle would keep the Gram alive
+        if v.ndim == 2:
+            return np.column_stack([product(column) for column in v.T])
+        return product(v)
 
     return matvec
 
@@ -461,23 +502,28 @@ def _solve_observed(a_tilde, state):
     ``state.recent`` (see ``_pcg``) with the route's product and
     preconditioner, then LU of the explicit system.
 
-    * One-hot: ``_one_hot_matvec``, preconditioned by the kept inverse
-      ``state.precond`` and, if that (or none) falls short of
-      ``state.tol``, by a fresh inverse of ``_observed_system``, from
-      where PCG stopped, at most ``PCG_REBUILD_STEPS`` steps on each. A
-      ``one_shot`` state, whose inverse nothing would reuse, skips PCG: an
-      LU solve costs about a fifth of an inverse.
-    * ``"cg"``: the operator form ``(K P(x) Atilde).take(flat) + x / w``,
-      with the K product from ``gram.dot``, preconditioned by ``diag(w)``,
-      for at most 2m steps, twice what exact arithmetic needs. Short of
-      the tolerance, a solve is accepted within the matvec's roundoff,
-      ``(gram.dot_terms + T) u gram.fro_norm ||Atilde||_F ||x||`` (u the
-      unit roundoff) at ``||x|| = max(w) ||y||``, a bound on the
-      solution's norm, if the bound is below ``||y||``. The bound is taken
-      only for a solve short of the tolerance: on a Gram with no factor
-      ``gram.fro_norm`` reads all of K.
+    * One-hot: ``_one_hot_matvec``, preconditioned by ``state.precond``,
+      ``diag(w)`` before the fit's first build, else the kept inverse. An
+      inverse of the n x n system costs about ``BUILD_STEPS_PER_ROW * n``
+      PCG steps, and that is the budget of PCG steps between builds: a
+      solve takes what remains of it since the last build
+      (``state.built_at``). If that falls short of ``state.tol``, a fresh
+      inverse of ``_observed_system`` is built, and PCG goes on from where
+      it stopped, for a whole budget. A ``one_shot`` state, whose inverse
+      nothing would reuse, skips PCG: an LU solve costs about a fifth of
+      an inverse.
+    * ``"cg"``: the operator form ``_cg_matvec``, preconditioned by
+      ``diag(w)``, for at most 2m steps, twice what exact arithmetic
+      needs. Short of the tolerance, a solve is accepted within the
+      matvec's roundoff, ``(gram.dot_terms + T) u gram.fro_norm
+      ||Atilde||_F ||x||`` (u the unit roundoff) at ``||x|| = max(w)
+      ||y||``, a bound on the solution's norm, if the bound is below
+      ``||y||``. The bound is taken only for a solve short of the
+      tolerance: on a Gram with no factor ``gram.fro_norm`` reads all of
+      K.
 
-    A system that PCG does not solve is too ill-conditioned for it: LU of
+    A system that PCG does not solve (on the one-hot route, not even on a
+    fresh inverse) is too ill-conditioned for it: LU of
     ``_observed_system`` solves it, and every later call of the fit. Only
     two cases raise ``CgStall``: a ``y`` whose norm is not finite, since
     no residual test can accept a solve, and a stall on a system of more
@@ -489,28 +535,27 @@ def _solve_observed(a_tilde, state):
                       "solve whose target has norm %s" % np.linalg.norm(y))
     if state.route == "one_hot":
         matvec, fresh = _one_hot_matvec(a_tilde, state), False
-        while not (state.lu_solves or state.one_shot or fresh):
-            if state.precond is None:
-                state.precond = np.linalg.inv(_observed_system(a_tilde, state))
-                # inv(h) is symmetric only up to roundoff, and PCG assumes symmetry
-                state.precond += state.precond.T
-                state.precond *= 0.5
-                state.rebuilds += 1
-                fresh = True
-            x, res = _pcg(matvec, y, recent, state.precond.__matmul__,
-                          tol, PCG_REBUILD_STEPS, state)
+        budget = math.ceil(BUILD_STEPS_PER_ROW * y.size)
+        while not (state.lu_solves or state.one_shot):
+            precond = (w.__mul__ if state.precond is None
+                       else state.precond.__matmul__)
+            x, res = _pcg(matvec, y, recent, precond, tol,
+                          budget - (state.pcg_steps - state.built_at), state)
             if res <= tol:
                 return x
-            recent, state.precond = [x], None
+            if fresh:
+                state.precond = None  # LU takes this and every later solve
+                break
+            state.precond = np.linalg.inv(_observed_system(a_tilde, state))
+            # inv(h) is symmetric only up to roundoff, and PCG assumes symmetry
+            state.precond += state.precond.T
+            state.precond *= 0.5
+            state.rebuilds += 1
+            state.built_at, recent, fresh = state.pcg_steps, [x], True
     elif not state.lu_solves:
-        gram, flat, scattered = state.work.gram, state.flat, state.scattered
-        scattered_flat = scattered.reshape(-1)  # a view, faster to index than put
-
-        def matvec(v):
-            scattered_flat[flat] = v
-            return (gram.dot(scattered) @ a_tilde).take(flat) + v / w
-
-        x, res = _pcg(matvec, y, recent, w.__mul__, tol, 2 * y.size, state)
+        gram = state.work.gram
+        x, res = _pcg(_cg_matvec(a_tilde, state), y, recent, w.__mul__, tol,
+                      2 * y.size, state)
         if res <= tol:
             return x
         y_norm = float(np.linalg.norm(y))
@@ -703,6 +748,8 @@ def fit_gram(gram, y, w, penalty, lam, ridge=0.0, config=None, callback=None):
 
     Every setting is checked, and the start structure built, before the
     kernel is evaluated (if the fit reads its entries, see ``GramMatrix``).
+    Targets whose largest observed magnitude is above ``TARGET_LIMIT``
+    raise ``NonFinite``, naming that scale.
     A fit with uniform weights, in either mode, runs in K's eigenbasis
     (see ``_SupervisedState``): every step and objective value there costs
     O(r T^2) or less, the trajectory adds the constant the rotation leaves
@@ -716,6 +763,16 @@ def fit_gram(gram, y, w, penalty, lam, ridge=0.0, config=None, callback=None):
         gram=gram, Y=y, W=w, lam=lam, penalty=penalty,
         ridge=ridge, delta=deltas[0],
     )
+    scale = max(inst.Y.max(), -inst.Y.min())  # a bound with no temporary
+    if scale > TARGET_LIMIT:
+        scale = float(np.max(np.abs(inst.Y), where=inst.W > 0, initial=0.0))
+    if scale > TARGET_LIMIT:
+        raise NonFinite(
+            "the targets Y have scale %.3g (their largest observed |Y|), "
+            "above a fit's limit of 2^256 = %.3g: the solver squares "
+            "quantities that exceed the targets by the conditioning of its "
+            "systems, and those squares would overflow; rescale Y"
+            % (scale, TARGET_LIMIT))
     a = _start_structure(config, penalty, inst.n_tasks)
     route = _route(inst.W, config.mode)
     times = dict.fromkeys(("gram", "supervised", "unsupervised", "fit"), 0.0)

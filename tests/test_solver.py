@@ -6,6 +6,8 @@ wherever their domains overlap, and the fixed-identity penalty must reduce
 to independent kernel ridge.
 """
 
+import math
+import re
 import time
 from dataclasses import replace
 from types import SimpleNamespace
@@ -32,6 +34,7 @@ from smtl.solver import (
     SolverConfig,
     _SupervisedState,
     _backtrack,
+    _cg_matvec,
     _observed_step,
     _one_hot_matvec,
     _observed_system,
@@ -177,11 +180,12 @@ class TestOneHotPcg:
         alpha, _ = direct_one_hot_alpha(inst, a)
         assert rel_err(state.alpha, alpha) <= 1e-10
         assert state.route == "one_hot"
-        assert state.rebuilds == 1 and state.lu_solves == 0
+        # PCG on diag(w) converges within the steps an inverse would cost
+        assert state.rebuilds == 0 and state.lu_solves == 0
         # warm-started at its own solution, a repeat solve takes no step
         steps = state.pcg_steps
         _supervised_exact(inst, PsdMatrix(a), state)
-        assert state.pcg_steps == steps and state.rebuilds == 1
+        assert state.pcg_steps == steps and state.rebuilds == 0
 
     def test_shared_state_tracks_drifting_structure(self):
         """Successive A's as in a fit: each solve warm-starts from the last
@@ -212,6 +216,51 @@ class TestOneHotPcg:
             assert cond > 1e6
             assert rel_err(state.alpha, alpha) <= 1e-14 * cond
         assert state.rebuilds == 1 and state.lu_solves == 2
+
+    def test_drift_builds_once_per_budget_of_steps(self):
+        """A's that drift far enough to spend the step budget of an inverse
+        (BUILD_STEPS_PER_ROW * n PCG steps) several times: every solve
+        matches the direct one, and the inverses built are at most one
+        per budget of steps, plus one."""
+        inst = one_hot_instance(KernelSpec("gaussian", gamma=0.3))
+        budget = math.ceil(smtl.solver.BUILD_STEPS_PER_ROW * inst.n)
+        rng = np.random.default_rng(7)
+        a0 = random_structure(rng, inst.n_tasks)
+        drift = random_structure(rng, inst.n_tasks)
+        state = _SupervisedState.of(inst, "altmin")
+        for i in range(60):
+            a = a0 + 0.3 * i * drift
+            _supervised_exact(inst, PsdMatrix(a), state)
+            alpha, _ = direct_one_hot_alpha(inst, a)
+            assert rel_err(state.alpha, alpha) <= 1e-10, i
+        assert state.pcg_steps > 3 * budget and state.lu_solves == 0
+        assert 2 <= state.rebuilds <= math.ceil(state.pcg_steps / budget) + 1
+
+    def test_ill_conditioned_system_ends_in_lu_from_a_kept_inverse(self):
+        """The lam = 1e-6 rank-deficient case on a state that already
+        keeps an inverse (built at lam = 0.2): PCG on it, then on a fresh
+        one, cannot certify the system, so LU solves it within 1e-14 cond,
+        and every later system with no more PCG steps or builds."""
+        inst = one_hot_instance(KernelSpec("linear"))
+        rng = np.random.default_rng(5)
+        a0 = random_structure(rng, inst.n_tasks)
+        drift = random_structure(rng, inst.n_tasks)
+        state = _SupervisedState.of(inst, "altmin")
+        for i in range(40):
+            _supervised_exact(inst, PsdMatrix(a0 + 0.3 * i * drift), state)
+            if state.rebuilds:
+                break
+        assert state.rebuilds == 1 and state.precond is not None
+        ill = replace(inst, lam=1e-6)
+        for lu_solves in (1, 2):
+            _supervised_exact(ill, PsdMatrix(a0), state)
+            alpha, cond = direct_one_hot_alpha(ill, a0)
+            assert cond > 1e6
+            assert rel_err(state.alpha, alpha) <= 1e-14 * cond
+            assert state.lu_solves == lu_solves and state.rebuilds == 2
+            if lu_solves == 1:
+                steps = state.pcg_steps
+        assert state.pcg_steps == steps and state.precond is None
 
     def test_singular_system_raises_singular_matrix(self):
         """H is SPD, but at lam = 1e-20 the entries of Atilde o K are of
@@ -315,6 +364,20 @@ class TestOneHotBlockedProduct:
         matvec = _one_hot_matvec(a_tilde, state)
         for x in rng.standard_normal((3, inst.n)):
             assert rel_err(matvec(x), h @ x) <= 1e-12
+
+    @LAYOUT_KERNELS
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_block_matvec_matches_column_products(self, layout, kernel):
+        """The product with an n x k block, one pass over K for the
+        Galerkin start's k columns, is the column-by-column products'."""
+        inst, _ = one_hot_layout(layout, kernel)
+        state = _SupervisedState.of(inst, "altmin")
+        rng = np.random.default_rng(44)
+        matvec = _one_hot_matvec(random_structure(rng, inst.n_tasks), state)
+        for k in (1, RECYCLED_SOLUTIONS - 1, 3):
+            block = rng.standard_normal((inst.n, k))
+            columns = np.column_stack([matvec(v) for v in block.T])
+            assert rel_err(matvec(block), columns) <= 1e-15, k
 
     @LAYOUT_KERNELS
     @pytest.mark.parametrize("layout", LAYOUTS)
@@ -549,6 +612,23 @@ def test_masked_route_reads_fro_norm_only_short_of_tolerance(monkeypatch):
     assert reads == [36]
 
 
+@pytest.mark.parametrize("kernel", [KernelSpec("linear"),
+                                    KernelSpec("gaussian", gamma=0.3)],
+                         ids=["linear_factored", "gaussian"])
+def test_masked_block_matvec_matches_column_products(kernel):
+    """The "cg" operator takes an m x k block, as the Galerkin start
+    passes it, and gives the column-by-column products."""
+    inst, a = masked_linear_instance(0.1)
+    inst = replace(inst, gram=GramMatrix(kernel, inst.gram.X_train))
+    state = _SupervisedState.of(inst, "altmin")
+    rng = np.random.default_rng(45)
+    matvec = _cg_matvec(np.linalg.inv(inst.lam * np.linalg.inv(a)), state)
+    for k in (1, RECYCLED_SOLUTIONS - 1, 3):
+        block = rng.standard_normal((state.yvec.size, k))
+        columns = np.column_stack([matvec(v) for v in block.T])
+        assert rel_err(matvec(block), columns) <= 1e-15, k
+
+
 def census_masked_example():
     """The masked fit of the failure census (``tools/failure_census.py``)
     at T = 2, d = 1, seed 0: 16 rows, each observing its own task and the
@@ -650,6 +730,34 @@ def test_fit_refuses_targets_whose_weighted_squares_overflow(route):
     with pytest.raises(NonFinite, match=r"targets Y overflow: .*sum\(W Y\^2\)"):
         fit_gram(gram, 1e160 * ds.Y, ds.W, penalty, 0.1)
     assert not gram.evaluated
+
+
+@pytest.mark.parametrize("route", ["one_hot", "cg"])
+def test_fit_refuses_targets_above_the_scale_limit(route):
+    """Targets scaled by 1e150 on a linear kernel (24 rows, T = 3) have a
+    finite ``sum(W Y^2)``, but the squares the solver forms at the
+    solution's scale overflow: the one-hot fit used to raise
+    NonFiniteObjective from PCG's inner products, and the "cg" fit's
+    objective reached 3.3e307, a factor 5 from overflow. A fit refuses
+    targets above 2^256 before the kernel is evaluated, naming their
+    scale; the unscaled targets fit on the same route, also with an
+    unobserved entry (W = 0) at 1e150, which no step reads."""
+    ds = make_dataset(seed=0, n_tasks=3, n_per_task=8, d=2)
+    if route == "cg":
+        ds = masked_dataset(n=24, n_tasks=3)
+    spec, penalty = KernelSpec("linear"), PenaltySpec.schatten(1, 1)
+    y = ds.Y.copy()
+    y[tuple(np.argwhere(ds.W == 0)[0])] = 1e150
+    _, rep = fit(replace(ds, Y=y), spec, penalty, 0.1,
+                 config=SolverConfig(max_iter=2))
+    assert rep.supervised_route == route
+    scale = 1e150 * np.max(np.abs(ds.Y))
+    gram = GramMatrix(spec, ds.X)
+    with pytest.raises(NonFinite, match=r"targets Y have scale %s .*"
+                       r"limit of 2\^256" % re.escape("%.3g" % scale)):
+        fit_gram(gram, 1e150 * ds.Y, ds.W, penalty, 0.1)
+    assert not gram.evaluated
+    assert 1e150 ** 2 * np.sum(ds.W * ds.Y ** 2) < np.inf
 
 
 UNIT_ROUNDOFF = 2.0 ** -53
